@@ -8,19 +8,68 @@ namespace smoke {
 
 namespace {
 
-/// Tracked bytes of a retained SPJA query: the composed indexes plus the
+/// Tracked bytes of a retained result: the composed indexes plus the
 /// partitioned skip index — under skip push-down the latter *replaces* the
 /// plain fact backward index and is where the dominant lineage lives.
-size_t SpjaLineageBytes(const SPJAResult& result) {
+size_t LineageBytes(const PlanResult& result) {
   return result.lineage.MemoryBytes() + result.skip_index.MemoryBytes();
 }
 
-size_t PlanLineageBytes(const PlanResult& result) {
-  size_t b = result.lineage.MemoryBytes();
-  if (result.spja_artifacts != nullptr) {
-    b += result.spja_artifacts->skip_index.MemoryBytes();
+/// Encodes a retained result's indexes (composed, and the skip index when
+/// the block has one) under `codec`.
+void EncodeLineage(PlanResult* result, LineageCodec codec) {
+  EncodeQueryLineage(&result->lineage, codec);
+  if (result->skip_index.num_codes() > 0) result->skip_index.Freeze(codec);
+}
+
+/// True when `result` still references `table`: through its lineage, or
+/// through the SPJA block query its lazy rescan re-evaluates.
+bool Borrows(const PlanResult& result, const Table* table) {
+  if (result.query.fact == table) return true;
+  for (const SPJADim& d : result.query.dims) {
+    if (d.table == table) return true;
   }
-  return b;
+  const QueryLineage& lin = result.lineage;
+  for (size_t i = 0; i < lin.num_inputs(); ++i) {
+    if (lin.input(i).table == table) return true;
+  }
+  return false;
+}
+
+/// True when backward traces of `relation` on `result` are answered by the
+/// lazy rescan: the indexes were evicted under the lineage budget and the
+/// root is an SPJA block over base-table scans with no dimensions and
+/// fact-table group keys. (Pruned or push-down-replaced indexes
+/// deliberately do NOT fall back — their capture semantics restrict lineage
+/// on purpose, so a lazy answer would be silently wrong; they keep
+/// returning the "not captured" error.)
+bool AnswersLazily(const PlanResult& result, const std::string& relation) {
+  return result.lineage.evicted() && result.lineage.FindInput(relation) >= 0 &&
+         LazyRewriteAvailable(result.query);
+}
+
+/// Lb(out_rids, fact) by lazy rescan of the block's fact relation, seed by
+/// seed.
+Status LazyBackward(const PlanResult& result,
+                    const std::vector<rid_t>& out_rids, bool dedup,
+                    std::vector<rid_t>* rids) {
+  std::vector<uint8_t> seen(dedup ? result.query.fact->num_rows() : 0, 0);
+  rids->clear();
+  for (rid_t oid : out_rids) {
+    if (oid >= result.output.num_rows()) {
+      return Status::InvalidArgument(
+          "output rid " + std::to_string(oid) + " out of range [0, " +
+          std::to_string(result.output.num_rows()) + ")");
+    }
+    for (rid_t r : LazyBackwardRids(result.query, result.output, oid)) {
+      if (dedup) {
+        if (seen[r]) continue;
+        seen[r] = 1;
+      }
+      rids->push_back(r);
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -126,28 +175,9 @@ Status SmokeEngine::AppendRows(const std::string& name, const Table& rows,
   // refusal here is atomic (the table is untouched). Appends never dangle
   // retained rids — the hazard is retained results going stale — so, unlike
   // ReplaceTable, borrowing is allowed when the borrower can be maintained.
-  for (const auto& [qname, rq] : queries_) {
-    const QueryLineage& lin = rq->result.lineage;
-    bool borrows = rq->fact == dst || rq->query.fact == dst;
-    for (const SPJADim& d : rq->query.dims) borrows |= d.table == dst;
-    for (size_t i = 0; !borrows && i < lin.num_inputs(); ++i) {
-      borrows = lin.input(i).table == dst;
-    }
-    if (borrows) {
-      return Status::FailedPrecondition(
-          "table '" + name + "' is borrowed by retained SPJA query '" +
-          qname + "', which cannot be incrementally maintained; drop it or "
-          "re-issue it as a plan with retain_refresh_state");
-    }
-  }
   std::vector<std::string> views;
   for (const auto& [qname, rp] : plans_) {
-    const QueryLineage& lin = rp->result.lineage;
-    bool borrows = false;
-    for (size_t i = 0; !borrows && i < lin.num_inputs(); ++i) {
-      borrows = lin.input(i).table == dst;
-    }
-    if (!borrows) continue;
+    if (!Borrows(rp->result, dst)) continue;
     if (rp->shard != nullptr) {
       return Status::FailedPrecondition(
           "table '" + name + "' is borrowed by sharded retained plan '" +
@@ -180,20 +210,18 @@ Status SmokeEngine::AppendRows(const std::string& name, const Table& rows,
       // Scoped rebuild fallback (dim-side append, non-refreshable shape).
       std::string reason = std::move(s.fallback_reason);
       SMOKE_RETURN_NOT_OK(RebuildRetainedPlan(&rp.result));
-      if (rp.codec != LineageCodec::kRaw) {
-        EncodeQueryLineage(&rp.result.lineage, rp.codec);
-        if (rp.result.spja_artifacts != nullptr) {
-          rp.result.spja_artifacts->skip_index.Freeze(rp.codec);
-        }
-      }
+      if (rp.codec != LineageCodec::kRaw) EncodeLineage(&rp.result, rp.codec);
       s = RefreshStats{};
       s.table = name;
       s.delta_rows = rows.num_rows();
       s.fallback_reason = std::move(reason);
       s.output_rows_appended = rp.result.output.num_rows();
+      // Rebuilt indexes are resident again, even if they had been evicted.
+      tracker_.Register(qname, LineageBytes(rp.result), rp.codec);
+    } else {
+      tracker_.Update(qname, LineageBytes(rp.result), rp.codec);
     }
     s.target = qname;
-    tracker_.Update(qname, PlanLineageBytes(rp.result), rp.codec);
     if (stats != nullptr) stats->push_back(std::move(s));
   }
   EnforceBudget();
@@ -202,7 +230,7 @@ Status SmokeEngine::AppendRows(const std::string& name, const Table& rows,
 
 Status SmokeEngine::AdoptRetainedPlan(const std::string& query_name,
                                       PlanResult result, LineageCodec codec) {
-  if (IsRetainedName(query_name)) {
+  if (plans_.count(query_name) != 0) {
     return Status::AlreadyExists("query '" + query_name + "'");
   }
   if (result.HasDeferred()) {
@@ -212,9 +240,8 @@ Status SmokeEngine::AdoptRetainedPlan(const std::string& query_name,
   auto retained = std::make_unique<RetainedPlan>();
   retained->result = std::move(result);
   retained->codec = codec;
-  RetainedPlan& rp = *retained;
+  tracker_.Register(query_name, LineageBytes(retained->result), codec);
   plans_[query_name] = std::move(retained);
-  tracker_.Register(query_name, PlanLineageBytes(rp.result), codec);
   EnforceBudget();
   return Status::OK();
 }
@@ -226,32 +253,21 @@ std::string SmokeEngine::ShardBorrowerOf(const ShardedTable* st) const {
   return std::string();
 }
 
-bool SmokeEngine::TableInUse(const Table* table) const {
-  return !BorrowerOf(table).empty();
-}
-
 std::string SmokeEngine::BorrowerOf(const Table* table) const {
-  for (const auto& [name, rq] : queries_) {
-    if (rq->fact == table || rq->query.fact == table) return name;
-    for (const SPJADim& d : rq->query.dims) {
-      if (d.table == table) return name;
-    }
-    const QueryLineage& lin = rq->result.lineage;
-    for (size_t i = 0; i < lin.num_inputs(); ++i) {
-      if (lin.input(i).table == table) return name;
-    }
-  }
   for (const auto& [name, rp] : plans_) {
-    const QueryLineage& lin = rp->result.lineage;
-    for (size_t i = 0; i < lin.num_inputs(); ++i) {
-      if (lin.input(i).table == table) return name;
-    }
+    if (Borrows(rp->result, table)) return name;
   }
   return std::string();
 }
 
-bool SmokeEngine::IsRetainedName(const std::string& name) const {
-  return queries_.count(name) > 0 || plans_.count(name) > 0;
+Status SmokeEngine::Lookup(const std::string& query_name,
+                           const RetainedPlan** out) const {
+  auto it = plans_.find(query_name);
+  if (it == plans_.end()) {
+    return Status::NotFound("query '" + query_name + "'");
+  }
+  *out = it->second.get();
+  return Status::OK();
 }
 
 Status SmokeEngine::ExecuteQuery(const std::string& query_name,
@@ -265,35 +281,18 @@ Status SmokeEngine::ExecuteQuery(const std::string& query_name,
                                  const SPJAQuery& query,
                                  const CaptureOptions& options,
                                  const Workload* workload) {
-  if (IsRetainedName(query_name)) {
-    return Status::AlreadyExists("query '" + query_name + "'");
-  }
-  if (query.fact == nullptr) {
-    return Status::InvalidArgument("query has no fact table");
-  }
-  if (options.mode == CaptureMode::kPhysMem ||
-      options.mode == CaptureMode::kPhysBdb) {
-    return Status::Unsupported(
-        "physical baselines are exercised per-operator, not via the engine "
-        "facade");
-  }
-
-  CaptureOptions opts = options;
-  const SPJAPushdown* push = nullptr;
-  if (workload != nullptr) {
-    opts.only_relations = workload->traced_relations;
-    opts.capture_backward = workload->needs_backward;
-    opts.capture_forward = workload->needs_forward;
-    if (!workload->pushdown.empty()) push = &workload->pushdown;
-  }
-
-  auto retained = std::make_unique<RetainedQuery>();
-  retained->query = query;
-  retained->fact = query.fact;
-  retained->result = SPJAExec(query, opts, push);
-  queries_[query_name] = std::move(retained);
-  FinishRetention(query_name, opts);
-  return Status::OK();
+  // An SPJA query is the canonical plan with one SpjaBlock node (paper
+  // Section 3.3): the workload's push-downs attach to the block, and the
+  // plan retains like any other.
+  Workload pruning;
+  if (workload != nullptr) pruning = *workload;
+  PlanBuilder builder;
+  const int root = builder.SpjaBlock(query, std::move(pruning.pushdown));
+  pruning.pushdown = SPJAPushdown();
+  LogicalPlan plan;
+  SMOKE_RETURN_NOT_OK(builder.Build(root, &plan));
+  return ExecutePlan(query_name, plan, options,
+                     workload != nullptr ? &pruning : nullptr);
 }
 
 Status SmokeEngine::ExecutePlan(const std::string& query_name,
@@ -306,7 +305,7 @@ Status SmokeEngine::ExecutePlan(const std::string& query_name,
                                 const LogicalPlan& plan,
                                 const CaptureOptions& options,
                                 const Workload* workload) {
-  if (IsRetainedName(query_name)) {
+  if (plans_.count(query_name) != 0) {
     return Status::AlreadyExists("query '" + query_name + "'");
   }
   if (options.mode == CaptureMode::kPhysMem ||
@@ -341,15 +340,14 @@ Status SmokeEngine::ExecutePlan(const std::string& query_name,
     retained->result = std::move(sp.plan);
     retained->shard = std::move(sp.shard);
   }
-  plans_[query_name] = std::move(retained);
-  FinishRetention(query_name, opts);
+  Retain(query_name, std::move(retained), opts);
   return Status::OK();
 }
 
 Status SmokeEngine::FinalizePlan(const std::string& query_name) {
   auto it = plans_.find(query_name);
   if (it == plans_.end()) {
-    return Status::NotFound("plan query '" + query_name + "'");
+    return Status::NotFound("query '" + query_name + "'");
   }
   RetainedPlan& rp = *it->second;
   const bool was_deferred = rp.result.HasDeferred();
@@ -357,13 +355,8 @@ Status SmokeEngine::FinalizePlan(const std::string& query_name) {
   if (was_deferred) {
     // Capture finalize is the store's encode point: the freshly composed
     // indexes are re-encoded under the retention codec and accounted.
-    if (rp.codec != LineageCodec::kRaw) {
-      EncodeQueryLineage(&rp.result.lineage, rp.codec);
-      if (rp.result.spja_artifacts != nullptr) {
-        rp.result.spja_artifacts->skip_index.Freeze(rp.codec);
-      }
-    }
-    tracker_.Update(query_name, PlanLineageBytes(rp.result), rp.codec);
+    if (rp.codec != LineageCodec::kRaw) EncodeLineage(&rp.result, rp.codec);
+    tracker_.Update(query_name, LineageBytes(rp.result), rp.codec);
     EnforceBudget();
   }
   return Status::OK();
@@ -371,50 +364,26 @@ Status SmokeEngine::FinalizePlan(const std::string& query_name) {
 
 Status SmokeEngine::GetResult(const std::string& query_name,
                               const Table** out) const {
-  if (auto it = queries_.find(query_name); it != queries_.end()) {
-    *out = &it->second->result.output;
-    return Status::OK();
-  }
-  if (auto it = plans_.find(query_name); it != plans_.end()) {
-    *out = &it->second->result.output;
-    return Status::OK();
-  }
-  return Status::NotFound("query '" + query_name + "'");
+  const RetainedPlan* rp = nullptr;
+  SMOKE_RETURN_NOT_OK(Lookup(query_name, &rp));
+  *out = &rp->result.output;
+  return Status::OK();
 }
 
 Status SmokeEngine::GetResultObject(const std::string& query_name,
                                     const SPJAResult** out) const {
-  auto it = queries_.find(query_name);
-  if (it == queries_.end()) {
-    return Status::NotFound("query '" + query_name + "'");
-  }
-  *out = &it->second->result;
+  const RetainedPlan* rp = nullptr;
+  SMOKE_RETURN_NOT_OK(Lookup(query_name, &rp));
+  *out = &rp->result;
   return Status::OK();
 }
 
 Status SmokeEngine::GetPlanResult(const std::string& query_name,
                                   const PlanResult** out) const {
-  auto it = plans_.find(query_name);
-  if (it == plans_.end()) {
-    return Status::NotFound("plan query '" + query_name + "'");
-  }
-  *out = &it->second->result;
+  const RetainedPlan* rp = nullptr;
+  SMOKE_RETURN_NOT_OK(Lookup(query_name, &rp));
+  *out = &rp->result;
   return Status::OK();
-}
-
-Status SmokeEngine::FindLineage(const std::string& query_name,
-                                const QueryLineage** out) const {
-  if (auto it = queries_.find(query_name); it != queries_.end()) {
-    *out = &it->second->result.lineage;
-    tracker_.Touch(query_name);
-    return Status::OK();
-  }
-  if (auto it = plans_.find(query_name); it != plans_.end()) {
-    *out = &it->second->result.lineage;
-    tracker_.Touch(query_name);
-    return Status::OK();
-  }
-  return Status::NotFound("query '" + query_name + "'");
 }
 
 // ---- lineage queries: typed handles ----
@@ -432,26 +401,27 @@ Status SplitTraceOutput(PlanResult&& pr, TraceResult* out) {
 
 }  // namespace
 
-Status SmokeEngine::MakeTraceSource(const std::string& query_name,
-                                    TraceSource* out) const {
-  if (auto it = queries_.find(query_name); it != queries_.end()) {
-    *out = TraceSource::FromSpja(it->second->query, it->second->result,
-                                 query_name);
-  } else if (auto pit = plans_.find(query_name); pit != plans_.end()) {
-    *out = TraceSource::FromPlan(pit->second->result, query_name);
-  } else {
-    return Status::NotFound("query '" + query_name + "'");
-  }
+TraceSource SmokeEngine::SourceOf(const std::string& query_name,
+                                  const RetainedPlan& rp) const {
+  TraceSource src = TraceSource::FromPlan(rp.result, query_name);
   // Feed the store-level statistics to the trace cost model
   // (optimizer/cost.h) before bumping the LRU clock.
   LineageMemoryTracker::Entry entry;
   if (tracker_.Lookup(query_name, &entry)) {
-    out->stats.valid = true;
-    out->stats.store_bytes = entry.bytes;
-    out->stats.codec = entry.codec;
-    out->stats.evicted = entry.evicted;
+    src.stats.valid = true;
+    src.stats.store_bytes = entry.bytes;
+    src.stats.codec = entry.codec;
+    src.stats.evicted = entry.evicted;
   }
   tracker_.Touch(query_name);
+  return src;
+}
+
+Status SmokeEngine::MakeTraceSource(const std::string& query_name,
+                                    TraceSource* out) const {
+  const RetainedPlan* rp = nullptr;
+  SMOKE_RETURN_NOT_OK(Lookup(query_name, &rp));
+  *out = SourceOf(query_name, *rp);
   return Status::OK();
 }
 
@@ -459,42 +429,39 @@ Status SmokeEngine::TraceBackward(const std::string& query_name,
                                   const std::string& relation,
                                   const std::vector<rid_t>& out_rids,
                                   TraceResult* out, bool dedup) const {
+  const RetainedPlan* rp = nullptr;
+  SMOKE_RETURN_NOT_OK(Lookup(query_name, &rp));
+  const PlanResult& result = rp->result;
   // Evicted-index fallback for multi-seed traces: the compiled lazy plan
   // handles exactly one seed, so loop the lazy rescan per seed (the same
   // path the string-keyed Backward takes) and synthesize the 1:1 lineage
   // the Trace operator would have produced — the handle stays chainable.
-  if (auto it = queries_.find(query_name); it != queries_.end()) {
-    const RetainedQuery& rq = *it->second;
-    const int li = rq.result.lineage.FindInput(relation);
-    if (out_rids.size() != 1 && li >= 0 && rq.result.lineage.evicted() &&
-        LazyFallbackAvailable(query_name)) {
-      std::vector<rid_t> rids;
-      SMOKE_RETURN_NOT_OK(
-          Backward(query_name, relation, out_rids, &rids, dedup));
-      const Table* fact = rq.query.fact;
-      SMOKE_RETURN_NOT_OK(MaterializeRowsChecked(*fact, rids, &out->rows));
-      out->rids = rids;
-      PlanResult pr;
-      pr.output = out->rows;
-      pr.output_cardinality = rids.size();
-      TableLineage& tl = pr.lineage.AddInput(relation, fact);
-      tl.backward = LineageIndex::FromArray(RidArray(rids));
-      RidIndex fw(fact->num_rows());
-      for (size_t i = 0; i < rids.size(); ++i) {
-        fw.Append(rids[i], static_cast<rid_t>(i));
-      }
-      tl.forward = LineageIndex::FromIndex(std::move(fw));
-      pr.lineage.set_output_cardinality(rids.size());
-      out->plan = std::move(pr);
-      return Status::OK();
+  if (out_rids.size() != 1 && AnswersLazily(result, relation)) {
+    tracker_.Touch(query_name);
+    std::vector<rid_t> rids;
+    SMOKE_RETURN_NOT_OK(LazyBackward(result, out_rids, dedup, &rids));
+    const Table* fact = result.query.fact;
+    SMOKE_RETURN_NOT_OK(MaterializeRowsChecked(*fact, rids, &out->rows));
+    out->rids = rids;
+    PlanResult pr;
+    pr.output = out->rows;
+    pr.output_cardinality = rids.size();
+    TableLineage& tl = pr.lineage.AddInput(relation, fact);
+    tl.backward = LineageIndex::FromArray(RidArray(rids));
+    RidIndex fw(fact->num_rows());
+    for (size_t i = 0; i < rids.size(); ++i) {
+      fw.Append(rids[i], static_cast<rid_t>(i));
     }
+    tl.forward = LineageIndex::FromIndex(std::move(fw));
+    pr.lineage.set_output_cardinality(rids.size());
+    out->plan = std::move(pr);
+    return Status::OK();
   }
-  TraceSource src;
-  SMOKE_RETURN_NOT_OK(MakeTraceSource(query_name, &src));
   LineageQuery q;
-  SMOKE_RETURN_NOT_OK(TraceBuilder::Backward(std::move(src), relation, out_rids)
-                          .Dedup(dedup)
-                          .Compile(&q));
+  SMOKE_RETURN_NOT_OK(
+      TraceBuilder::Backward(SourceOf(query_name, *rp), relation, out_rids)
+          .Dedup(dedup)
+          .Compile(&q));
   PlanResult pr;
   SMOKE_RETURN_NOT_OK(q.Execute(CaptureOptions::Inject(), &pr));
   if (q.strategy() == TraceStrategy::kLazy) {
@@ -552,64 +519,48 @@ Status SmokeEngine::TraceLinked(const std::string& from_query,
 Status SmokeEngine::ExecuteTraceQuery(const std::string& result_name,
                                       const TraceBuilder& builder,
                                       const CaptureOptions& opts) {
-  if (IsRetainedName(result_name)) {
+  if (plans_.count(result_name) != 0) {
     return Status::AlreadyExists("result '" + result_name + "'");
   }
   auto retained = std::make_unique<RetainedPlan>();
   SMOKE_RETURN_NOT_OK(builder.Execute(opts, &retained->result));
-  plans_[result_name] = std::move(retained);
-  FinishRetention(result_name, opts);
+  Retain(result_name, std::move(retained), opts);
   return Status::OK();
 }
 
 // ---- lineage queries: string-keyed shims ----
 
-Status SmokeEngine::Backward(const std::string& query_name,
-                             const std::string& relation,
-                             const std::vector<rid_t>& out_rids,
-                             std::vector<rid_t>* rids, bool dedup) const {
-  const QueryLineage* lineage = nullptr;
-  SMOKE_RETURN_NOT_OK(FindLineage(query_name, &lineage));
-  const int i = lineage->FindInput(relation);
-  if (i >= 0 && lineage->evicted() && LazyFallbackAvailable(query_name)) {
-    // The index was evicted under the lineage budget: answer by lazy
-    // rescan of the fact relation, seed by seed. (Pruned or push-down-
-    // replaced indexes deliberately do NOT fall back — their capture
-    // semantics restrict lineage on purpose, so a lazy answer would be
-    // silently wrong; they keep returning the "not captured" error.)
-    const RetainedQuery& rq = *queries_.at(query_name);
-    std::vector<uint8_t> seen(dedup ? rq.query.fact->num_rows() : 0, 0);
-    rids->clear();
-    for (rid_t oid : out_rids) {
-      if (oid >= rq.result.output.num_rows()) {
-        return Status::InvalidArgument(
-            "output rid " + std::to_string(oid) + " out of range [0, " +
-            std::to_string(rq.result.output.num_rows()) + ")");
-      }
-      for (rid_t r : LazyBackwardRids(rq.query, rq.result.output, oid)) {
-        if (dedup) {
-          if (seen[r]) continue;
-          seen[r] = 1;
-        }
-        rids->push_back(r);
-      }
-    }
-    return Status::OK();
+Status SmokeEngine::BackwardOf(const std::string& query_name,
+                               const RetainedPlan& rp,
+                               const std::string& relation,
+                               const std::vector<rid_t>& out_rids, bool dedup,
+                               std::vector<rid_t>* rids) const {
+  tracker_.Touch(query_name);
+  // Evicted under the lineage budget: answer by lazy rescan.
+  if (AnswersLazily(rp.result, relation)) {
+    return LazyBackward(rp.result, out_rids, dedup, rids);
   }
   // Sharded retained plans: when the seed set is selective enough that the
   // shard fan-out beats a composed-index probe (optimizer/cost.h pricing),
   // answer by probing only the touched shards. Rids are identical either
   // way.
-  if (auto it = plans_.find(query_name); it != plans_.end()) {
-    const RetainedPlan& rp = *it->second;
-    if (rp.shard != nullptr && relation == rp.shard->driver_relation &&
-        CostShardTrace(out_rids.size(), rp.shard->num_shards(),
-                       rp.result.output.num_rows())
-            .use_fan_out) {
-      return rp.shard->TraceBackward(out_rids, dedup, rids, nullptr);
-    }
+  if (rp.shard != nullptr && relation == rp.shard->driver_relation &&
+      CostShardTrace(out_rids.size(), rp.shard->num_shards(),
+                     rp.result.output.num_rows())
+          .use_fan_out) {
+    return rp.shard->TraceBackward(out_rids, dedup, rids, nullptr);
   }
-  return BackwardRidsChecked(*lineage, relation, out_rids, dedup, rids);
+  return BackwardRidsChecked(rp.result.lineage, relation, out_rids, dedup,
+                             rids);
+}
+
+Status SmokeEngine::Backward(const std::string& query_name,
+                             const std::string& relation,
+                             const std::vector<rid_t>& out_rids,
+                             std::vector<rid_t>* rids, bool dedup) const {
+  const RetainedPlan* rp = nullptr;
+  SMOKE_RETURN_NOT_OK(Lookup(query_name, &rp));
+  return BackwardOf(query_name, *rp, relation, out_rids, dedup, rids);
 }
 
 Status SmokeEngine::BackwardSharded(const std::string& query_name,
@@ -618,46 +569,47 @@ Status SmokeEngine::BackwardSharded(const std::string& query_name,
                                     std::vector<rid_t>* rids,
                                     ShardTraceStats* stats,
                                     bool dedup) const {
-  auto it = plans_.find(query_name);
-  if (it == plans_.end()) {
-    return Status::NotFound("plan query '" + query_name + "'");
-  }
-  const RetainedPlan& rp = *it->second;
-  if (rp.shard == nullptr) {
+  const RetainedPlan* rp = nullptr;
+  SMOKE_RETURN_NOT_OK(Lookup(query_name, &rp));
+  if (rp->shard == nullptr) {
     return Status::InvalidArgument(
         "query '" + query_name +
         "' has no shard fan-out state (plan touched no sharded table, or "
         "backward capture was off)");
   }
-  if (relation != rp.shard->driver_relation) {
+  if (relation != rp->shard->driver_relation) {
     return Status::InvalidArgument(
         "shard fan-out applies to the sharded driver relation '" +
-        rp.shard->driver_relation + "' only; trace '" + relation +
+        rp->shard->driver_relation + "' only; trace '" + relation +
         "' through Backward");
   }
   tracker_.Touch(query_name);
-  return rp.shard->TraceBackward(out_rids, dedup, rids, stats);
+  return rp->shard->TraceBackward(out_rids, dedup, rids, stats);
 }
 
 Status SmokeEngine::Forward(const std::string& query_name,
                             const std::string& relation,
                             const std::vector<rid_t>& in_rids,
                             std::vector<rid_t>* rids) const {
-  const QueryLineage* lineage = nullptr;
-  SMOKE_RETURN_NOT_OK(FindLineage(query_name, &lineage));
-  return ForwardRidsChecked(*lineage, relation, in_rids, /*dedup=*/true, rids);
+  const RetainedPlan* rp = nullptr;
+  SMOKE_RETURN_NOT_OK(Lookup(query_name, &rp));
+  tracker_.Touch(query_name);
+  return ForwardRidsChecked(rp->result.lineage, relation, in_rids,
+                            /*dedup=*/true, rids);
 }
 
 Status SmokeEngine::BackwardRows(const std::string& query_name,
                                  const std::string& relation,
                                  const std::vector<rid_t>& out_rids,
                                  Table* rows) const {
+  const RetainedPlan* rp = nullptr;
+  SMOKE_RETURN_NOT_OK(Lookup(query_name, &rp));
   std::vector<rid_t> rids;
-  SMOKE_RETURN_NOT_OK(Backward(query_name, relation, out_rids, &rids));
-  const QueryLineage* lineage = nullptr;
-  SMOKE_RETURN_NOT_OK(FindLineage(query_name, &lineage));
-  int idx = lineage->FindInput(relation);
-  const Table* table = lineage->input(static_cast<size_t>(idx)).table;
+  SMOKE_RETURN_NOT_OK(
+      BackwardOf(query_name, *rp, relation, out_rids, /*dedup=*/true, &rids));
+  const QueryLineage& lineage = rp->result.lineage;
+  int idx = lineage.FindInput(relation);
+  const Table* table = lineage.input(static_cast<size_t>(idx)).table;
   if (table == nullptr) {
     return Status::InvalidArgument("relation table not available");
   }
@@ -675,101 +627,26 @@ Status SmokeEngine::TraceAcross(const std::string& from_query,
   return Forward(to_query, relation, shared, linked);
 }
 
-#ifdef SMOKE_ENABLE_DEPRECATED_CONSUMING
-Status SmokeEngine::ExecuteConsuming(const std::string& result_name,
-                                     const std::string& base_query,
-                                     rid_t output_rid,
-                                     const ConsumingSpec& spec) {
-  // Default traced relation: the SPJA fact table, or a plan's first input.
-  std::string relation;
-  if (auto it = queries_.find(base_query); it != queries_.end()) {
-    relation = it->second->query.fact_name;
-  } else if (auto it = plans_.find(base_query); it != plans_.end()) {
-    const QueryLineage& lin = it->second->result.lineage;
-    if (lin.num_inputs() == 0) {
-      return Status::InvalidArgument("plan query '" + base_query +
-                                     "' has no captured lineage");
-    }
-    relation = lin.input(0).table_name;
-  } else {
-    return Status::NotFound("query '" + base_query + "'");
-  }
-  return ExecuteConsumingOn(result_name, base_query, relation, output_rid,
-                            spec);
-}
-
-Status SmokeEngine::ExecuteConsumingOn(const std::string& result_name,
-                                       const std::string& base_query,
-                                       const std::string& relation,
-                                       rid_t output_rid,
-                                       const ConsumingSpec& spec) {
-  // Shim over the unified path: compile the spec into a Trace → Select →
-  // Derive → GroupBy plan (strategy resolved against the base query's
-  // capture artifacts) and retain the PlanResult. The result's composed
-  // lineage maps its outputs back to `relation`, which is what makes
-  // ExecuteConsumingChained just another consuming query.
-  TraceSource src;
-  SMOKE_RETURN_NOT_OK(MakeTraceSource(base_query, &src));
-  TraceBuilder builder =
-      TraceBuilder::Backward(std::move(src), relation, {output_rid});
-  builder.Consuming(spec);
-  return ExecuteTraceQuery(result_name, builder, CaptureOptions::Inject());
-}
-
-Status SmokeEngine::ExecuteConsumingChained(const std::string& result_name,
-                                            const std::string& base_consuming,
-                                            rid_t output_rid,
-                                            const ConsumingSpec& spec) {
-  auto it = plans_.find(base_consuming);
-  if (it == plans_.end()) {
-    return Status::NotFound("consuming result '" + base_consuming + "'");
-  }
-  const QueryLineage& lin = it->second->result.lineage;
-  if (lin.num_inputs() == 0) {
-    return Status::InvalidArgument("consuming result '" + base_consuming +
-                                   "' has no captured lineage");
-  }
-  return ExecuteConsumingOn(result_name, base_consuming,
-                            lin.input(0).table_name, output_rid, spec);
-}
-
-Status SmokeEngine::GetConsumingResult(const std::string& result_name,
-                                       const Table** out) const {
-  auto it = plans_.find(result_name);
-  if (it == plans_.end()) {
-    return Status::NotFound("consuming result '" + result_name + "'");
-  }
-  *out = &it->second->result.output;
-  return Status::OK();
-}
-#endif  // SMOKE_ENABLE_DEPRECATED_CONSUMING
-
 Status SmokeEngine::DropResult(const std::string& query_name) {
-  const Table* output = nullptr;
-  if (auto it = queries_.find(query_name); it != queries_.end()) {
-    output = &it->second->result.output;
-  } else if (auto it = plans_.find(query_name); it != plans_.end()) {
-    output = &it->second->result.output;
-  } else {
-    return Status::NotFound("query '" + query_name + "'");
-  }
+  const RetainedPlan* rp = nullptr;
+  SMOKE_RETURN_NOT_OK(Lookup(query_name, &rp));
   // A retained forward trace (or chained hop) borrows the traced query's
   // output rows through its lineage; dropping the query under it would
   // dangle those pointers — same hazard DropTable guards against.
-  if (const std::string borrower = BorrowerOf(output); !borrower.empty()) {
+  if (const std::string borrower = BorrowerOf(&rp->result.output);
+      !borrower.empty()) {
     return Status::InvalidArgument("result '" + query_name +
                                    "' is borrowed by retained result '" +
                                    borrower + "'s lineage; drop '" + borrower +
                                    "' first");
   }
-  if (queries_.erase(query_name) == 0) plans_.erase(query_name);
+  plans_.erase(query_name);
   tracker_.Release(query_name);
   return Status::OK();
 }
 
 std::vector<std::string> SmokeEngine::QueryNames() const {
   std::vector<std::string> names;
-  for (const auto& [k, v] : queries_) names.push_back(k);
   for (const auto& [k, v] : plans_) names.push_back(k);
   return names;
 }
@@ -785,88 +662,29 @@ void SmokeEngine::SetLineageBudget(size_t bytes) {
   EnforceBudget();
 }
 
-void SmokeEngine::FinishRetention(const std::string& query_name,
-                                  const CaptureOptions& opts) {
+void SmokeEngine::Retain(const std::string& query_name,
+                         std::unique_ptr<RetainedPlan> retained,
+                         const CaptureOptions& opts) {
   if (opts.lineage_budget_bytes > 0) {
     tracker_.SetBudget(opts.lineage_budget_bytes);
   }
-  const LineageCodec codec = opts.lineage_codec;
-  size_t bytes = 0;
-  if (auto it = queries_.find(query_name); it != queries_.end()) {
-    RetainedQuery& rq = *it->second;
-    if (codec != LineageCodec::kRaw) {
-      EncodeQueryLineage(&rq.result.lineage, codec);
-      rq.result.skip_index.Freeze(codec);
-    }
-    rq.codec = codec;
-    bytes = SpjaLineageBytes(rq.result);
-  } else if (auto it2 = plans_.find(query_name); it2 != plans_.end()) {
-    RetainedPlan& rp = *it2->second;
-    rp.codec = codec;
-    // Deferred plans have no composed lineage yet; FinalizePlan encodes and
-    // re-accounts at think-time.
-    if (!rp.result.HasDeferred() && codec != LineageCodec::kRaw) {
-      EncodeQueryLineage(&rp.result.lineage, codec);
-      if (rp.result.spja_artifacts != nullptr) {
-        rp.result.spja_artifacts->skip_index.Freeze(codec);
-      }
-    }
-    // Plans retained with refresh state are analyzed eagerly (after the
-    // store encode, so the watermarks see the final indexes): AppendRows
-    // and the serving layer then make refresh-vs-rebuild decisions without
-    // re-walking the plan, and refreshable() is meaningful immediately.
-    if (rp.result.refresh != nullptr && !rp.result.HasDeferred()) {
-      AnalyzeRefreshability(&rp.result).IgnoreError();
-    }
-    bytes = PlanLineageBytes(rp.result);
-  } else {
-    return;
+  PlanResult& result = retained->result;
+  retained->codec = opts.lineage_codec;
+  // Deferred plans have no composed lineage yet; FinalizePlan encodes and
+  // re-accounts at think-time.
+  if (!result.HasDeferred() && opts.lineage_codec != LineageCodec::kRaw) {
+    EncodeLineage(&result, opts.lineage_codec);
   }
-  tracker_.Register(query_name, bytes, codec);
+  // Plans retained with refresh state are analyzed eagerly (after the
+  // store encode, so the watermarks see the final indexes): AppendRows
+  // and the serving layer then make refresh-vs-rebuild decisions without
+  // re-walking the plan, and refreshable() is meaningful immediately.
+  if (result.refresh != nullptr && !result.HasDeferred()) {
+    AnalyzeRefreshability(&result).IgnoreError();
+  }
+  tracker_.Register(query_name, LineageBytes(result), opts.lineage_codec);
+  plans_[query_name] = std::move(retained);
   EnforceBudget();
-}
-
-void SmokeEngine::ReencodeRetained(const std::string& query_name,
-                                   LineageCodec codec) {
-  if (auto it = queries_.find(query_name); it != queries_.end()) {
-    RetainedQuery& rq = *it->second;
-    EncodeQueryLineage(&rq.result.lineage, codec);
-    rq.result.skip_index.Freeze(codec);
-    rq.codec = codec;
-    tracker_.Update(query_name, SpjaLineageBytes(rq.result), codec);
-    return;
-  }
-  if (auto it = plans_.find(query_name); it != plans_.end()) {
-    RetainedPlan& rp = *it->second;
-    rp.codec = codec;
-    if (!rp.result.HasDeferred()) {
-      EncodeQueryLineage(&rp.result.lineage, codec);
-      if (rp.result.spja_artifacts != nullptr) {
-        rp.result.spja_artifacts->skip_index.Freeze(codec);
-      }
-    }
-    tracker_.Update(query_name, PlanLineageBytes(rp.result), codec);
-    return;
-  }
-  tracker_.Release(query_name);  // stale entry — should not happen
-}
-
-void SmokeEngine::EvictRetained(const std::string& query_name) {
-  auto it = queries_.find(query_name);
-  if (it == queries_.end()) return;
-  RetainedQuery& rq = *it->second;
-  EvictQueryLineage(&rq.result.lineage);
-  rq.result.skip_index = PartitionedRidIndex();
-  // The dictionary stays (it is query metadata, not lineage), but strategy
-  // resolution checks the skip *index* presence, so kAuto falls through to
-  // the lazy rescan rather than probing the dropped partitions.
-  tracker_.MarkEvicted(query_name, SpjaLineageBytes(rq.result));
-}
-
-bool SmokeEngine::LazyFallbackAvailable(const std::string& query_name) const {
-  auto it = queries_.find(query_name);
-  if (it == queries_.end()) return false;
-  return LazyRewriteAvailable(it->second->query);
 }
 
 void SmokeEngine::EnforceBudget() {
@@ -883,23 +701,37 @@ void SmokeEngine::EnforceBudget() {
             &victim)) {
       break;
     }
-    ReencodeRetained(victim, LineageCodec::kAdaptive);
+    RetainedPlan& rp = *plans_.at(victim);
+    rp.codec = LineageCodec::kAdaptive;
+    if (!rp.result.HasDeferred()) {
+      EncodeLineage(&rp.result, LineageCodec::kAdaptive);
+    }
+    tracker_.Update(victim, LineageBytes(rp.result), rp.codec);
   }
-  // Stage 2: evict the coldest queries whose traces can fall back to the
-  // lazy rescan. Queries without a lazy rewrite are never evicted (the
-  // budget is best-effort for them — dropping their indexes would lose
-  // lineage, not degrade it).
+  // Stage 2: evict the coldest results whose traces can fall back to the
+  // lazy rescan (SPJA block roots over base-table scans, no dimensions,
+  // fact-table group keys). Others are never evicted (the budget is
+  // best-effort for them — dropping their indexes would lose lineage, not
+  // degrade it).
   while (tracker_.total_bytes() > budget) {
     std::string victim;
     if (!tracker_.Coldest(
             [this](const std::string& name,
                    const LineageMemoryTracker::Entry& e) {
-              return !e.evicted && LazyFallbackAvailable(name);
+              return !e.evicted &&
+                     LazyRewriteAvailable(plans_.at(name)->result.query);
             },
             &victim)) {
       break;
     }
-    EvictRetained(victim);
+    PlanResult& result = plans_.at(victim)->result;
+    EvictQueryLineage(&result.lineage);
+    // The dictionary stays (it is query metadata, not lineage), but
+    // strategy resolution checks the skip *index* presence, so kAuto falls
+    // through to the lazy rescan rather than probing the dropped
+    // partitions.
+    result.skip_index = PartitionedRidIndex();
+    tracker_.MarkEvicted(victim, LineageBytes(result));
   }
 }
 

@@ -4,11 +4,12 @@
 // registers base relations, submits base queries Q (optionally with a
 // declared lineage-consuming workload W that configures pruning and
 // push-down), and then issues backward / forward / consuming lineage
-// queries against the retained lineage indexes. Base queries come in two
-// forms: the legacy SPJA block (ExecuteQuery) and arbitrary composable
-// operator DAGs built with PlanBuilder (ExecutePlan). Query results and
-// their lineage are retained under client-chosen names so consuming queries
-// can chain (C over C' over Q) and lineage can be traced across queries.
+// queries against the retained lineage indexes. Base queries are operator
+// DAGs built with PlanBuilder (ExecutePlan); an SPJA query (ExecuteQuery) is
+// just the canonical plan with one SpjaBlock node, so every retained result
+// is a PlanResult. Results and their lineage are retained under
+// client-chosen names so consuming queries can chain (C over C' over Q) and
+// lineage can be traced across queries.
 //
 // Lineage consumption goes through the unified API (query/trace_builder.h):
 // traces and consuming queries compile to ordinary plans with Trace nodes,
@@ -29,7 +30,6 @@
 #include "lineage/store/lineage_store.h"
 #include "plan/executor.h"
 #include "plan/plan.h"
-#include "query/consuming.h"
 #include "query/trace_builder.h"
 #include "refresh/refresh.h"
 #include "shard/coordinator.h"
@@ -60,8 +60,8 @@ struct Workload {
   bool needs_backward = true;
   bool needs_forward = true;
   /// Push-down configuration (selection / data skipping / cube). Applies to
-  /// SPJA base queries; plan base queries attach push-downs to their
-  /// SpjaBlock nodes instead.
+  /// SPJA base queries (ExecuteQuery attaches it to the block); plan base
+  /// queries attach push-downs to their SpjaBlock nodes instead.
   SPJAPushdown pushdown;
 };
 
@@ -120,8 +120,8 @@ class SmokeEngine {
   /// in their RefreshStats. Appending — unlike ReplaceTable — never
   /// invalidates retained rids, so this is the one mutation allowed while
   /// results are live. Refused (FailedPrecondition, naming the borrower)
-  /// when a borrowing result cannot be maintained at all: a retained SPJA
-  /// query, a sharded plan, or a plan executed without
+  /// when a borrowing result cannot be maintained at all: a sharded plan, a
+  /// plan with pending deferred capture, or one executed without
   /// retain_refresh_state. Per-view stats for this batch are appended to
   /// `stats` when non-null.
   Status AppendRows(const std::string& name, const Table& rows,
@@ -138,8 +138,12 @@ class SmokeEngine {
   // ---- base queries ----
 
   /// Executes an SPJA base query with the given capture technique and
-  /// retains its result and lineage under `query_name`. The optional
-  /// workload drives pruning and push-down configuration.
+  /// retains its result and lineage under `query_name`. The query runs as
+  /// the single-SpjaBlock plan (PlanBuilder::SpjaBlock with the workload's
+  /// push-downs) through ExecutePlan, so it is sharded, refreshed and
+  /// budget-evicted like any plan. The optional workload drives pruning and
+  /// push-down configuration. A malformed query returns the plan
+  /// validation error.
   Status ExecuteQuery(const std::string& query_name, const SPJAQuery& query,
                       CaptureMode mode = CaptureMode::kInject,
                       const Workload* workload = nullptr);
@@ -155,10 +159,10 @@ class SmokeEngine {
   /// Executes a composable operator DAG (plan/plan.h) and retains its
   /// result and composed end-to-end lineage under `query_name`. All lineage
   /// queries (Backward / Forward / BackwardRows / TraceAcross) and
-  /// consuming queries work over retained plans exactly as over SPJA
-  /// queries. The workload's traced_relations / directions configure
-  /// pruning; its pushdown field is ignored (attach push-downs to SpjaBlock
-  /// nodes when building the plan).
+  /// consuming queries work over every retained plan. The workload's
+  /// traced_relations / directions configure pruning; a non-empty pushdown
+  /// field is refused (attach push-downs to SpjaBlock nodes when building
+  /// the plan).
   Status ExecutePlan(const std::string& query_name, const LogicalPlan& plan,
                      CaptureMode mode = CaptureMode::kInject,
                      const Workload* workload = nullptr);
@@ -178,10 +182,12 @@ class SmokeEngine {
   /// No-op for plans with nothing pending.
   Status FinalizePlan(const std::string& query_name);
 
-  /// The output relation of a retained query (SPJA or plan).
+  /// The output relation of a retained query.
   Status GetResult(const std::string& query_name, const Table** out) const;
 
-  /// The full SPJA result object (lineage, push-down artifacts).
+  /// The retained result as an SPJA result object: output, lineage and —
+  /// when the plan root is an SPJA block — the block artifacts (push-down
+  /// index / cube). Points into the retained PlanResult; nothing is copied.
   Status GetResultObject(const std::string& query_name,
                          const SPJAResult** out) const;
 
@@ -191,9 +197,9 @@ class SmokeEngine {
 
   // ---- lineage queries: typed handles (the unified consumption API) ----
 
-  /// Builds a TraceSource for a retained query (SPJA or plan) so callers
-  /// can construct TraceBuilder queries directly. The source borrows the
-  /// retained result and stays valid until the query is dropped.
+  /// Builds a TraceSource for a retained query so callers can construct
+  /// TraceBuilder queries directly. The source borrows the retained result
+  /// and stays valid until the query is dropped.
   Status MakeTraceSource(const std::string& query_name,
                          TraceSource* out) const;
 
@@ -261,49 +267,12 @@ class SmokeEngine {
   /// Linked brushing (paper Figure 1): Lf(Lb(out_rids ⊆ V1, relation), V2) —
   /// backward from `from_query`'s outputs to the shared input relation,
   /// then forward into `to_query`'s outputs. Both queries must have lineage
-  /// on `relation` (backward on from, forward on to). Works across any mix
-  /// of retained SPJA and plan queries.
+  /// on `relation` (backward on from, forward on to).
   Status TraceAcross(const std::string& from_query,
                      const std::vector<rid_t>& out_rids,
                      const std::string& relation,
                      const std::string& to_query,
                      std::vector<rid_t>* linked) const;
-
-#ifdef SMOKE_ENABLE_DEPRECATED_CONSUMING
-  // ---- lineage consuming queries (retired shims) ----
-  //
-  // These string-keyed methods predate the unified consumption API
-  // (TraceBuilder / ExecuteTraceQuery) and are compiled out by default.
-  // Define SMOKE_ENABLE_DEPRECATED_CONSUMING to bring them back for one
-  // release while migrating; see README "Migrating off ExecuteConsuming*".
-
-  /// Evaluates a consuming query over the backward lineage of one output of
-  /// a retained base query (secondary index scan), retaining the consuming
-  /// result under `result_name` for further chaining. The traced relation
-  /// defaults to the base query's fact table (SPJA) or first lineage input
-  /// (plan).
-  Status ExecuteConsuming(const std::string& result_name,
-                          const std::string& base_query, rid_t output_rid,
-                          const ConsumingSpec& spec);
-
-  /// Same, tracing an explicit input `relation` of the base query.
-  Status ExecuteConsumingOn(const std::string& result_name,
-                            const std::string& base_query,
-                            const std::string& relation, rid_t output_rid,
-                            const ConsumingSpec& spec);
-
-  /// Evaluates a consuming query over one output of a retained *consuming*
-  /// result (the Q1b -> Q1c chain). Since consuming results are retained
-  /// plans with composed lineage back to the traced relation, this is just
-  /// ExecuteConsumingOn against that relation.
-  Status ExecuteConsumingChained(const std::string& result_name,
-                                 const std::string& base_consuming,
-                                 rid_t output_rid, const ConsumingSpec& spec);
-
-  /// The output of a retained consuming query (== GetResult).
-  Status GetConsumingResult(const std::string& result_name,
-                            const Table** out) const;
-#endif  // SMOKE_ENABLE_DEPRECATED_CONSUMING
 
   /// Drops a retained query result and its lineage (releasing its lineage
   /// store accounting). Refused while another retained result's lineage
@@ -325,12 +294,6 @@ class SmokeEngine {
   void SetLineageBudget(size_t bytes);
 
  private:
-  struct RetainedQuery {
-    SPJAQuery query;        // note: borrows engine-owned tables
-    SPJAResult result;
-    const Table* fact = nullptr;
-    LineageCodec codec = LineageCodec::kRaw;
-  };
   struct RetainedPlan {
     PlanResult result;
     LineageCodec codec = LineageCodec::kRaw;
@@ -339,56 +302,52 @@ class SmokeEngine {
     std::unique_ptr<ShardedExecution> shard;
   };
 
-  /// Unified lookup over retained SPJA queries and plans.
-  Status FindLineage(const std::string& query_name,
-                     const QueryLineage** out) const;
-
-  /// True when `name` is already retained in any namespace.
-  bool IsRetainedName(const std::string& name) const;
-
-  /// True when any retained result still borrows `table`.
-  bool TableInUse(const Table* table) const;
+  /// The retained result named `query_name`, or NotFound.
+  Status Lookup(const std::string& query_name,
+                const RetainedPlan** out) const;
 
   /// Name of a retained result whose shard fan-out state borrows `st`'s
   /// ShardMap (first in name order), or "" when none — guards re-sharding
   /// and unsharding the way BorrowerOf guards table replacement.
   std::string ShardBorrowerOf(const ShardedTable* st) const;
 
-  /// Name of a retained result whose query or lineage still borrows
-  /// `table` (first in name order), or "" when none — lets the refusal
-  /// paths tell the caller exactly what to drop. The serving layer
+  /// Name of a retained result whose lineage or SPJA block query still
+  /// borrows `table` (first in name order), or "" when none — lets the
+  /// refusal paths tell the caller exactly what to drop. The serving layer
   /// (serve/serve_core.h) sidesteps these refusals entirely by giving each
   /// snapshot version its own engine.
   std::string BorrowerOf(const Table* table) const;
 
-  /// Encodes the freshly retained query's lineage per `opts.lineage_codec`,
-  /// registers it with the tracker, applies `opts.lineage_budget_bytes`,
-  /// and enforces the budget.
-  void FinishRetention(const std::string& query_name,
-                       const CaptureOptions& opts);
+  /// TraceSource over a resolved retained result, carrying its store
+  /// statistics; bumps its LRU tick.
+  TraceSource SourceOf(const std::string& query_name,
+                       const RetainedPlan& rp) const;
 
-  /// Re-encodes a retained query's lineage under the adaptive codec and
-  /// updates its accounting.
-  void ReencodeRetained(const std::string& query_name, LineageCodec codec);
+  /// Backward over a resolved retained result (lazy rescan when evicted,
+  /// shard fan-out when cheaper, composed index otherwise); bumps its LRU
+  /// tick.
+  Status BackwardOf(const std::string& query_name, const RetainedPlan& rp,
+                    const std::string& relation,
+                    const std::vector<rid_t>& out_rids, bool dedup,
+                    std::vector<rid_t>* rids) const;
 
-  /// Drops a retained query's indexes (keeping result + metadata); its
-  /// traces fall back to the lazy-rescan strategy.
-  void EvictRetained(const std::string& query_name);
-
-  /// True when backward traces on `query_name` can be answered by the lazy
-  /// rescan after eviction (retained SPJA query, no dimensions, fact-table
-  /// group-by keys).
-  bool LazyFallbackAvailable(const std::string& query_name) const;
+  /// Retains a freshly executed result: encodes its lineage per
+  /// `opts.lineage_codec`, registers it with the tracker, applies
+  /// `opts.lineage_budget_bytes`, and enforces the budget.
+  void Retain(const std::string& query_name,
+              std::unique_ptr<RetainedPlan> retained,
+              const CaptureOptions& opts);
 
   /// Re-encode cold, then evict, until total lineage bytes fit the budget.
+  /// Eviction drops a result's indexes (keeping output and metadata) and is
+  /// limited to results whose traces fall back to the lazy rescan.
   void EnforceBudget();
 
   Catalog catalog_;
   /// Shard slices + codec per sharded base table, keyed by table name.
   std::map<std::string, std::unique_ptr<ShardedTable>> sharded_;
-  std::map<std::string, std::unique_ptr<RetainedQuery>> queries_;
-  /// Retained plan results: base-query plans AND trace/consuming results —
-  /// the unified consumption API makes them the same kind of thing.
+  /// Retained results: SPJA queries, plans AND trace/consuming results —
+  /// all of them are plans, so they are the same kind of thing.
   std::map<std::string, std::unique_ptr<RetainedPlan>> plans_;
   /// Lineage store accounting (mutable: trace accesses bump LRU ticks
   /// through const lookups).

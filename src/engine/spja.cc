@@ -87,11 +87,7 @@ SPJAResult SPJAExec(const SPJAQuery& q, const CaptureOptions& opts,
   PlanResult pr;
   st = ExecutePlan(plan, opts, &pr);
   SMOKE_CHECK(st.ok());
-  SMOKE_CHECK(pr.spja_artifacts != nullptr);
-  SPJAResult result = std::move(*pr.spja_artifacts);
-  result.output = std::move(pr.output);
-  result.lineage = std::move(pr.lineage);
-  return result;
+  return std::move(pr);  // the plan result is-a SPJAResult
 }
 
 namespace internal {

@@ -92,11 +92,14 @@ struct SPJAPushdown {
   }
 };
 
-struct SPJAResult {
-  Table output;             ///< group-by keys then aggregates
-  QueryLineage lineage;     ///< inputs: fact, then dims in order
-  Table annotated;          ///< Logic modes: denormalized annotated relation
-  size_t output_cardinality = 0;
+/// The block-level artifacts of an SPJA block besides its output and
+/// lineage: the annotated relation, group counts and push-down structures.
+struct SPJAArtifacts {
+  /// The block as executed, its tables bound to the block's inputs. A plan
+  /// result keeps it only when every input is a base-table scan (fact ==
+  /// nullptr otherwise) — it is what the lazy rescan re-evaluates.
+  SPJAQuery query;
+  Table annotated;  ///< Logic modes: denormalized annotated relation
   std::vector<uint32_t> group_counts;  ///< passing fact rows per group
 
   // Push-down artifacts.
@@ -107,6 +110,12 @@ struct SPJAResult {
   /// none) — the unified consumption API resolves its physical strategy
   /// choice (skipping / cube) against this at plan-compile time.
   SPJAPushdown applied_pushdown;
+};
+
+struct SPJAResult : SPJAArtifacts {
+  Table output;          ///< group-by keys then aggregates
+  QueryLineage lineage;  ///< inputs: fact, then dims in order
+  size_t output_cardinality = 0;
 };
 
 /// Executes the SPJA block with the capture technique in `opts` and optional

@@ -117,6 +117,19 @@ void ComposePlanLineage(const LogicalPlan& plan,
   }
 }
 
+/// Moves the root operator's SPJA block artifacts into the plan result.
+/// The block's query borrows the block's inputs, so it is kept only when
+/// every input is a base-table scan: intermediate outputs die with the
+/// execution.
+void TakeRootArtifacts(const LogicalPlan& plan, OperatorResult* root,
+                       PlanResult* out) {
+  if (root->spja_artifacts == nullptr) return;
+  static_cast<SPJAArtifacts&>(*out) = std::move(*root->spja_artifacts);
+  for (int c : plan.node(plan.root()).children) {
+    if (plan.node(c).kind != PlanOpKind::kScan) out->query = SPJAQuery();
+  }
+}
+
 }  // namespace
 
 Status ExecutePlan(const LogicalPlan& plan, const CaptureOptions& opts,
@@ -256,13 +269,13 @@ Status ExecutePlan(const LogicalPlan& plan, const CaptureOptions& opts,
     return Status::InvalidArgument("plan root must be an operator, not a scan");
   }
   const size_t root_rows = root_result.output.num_rows();
+  TakeRootArtifacts(plan, &root_result, out);
 
   // ---- plan-level defer scheduling: stash, finalize at think-time ----
   if (!pending_group_bys.empty()) {
     out->output = std::move(root_result.output);
     out->output_cardinality = root_result.output_cardinality;
     out->lineage.set_output_cardinality(out->output_cardinality);
-    out->spja_artifacts = std::move(root_result.spja_artifacts);
     auto st = std::make_unique<PlanDeferredState>();
     st->plan = plan;
     st->opts = opts;
@@ -282,7 +295,6 @@ Status ExecutePlan(const LogicalPlan& plan, const CaptureOptions& opts,
   out->output = std::move(root_result.output);
   out->output_cardinality = root_result.output_cardinality;
   out->lineage.set_output_cardinality(out->output_cardinality);
-  out->spja_artifacts = std::move(root_result.spja_artifacts);
 
   // ---- retain refresh state (src/refresh/) ----
   // After composition the fragments are consumed but every non-root

@@ -10,6 +10,7 @@
 
 #include "common/status.h"
 #include "engine/capture.h"
+#include "engine/spja.h"
 #include "lineage/query_lineage.h"
 #include "optimizer/explain.h"
 #include "plan/operator.h"
@@ -64,15 +65,13 @@ struct PlanRefreshState {
 /// (in scan-creation order; for SpjaBlock plans that is fact first, then
 /// dimensions in join order). Base tables are borrowed and must outlive the
 /// result for lineage queries to dereference rows.
-struct PlanResult {
-  Table output;
-  QueryLineage lineage;
-  size_t output_cardinality = 0;
+///
+/// A plan result is-a SPJAResult: when the root is an SPJA block (or a
+/// group-by with capture push-downs) the inherited SPJAArtifacts fields hold
+/// the block-level artifacts; otherwise they stay empty.
+struct PlanResult : SPJAResult {
   /// EXPLAIN record of the optimizer run (empty when opts.optimize was off).
   PlanExplain explain;
-  /// Set when the plan root is an SPJA block: the block-level artifacts
-  /// (annotated relation, group counts, push-down index/cube).
-  std::shared_ptr<SPJAResult> spja_artifacts;
   /// Tables this result's lineage borrows that are not owned by the caller
   /// (e.g. the reshaped cube lookup table a kCube lineage query scans).
   /// Kept alive with the result so retained results never dangle.

@@ -90,10 +90,10 @@ struct OperatorResult {
   /// Parallel to the inputs. Individual fragment indexes are empty when the
   /// mode captures nothing (kNone) or the input was pruned.
   std::vector<LineageFragment> fragments;
-  /// SPJA block only: the block-level retained artifacts (annotated
-  /// relation, group counts, push-down skip index / cube) that the
-  /// SPJAExec compatibility wrapper re-exposes.
-  std::shared_ptr<SPJAResult> spja_artifacts;
+  /// SPJA block (or push-down group-by) only: the block-level artifacts
+  /// (annotated relation, group counts, push-down skip index / cube) that
+  /// the plan result carries when this operator is the root.
+  std::shared_ptr<SPJAArtifacts> spja_artifacts;
   /// Group-by under plan-level defer scheduling (CaptureOptions::
   /// defer_plan_finalize): the kernel result whose lineage is still pending
   /// — it retains the γht hash table that PlanResult::FinalizeDeferred()

@@ -211,11 +211,8 @@ class GroupByOperator : public Operator {
     // match what the fused block builds in its hot loop.
     if (!node_.pushdown.empty() && !frag.backward.empty()) {
       const SPJAPushdown& push = node_.pushdown;
-      auto artifacts = std::make_shared<SPJAResult>();
+      auto artifacts = std::make_shared<SPJAArtifacts>();
       artifacts->applied_pushdown = push;
-      artifacts->output_cardinality = out->output_cardinality;
-      artifacts->lineage.AddInput(inputs[0].name, inputs[0].table);
-      artifacts->lineage.set_output_cardinality(out->output_cardinality);
       PredicateList sel(in, push.sel_fact);
       const size_t ng = out->output.num_rows();
       if (!push.skip_cols.empty()) {
@@ -314,6 +311,10 @@ class SpjaBlockOperator : public Operator {
   Status Execute(const std::vector<OperatorInput>& inputs,
                  const CaptureOptions& opts, OperatorResult* out) const override {
     SMOKE_RETURN_NOT_OK(RequireFullRange(inputs, name()));
+    if (!node_.pushdown.empty() && opts.mode != CaptureMode::kInject) {
+      return Status::InvalidArgument(
+          "SPJA block push-downs require inject (Smoke-I) capture");
+    }
     // Rebind the block's table pointers to the bound inputs so a plan can
     // be replayed against refreshed scans.
     SPJAQuery q = node_.spja;
@@ -321,14 +322,15 @@ class SpjaBlockOperator : public Operator {
     for (size_t j = 0; j < q.dims.size(); ++j) {
       q.dims[j].table = inputs[1 + j].table;
     }
-    auto artifacts = std::make_shared<SPJAResult>(internal::SPJAExecFused(
-        q, opts, node_.pushdown.empty() ? nullptr : &node_.pushdown));
-    out->output = std::move(artifacts->output);
-    out->output_cardinality = artifacts->output_cardinality;
+    SPJAResult r = internal::SPJAExecFused(
+        q, opts, node_.pushdown.empty() ? nullptr : &node_.pushdown);
+    out->output = std::move(r.output);
+    out->output_cardinality = r.output_cardinality;
     for (size_t i = 0; i < inputs.size(); ++i) {
-      out->fragments.push_back(TakeFragment(&artifacts->lineage, i));
+      out->fragments.push_back(TakeFragment(&r.lineage, i));
     }
-    out->spja_artifacts = std::move(artifacts);
+    r.query = std::move(q);
+    out->spja_artifacts = std::make_shared<SPJAArtifacts>(std::move(r));
     return Status::OK();
   }
 

@@ -66,7 +66,8 @@ struct TraceSource {
     s.lineage = &result.lineage;
     s.output = &result.output;
     s.name = std::move(name);
-    s.artifacts = result.spja_artifacts.get();
+    if (result.query.fact != nullptr) s.query = &result.query;
+    s.artifacts = &result;
     return s;
   }
   static TraceSource FromSpja(const SPJAQuery& query, const SPJAResult& result,

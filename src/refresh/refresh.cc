@@ -549,7 +549,7 @@ Status ClonePlanResultForServe(
     return Status::InvalidArgument(
         "cannot clone a result with pending deferred capture");
   }
-  if (src.spja_artifacts != nullptr) {
+  if (src.query.fact != nullptr || !src.applied_pushdown.empty()) {
     return Status::InvalidArgument(
         "cannot clone a result with SPJA block artifacts");
   }

@@ -141,7 +141,8 @@ Status RebuildRetainedPlan(PlanResult* pr);
 /// in `rebind` swapped for its replacement (a snapshot's own table copies).
 /// Refresh/deferred state and explain records are not cloned — the copy is
 /// an immutable published artifact. Fails on results that still hold
-/// deferred capture or SPJA block artifacts (those views re-execute).
+/// deferred capture, or SPJA block artifacts that reference base tables or
+/// push-down indexes (those views re-execute).
 Status ClonePlanResultForServe(
     const PlanResult& src,
     const std::unordered_map<const Table*, const Table*>& rebind,

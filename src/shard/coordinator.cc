@@ -794,7 +794,11 @@ Status ExecuteShardedPlan(const LogicalPlan& plan, const ShardResolver& sharded,
         ExecutePlan(rplan, InnerOpts(opts, capture, want_f), &rr));
     out->plan.output = std::move(rr.output);
     out->plan.output_cardinality = rr.output_cardinality;
-    out->plan.spja_artifacts = std::move(rr.spja_artifacts);
+    // Block artifacts only: the remainder block's query reads the
+    // coordinator-local boundary table, so it is not kept.
+    static_cast<SPJAArtifacts&>(out->plan) =
+        std::move(static_cast<SPJAArtifacts&>(rr));
+    out->plan.query = SPJAQuery();
     out->plan.owned_tables = std::move(rr.owned_tables);
     for (size_t i = 0; i < rr.lineage.num_inputs(); ++i) {
       TableLineage& in = rr.lineage.mutable_input(i);

@@ -210,6 +210,42 @@ TEST(EngineEdgeTest, ResultObjectExposesPushdownArtifacts) {
   EXPECT_EQ(res->skip_index.num_outputs(), res->output.num_rows());
 }
 
+TEST(EngineEdgeTest, MalformedSpjaQueryReturnsStatus) {
+  // A group-by column outside the fact schema is a validation error, the
+  // same one ExecutePlan reports for the block — never a process abort.
+  SmokeEngine eng;
+  Table one(Schema({{"x", DataType::kInt64}}));
+  one.AppendRow({int64_t{1}});
+  ASSERT_TRUE(eng.CreateTable("one", std::move(one)).ok());
+  const Table* t = nullptr;
+  ASSERT_TRUE(eng.GetTable("one", &t).ok());
+  SPJAQuery q;
+  q.fact = t;
+  q.fact_name = "one";
+  q.group_by = {ColRef::Fact(7)};
+  q.aggs = {AggSpec::Count("cnt")};
+
+  Status st = eng.ExecuteQuery("bad", q);
+  EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(st.message().find("group-by column 7 out of range"),
+            std::string::npos)
+      << st.ToString();
+
+  PlanBuilder b;
+  LogicalPlan plan;
+  ASSERT_TRUE(b.Build(b.SpjaBlock(q), &plan).ok());
+  Status plan_st = eng.ExecutePlan("bad_plan", plan);
+  EXPECT_EQ(st.ToString(), plan_st.ToString());
+
+  // Push-downs outside inject capture are refused the same way.
+  q.group_by = {ColRef::Fact(0)};
+  Workload w;
+  w.pushdown.skip_cols = {0};
+  st = eng.ExecuteQuery("deferred", q, CaptureMode::kDefer, &w);
+  EXPECT_EQ(st.code(), Status::Code::kInvalidArgument) << st.ToString();
+  EXPECT_TRUE(eng.QueryNames().empty());
+}
+
 TEST(EngineEdgeTest, RelationPruningViaWorkload) {
   tpch::Database db = tpch::Generate(0.002);
   SmokeEngine eng;

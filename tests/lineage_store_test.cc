@@ -500,6 +500,74 @@ TEST(LineageStoreTest, BudgetEvictionFallsBackToLazyRescan) {
   EXPECT_GT(StatBytes(budgeted, "qd"), 0u);
 }
 
+/// Eviction keys on the retained plan's shape, not on how it was issued: a
+/// dim-free SpjaBlock built with PlanBuilder evicts to the lazy rescan like
+/// an ExecuteQuery result, while a block with a dimension join (no
+/// transparent rescan) stays resident whatever the budget.
+TEST(LineageStoreTest, PlanBuiltSpjaBlockEvictsToLazyRescan) {
+  tpch::Database db = tpch::Generate(0.002);
+  auto run = [&](SmokeEngine* engine, size_t budget) {
+    ASSERT_TRUE(engine->CreateTable("lineitem", db.lineitem).ok());
+    ASSERT_TRUE(engine->CreateTable("orders", db.orders).ok());
+    SPJAQuery q1 = tpch::MakeQ1(db);
+    SPJAQuery q12 = tpch::MakeQ12(db);
+    ASSERT_TRUE(engine->GetTable("lineitem", &q1.fact).ok());
+    ASSERT_TRUE(engine->GetTable("lineitem", &q12.fact).ok());
+    ASSERT_TRUE(engine->GetTable("orders", &q12.dims[0].table).ok());
+    CaptureOptions opts = CaptureOptions::Inject();
+    opts.lineage_budget_bytes = budget;
+    for (const auto& [name, q] : {std::make_pair("q12", q12),
+                                  std::make_pair("q1", q1)}) {
+      PlanBuilder b;
+      LogicalPlan plan;
+      ASSERT_TRUE(b.Build(b.SpjaBlock(q), &plan).ok());
+      ASSERT_TRUE(engine->ExecutePlan(name, plan, opts).ok());
+    }
+  };
+  SmokeEngine indexed;
+  run(&indexed, 0);
+  SmokeEngine budgeted;
+  run(&budgeted, 256);  // far below any footprint: forces eviction
+
+  bool q1_evicted = false;
+  for (const auto& q : budgeted.LineageMemoryStats().queries) {
+    if (q.name == "q1") q1_evicted = q.evicted;
+    if (q.name == "q12") {
+      EXPECT_FALSE(q.evicted);
+      EXPECT_GT(q.bytes, 0u);
+    }
+  }
+  ASSERT_TRUE(q1_evicted);
+
+  const Table* out = nullptr;
+  ASSERT_TRUE(indexed.GetResult("q1", &out).ok());
+  std::vector<rid_t> all_outs;
+  for (rid_t o = 0; o < out->num_rows(); ++o) all_outs.push_back(o);
+  for (bool dedup : {false, true}) {
+    std::vector<rid_t> want, got;
+    ASSERT_TRUE(indexed.Backward("q1", "lineitem", all_outs, &want, dedup).ok());
+    ASSERT_TRUE(budgeted.Backward("q1", "lineitem", all_outs, &got, dedup).ok());
+    EXPECT_EQ(got, want);
+  }
+  for (const std::vector<rid_t>& seeds :
+       {std::vector<rid_t>{1}, std::vector<rid_t>{0, 2, 3}}) {
+    TraceResult want, got;
+    ASSERT_TRUE(indexed.TraceBackward("q1", "lineitem", seeds, &want).ok());
+    ASSERT_TRUE(budgeted.TraceBackward("q1", "lineitem", seeds, &got).ok());
+    EXPECT_EQ(got.rids, want.rids) << seeds.size() << " seeds";
+    EXPECT_EQ(testing::RowSet(got.rows), testing::RowSet(want.rows))
+        << seeds.size() << " seeds";
+  }
+
+  // The resident dimension-join block still answers from its indexes.
+  for (const char* relation : {"lineitem", "orders"}) {
+    std::vector<rid_t> want, got;
+    ASSERT_TRUE(indexed.Backward("q12", relation, {0, 1}, &want).ok());
+    ASSERT_TRUE(budgeted.Backward("q12", relation, {0, 1}, &got).ok());
+    EXPECT_EQ(got, want) << relation;
+  }
+}
+
 /// Pruned directions are NOT eviction: a workload that declared "no
 /// backward queries" gets an error, not a silent lazy rescan — the
 /// fallback is gated on the store's eviction flag.

@@ -348,8 +348,7 @@ TEST(GroupByPushdown, SelectionFiltersBackwardLists) {
 
   PlanResult r;
   ASSERT_TRUE(ExecutePlan(plan, CaptureOptions::Inject(), &r).ok());
-  ASSERT_NE(r.spja_artifacts, nullptr);
-  EXPECT_EQ(r.spja_artifacts->applied_pushdown.sel_fact.size(), 1u);
+  EXPECT_EQ(r.applied_pushdown.sel_fact.size(), 1u);
 
   // Aggregates still cover every row; backward lists only qualifying rows.
   const auto& amount = sales.column(1).doubles();
@@ -393,9 +392,8 @@ TEST(GroupByPushdown, SkippingReplacesBackwardIndexAndServesTraces) {
   ASSERT_TRUE(ExecutePlan(plan, CaptureOptions::Inject(), &r).ok());
 
   ExpectTablesBitIdentical(r.output, ref.output);
-  ASSERT_NE(r.spja_artifacts, nullptr);
-  EXPECT_GT(r.spja_artifacts->skip_index.num_codes(), 0u);
-  EXPECT_EQ(r.spja_artifacts->skip_index.num_outputs(), r.output.num_rows());
+  EXPECT_GT(r.skip_index.num_codes(), 0u);
+  EXPECT_EQ(r.skip_index.num_outputs(), r.output.num_rows());
   // The partitioned index replaces the plain backward index.
   EXPECT_TRUE(r.lineage.input(0).backward.empty());
 

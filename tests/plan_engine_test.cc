@@ -1,6 +1,7 @@
 // SmokeEngine facade over composable plans: ExecutePlan retention, lineage
 // queries, TraceAcross across plan/SPJA retained queries, consuming queries
-// over plan lineage, and the table replace/drop lifetime guard.
+// over plan lineage, the table replace/drop lifetime guard, and parity of
+// ExecuteQuery with the single-SpjaBlock plan it retains.
 #include "core/smoke_engine.h"
 
 #include <set>
@@ -8,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "workloads/tpch.h"
 
 namespace smoke {
 namespace {
@@ -213,6 +215,134 @@ TEST_F(PlanEngineTest, WorkloadPruningOnPlans) {
   EXPECT_TRUE(engine_.Backward("bw_only", "sales", {0}, &rids).ok());
   std::vector<rid_t> outs;
   EXPECT_FALSE(engine_.Forward("bw_only", "sales", {0}, &outs).ok());
+}
+
+// ---- ExecuteQuery == ExecutePlan(SpjaBlock) ----
+
+size_t StatBytes(const SmokeEngine& engine, const std::string& name) {
+  for (const auto& q : engine.LineageMemoryStats().queries) {
+    if (q.name == name) return q.bytes;
+  }
+  return 0;
+}
+
+std::vector<std::string> OrderedRows(const Table& t) {
+  std::vector<std::string> rows;
+  for (rid_t r = 0; r < t.num_rows(); ++r) rows.push_back(testing::RowKey(t, r));
+  return rows;
+}
+
+TEST(SpjaPlanParityTest, ExecuteQueryMatchesSingleBlockPlan) {
+  tpch::Database db = tpch::Generate(0.002);
+  SPJAPushdown skip;
+  skip.skip_cols = {tpch::kLShipmode};
+  SPJAPushdown cube;
+  cube.cube_cols = {tpch::kLTax};
+  cube.cube_aggs = {AggSpec::Count("cnt"),
+                    AggSpec::Sum(ScalarExpr::Col(tpch::kLQuantity), "sum_qty")};
+  ConsumingSpec by_tax;
+  by_tax.group_by = {GroupExpr::Scale100(tpch::kLTax, "l_tax_x100")};
+  by_tax.aggs = cube.cube_aggs;
+
+  for (const SPJAPushdown& push : {SPJAPushdown(), skip, cube}) {
+    for (LineageCodec codec : {LineageCodec::kRaw, LineageCodec::kAdaptive}) {
+      const std::string what =
+          std::string(push.skip_cols.empty() ? "" : "skip ") +
+          (push.cube_cols.empty() ? "" : "cube ") + LineageCodecName(codec);
+      SmokeEngine engine;
+      ASSERT_TRUE(engine.CreateTable("lineitem", db.lineitem).ok());
+      const Table* t = nullptr;
+      ASSERT_TRUE(engine.GetTable("lineitem", &t).ok());
+      SPJAQuery q1 = tpch::MakeQ1(db);
+      q1.fact = t;
+      CaptureOptions opts = CaptureOptions::Inject();
+      opts.lineage_codec = codec;
+      Workload workload;
+      workload.pushdown = push;
+      ASSERT_TRUE(engine.ExecuteQuery("query", q1, opts, &workload).ok());
+      PlanBuilder b;
+      LogicalPlan plan;
+      ASSERT_TRUE(b.Build(b.SpjaBlock(q1, push), &plan).ok());
+      ASSERT_TRUE(engine.ExecutePlan("plan", plan, opts).ok());
+
+      const Table* qout = nullptr;
+      const Table* pout = nullptr;
+      ASSERT_TRUE(engine.GetResult("query", &qout).ok());
+      ASSERT_TRUE(engine.GetResult("plan", &pout).ok());
+      EXPECT_EQ(OrderedRows(*qout), OrderedRows(*pout)) << what;
+      EXPECT_EQ(StatBytes(engine, "query"), StatBytes(engine, "plan")) << what;
+      EXPECT_GT(StatBytes(engine, "query"), 0u) << what;
+
+      std::vector<rid_t> outs;
+      for (rid_t o = 0; o < qout->num_rows(); ++o) outs.push_back(o);
+      for (bool dedup : {false, true}) {
+        std::vector<rid_t> qb, pb;
+        Status qs = engine.Backward("query", "lineitem", outs, &qb, dedup);
+        Status ps = engine.Backward("plan", "lineitem", outs, &pb, dedup);
+        EXPECT_EQ(qs.ToString(), ps.ToString()) << what;
+        EXPECT_EQ(qb, pb) << what;
+      }
+      std::vector<rid_t> qf, pf;
+      ASSERT_TRUE(engine.Forward("query", "lineitem", {0, 7, 99}, &qf).ok());
+      ASSERT_TRUE(engine.Forward("plan", "lineitem", {0, 7, 99}, &pf).ok());
+      EXPECT_EQ(qf, pf) << what;
+
+      // Every strategy over plain, skip-pinned and cube-shaped traces
+      // resolves and answers identically on both retained results.
+      for (TraceStrategy strategy :
+           {TraceStrategy::kAuto, TraceStrategy::kIndexed,
+            TraceStrategy::kLazy, TraceStrategy::kSkipping,
+            TraceStrategy::kCube}) {
+        for (int shape = 0; shape < 3; ++shape) {
+          auto run = [&](const std::string& name, TraceStrategy* resolved,
+                         std::vector<std::string>* rows) {
+            TraceSource src;
+            EXPECT_TRUE(engine.MakeTraceSource(name, &src).ok());
+            TraceBuilder tb = TraceBuilder::Backward(src, "lineitem", {1});
+            if (shape == 1) {
+              tb.Filter(
+                  Predicate::Str(tpch::kLShipmode, CmpOp::kEq, "MAIL"));
+            } else if (shape == 2) {
+              tb.Consuming(by_tax);
+            }
+            tb.Strategy(strategy);
+            LineageQuery lq;
+            Status st = tb.Compile(&lq);
+            if (!st.ok()) return st;
+            *resolved = lq.strategy();
+            PlanResult pr;
+            SMOKE_RETURN_NOT_OK(lq.Execute(CaptureOptions::Inject(), &pr));
+            *rows = OrderedRows(pr.output);
+            return Status::OK();
+          };
+          TraceStrategy qstrat = TraceStrategy::kAuto;
+          TraceStrategy pstrat = TraceStrategy::kAuto;
+          std::vector<std::string> qrows, prows;
+          Status qs = run("query", &qstrat, &qrows);
+          Status ps = run("plan", &pstrat, &prows);
+          const std::string where = what + " strategy " +
+                                    TraceStrategyName(strategy) + " shape " +
+                                    std::to_string(shape);
+          EXPECT_EQ(qs.ToString(), ps.ToString()) << where;
+          EXPECT_EQ(qstrat, pstrat) << where;
+          EXPECT_EQ(qrows, prows) << where;
+          // The artifact-backed strategies really resolve (not just fail
+          // alike) when the block carries what they need.
+          const bool expect_ok =
+              (strategy == TraceStrategy::kLazy && shape == 0) ||
+              (strategy == TraceStrategy::kSkipping && shape == 1 &&
+               !push.skip_cols.empty()) ||
+              (strategy == TraceStrategy::kCube && shape == 2 &&
+               !push.cube_cols.empty());
+          if (expect_ok) {
+            EXPECT_TRUE(ps.ok()) << where << ": " << ps.ToString();
+            EXPECT_EQ(pstrat, strategy) << where;
+            EXPECT_FALSE(prows.empty()) << where;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -324,7 +324,8 @@ TEST(RefreshPlanTest, AppendRefusedWhileUnmaintainableBorrowerLive) {
   EXPECT_NE(st.message().find("frozen"), std::string::npos) << st.message();
   ASSERT_TRUE(engine.DropResult("frozen").ok());
 
-  // A retained SPJA query blocks appends too (no plan to re-execute).
+  // A retained SPJA query blocks appends too: it is a plan, executed here
+  // without refresh state.
   SPJAQuery q;
   q.fact = t;
   q.fact_name = "zipf";
@@ -344,6 +345,49 @@ TEST(RefreshPlanTest, AppendRefusedWhileUnmaintainableBorrowerLive) {
   ASSERT_TRUE(engine.AppendRows("zipf", delta, &stats).ok());
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_TRUE(stats[0].incremental);
+}
+
+TEST(RefreshPlanTest, EvictedSpjaQueryRebuildsAndStaysWithinBudget) {
+  // An SPJA query retained with refresh state is a rebuildable view. Under
+  // a tight budget it is evicted; an append rebuilds its indexes, which the
+  // store re-registers and evicts again — accounting and lineage agree, and
+  // the lazy answers cover the appended rows.
+  SmokeEngine engine;
+  ASSERT_TRUE(engine.CreateTable("zipf", MakeZipfTable(400, 4, 1.0, 81)).ok());
+  const Table* t = nullptr;
+  ASSERT_TRUE(engine.GetTable("zipf", &t).ok());
+  SPJAQuery q;
+  q.fact = t;
+  q.fact_name = "zipf";
+  q.group_by = {ColRef::Fact(zipf_table::kZ)};
+  q.aggs = {AggSpec::Count("cnt")};
+  CaptureOptions opts = RetainOpts();
+  opts.lineage_budget_bytes = 64;
+  ASSERT_TRUE(engine.ExecuteQuery("v", q, opts).ok());
+  ASSERT_EQ(engine.LineageMemoryStats().num_evicted, 1u);
+
+  std::vector<RefreshStats> stats;
+  ASSERT_TRUE(
+      engine.AppendRows("zipf", MakeZipfTable(50, 4, 1.0, 82), &stats).ok());
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_FALSE(stats[0].incremental);
+  LineageStoreStats store = engine.LineageMemoryStats();
+  EXPECT_EQ(store.num_evicted, 1u);
+  EXPECT_LE(store.total_bytes, store.budget_bytes);
+
+  // Reference: the same query over the grown table, indexes resident.
+  SmokeEngine ref;
+  ASSERT_TRUE(ref.CreateTable("zipf", *t).ok());
+  ASSERT_TRUE(ref.GetTable("zipf", &q.fact).ok());
+  ASSERT_TRUE(ref.ExecuteQuery("v", q).ok());
+  const Table* out = nullptr;
+  ASSERT_TRUE(ref.GetResult("v", &out).ok());
+  for (rid_t g = 0; g < out->num_rows(); ++g) {
+    std::vector<rid_t> want, got;
+    ASSERT_TRUE(ref.Backward("v", "zipf", {g}, &want).ok());
+    ASSERT_TRUE(engine.Backward("v", "zipf", {g}, &got).ok());
+    EXPECT_EQ(got, want) << "group " << g;
+  }
 }
 
 TEST(RefreshPlanTest, NonRefreshableShapeRebuildsWithReason) {

@@ -1,7 +1,8 @@
 // Sharded execution (shard/coordinator.h): ShardMap codec round-trips,
 // range/hash slicing, bit-identical sharded vs unsharded results and lineage
 // for the gather, exchange, broadcast and co-located join paths, selective
-// backward-trace fan-out, and the engine's shard lifecycle guards.
+// backward-trace fan-out, the engine's shard lifecycle guards, and SPJA
+// queries (ExecuteQuery) routed through the coordinator like any plan.
 #include <functional>
 #include <set>
 #include <string>
@@ -15,6 +16,7 @@
 #include "shard/shard_map.h"
 #include "shard/sharded_table.h"
 #include "test_util.h"
+#include "workloads/tpch.h"
 
 namespace smoke {
 namespace {
@@ -403,6 +405,49 @@ TEST_F(ShardEngineTest, ShardLifecycleGuards) {
   // ...but the fan-out entry point now has no shard state to pin.
   EXPECT_FALSE(
       sharded_.BackwardSharded("again", "events", {0}, &rids, nullptr).ok());
+}
+
+TEST_F(ShardEngineTest, ExecuteQueryShardsLikeAPlan) {
+  // TPC-H Q12 (lineitem ⋈ orders) issued through ExecuteQuery after
+  // hash-sharding lineitem on l_orderkey: output and backward rids match an
+  // unsharded engine, and the result carries shard fan-out state.
+  tpch::Database db = tpch::Generate(0.01);
+  SmokeEngine sharded, plain;
+  for (SmokeEngine* e : {&sharded, &plain}) {
+    ASSERT_TRUE(e->CreateTable("lineitem", db.lineitem).ok());
+    ASSERT_TRUE(e->CreateTable("orders", db.orders).ok());
+  }
+  ASSERT_TRUE(sharded
+                  .ShardTable("lineitem",
+                              ShardingSpec::Hash(tpch::kLOrderkey, 3))
+                  .ok());
+  for (SmokeEngine* e : {&sharded, &plain}) {
+    SPJAQuery q12 = tpch::MakeQ12(db);
+    ASSERT_TRUE(e->GetTable("lineitem", &q12.fact).ok());
+    ASSERT_TRUE(e->GetTable("orders", &q12.dims[0].table).ok());
+    ASSERT_TRUE(e->ExecuteQuery("q12", q12).ok());
+  }
+
+  const Table *os = nullptr, *op = nullptr;
+  ASSERT_TRUE(sharded.GetResult("q12", &os).ok());
+  ASSERT_TRUE(plain.GetResult("q12", &op).ok());
+  ASSERT_GT(op->num_rows(), 0u);
+  ExpectSameTable(*os, *op);
+  for (const char* relation : {"lineitem", "orders"}) {
+    for (rid_t r = 0; r < op->num_rows(); ++r) {
+      std::vector<rid_t> bs, bp;
+      ASSERT_TRUE(sharded.Backward("q12", relation, {r}, &bs, false).ok());
+      ASSERT_TRUE(plain.Backward("q12", relation, {r}, &bp, false).ok());
+      EXPECT_EQ(bs, bp) << relation << " backward of output " << r;
+    }
+  }
+  std::vector<rid_t> fan_out, composed;
+  ShardTraceStats stats;
+  ASSERT_TRUE(
+      sharded.BackwardSharded("q12", "lineitem", {0}, &fan_out, &stats).ok());
+  ASSERT_TRUE(plain.Backward("q12", "lineitem", {0}, &composed).ok());
+  EXPECT_EQ(fan_out, composed);
+  EXPECT_EQ(stats.shards_total, 3u);
 }
 
 }  // namespace
