@@ -5,7 +5,8 @@
 //
 // The second half shows the same interaction over *retained plans* with
 // PlanCrossfilter: any view shape (here an aggregate-over-aggregate rollup)
-// participates in linked brushing via Trace∘Trace plan nodes.
+// participates in linked brushing, answered by probing the brushed view's
+// backward index once and every other view's forward index.
 //
 //   $ ./example_linked_brushing
 #include <cstdio>

@@ -1,12 +1,15 @@
 // Crossfilter over retained plans (paper Section 6.5.1, generalized per
 // ROADMAP "Crossfilter on plans"): each view is an arbitrary retained
 // LogicalPlan — a plain group-by histogram, an aggregate-over-aggregate
-// rollup, a join of aggregated subplans — and linked brushing is the
-// Trace∘Trace chain (backward from the brushed output row to the shared
-// base relation, forward into every other view) executed through Trace plan
-// nodes. Any view shape with captured lineage on the shared relation
-// participates; the classic per-view SPJA implementation in
-// apps/crossfilter.h remains as the strategy benchmark (Figure 13/14).
+// rollup, a join of aggregated subplans — and linked brushing is Trace∘Trace
+// (backward from the brushed output row to the shared base relation,
+// forward into every other view) evaluated as a direct probe of the views'
+// retained end-to-end indexes: the paper's BT+FT strategy over any view
+// shape with captured lineage on the shared relation. The same chain as a
+// compiled lineage query (TraceBuilder::Backward(...).ThenForward(...))
+// gives the same answer and is the test reference; the classic per-view
+// SPJA implementation in apps/crossfilter.h remains as the strategy
+// benchmark (Figure 13/14).
 #ifndef SMOKE_APPS_PLAN_CROSSFILTER_H_
 #define SMOKE_APPS_PLAN_CROSSFILTER_H_
 
@@ -17,7 +20,6 @@
 #include "common/status.h"
 #include "plan/executor.h"
 #include "plan/plan.h"
-#include "query/trace_builder.h"
 
 namespace smoke {
 
@@ -29,22 +31,45 @@ struct LinkedBrush {
   Table rows;                   ///< the linked rows, materialized
 };
 
-/// Brushes output row `out_rid` of `from` into `to` through `relation`
-/// (Trace∘Trace): the target rows reachable through the shared relation,
-/// with counts[i] = relation rows in the brushed row's backward lineage
-/// that reach rids[i]. For a group-by COUNT(*) view this equals the brushed
-/// bar count of the classic crossfilter (BT strategy).
+/// One view a brush links into.
+struct BrushTarget {
+  std::string name;                   ///< its key in the brush result map
+  const PlanResult* result = nullptr;  ///< its retained result (borrowed)
+};
+
+/// Brushes output row `out_rid` of `from` into every target through
+/// `relation` (Trace∘Trace). For each target, `(*out)[name]` holds the
+/// target rows reachable through the shared relation, in first-seen order,
+/// with counts[i] = the (relation row, forward edge) pairs reaching rids[i]
+/// over the brushed row's deduplicated backward lineage, and the reached
+/// rows materialized. For a group-by COUNT(*) view the counts equal the
+/// brushed bar counts of the classic crossfilter (BT+FT strategy).
+///
+/// Cost: one backward probe of `from` shared by all targets, then one
+/// forward probe per (relation row, target), plus a zero-filled counter
+/// per target output row — O(|bar lineage| × targets + Σ target output
+/// rows). For aggregated targets (histograms, rollups) the output is small
+/// and the brush is independent of the relation's size; a select/project
+/// target's output is relation-sized, and so is its counter. A backward
+/// list that is not ascending, as a rollup's or a join's can be, is
+/// deduplicated over a bitmap up to its largest rid; a group-by's never
+/// needs it. No plan is compiled or executed and no morsels are scheduled;
+/// the probes read the retained indexes in whatever form the lineage store
+/// holds them (raw or encoded).
+///
+/// Fails, like the compiled chain, with NotFound when a result has no
+/// lineage on `relation`, and InvalidArgument when a needed index was not
+/// captured or was evicted, or when `out_rid`, a relation row or a reached
+/// target row is out of range.
 ///
 /// Session-safe: inputs are const, all state is local to the call, and the
 /// retained lineage indexes are immutable after finalize — any number of
 /// concurrent brushes may share the same PlanResults (the serving layer
-/// calls this from many sessions over one snapshot). `opts` configures the
-/// trace plans' execution (e.g. routing their morsels through a
-/// TieredScheduler lease at interactive priority).
-Status BrushLinkedPlans(const PlanResult& from, const std::string& from_name,
-                        rid_t out_rid, const std::string& relation,
-                        const PlanResult& to, const std::string& to_name,
-                        const CaptureOptions& opts, LinkedBrush* out);
+/// calls this from many sessions over one snapshot).
+Status BrushLinkedPlans(const PlanResult& from, rid_t out_rid,
+                        const std::string& relation,
+                        const std::vector<BrushTarget>& targets,
+                        std::map<std::string, LinkedBrush>* out);
 
 /// \brief A linked-brushing session over retained plan views sharing one
 /// base relation.
@@ -67,11 +92,11 @@ class PlanCrossfilter {
   /// One view's share of a brush result.
   using Linked = LinkedBrush;
 
-  /// Brushes output row `out_rid` of `view`: for every *other* view, the
-  /// output rows reachable through the shared relation (Trace∘Trace), with
-  /// counts[i] = number of relation rows in the brushed row's backward
-  /// lineage that reach rids[i]. For a group-by COUNT(*) view this equals
-  /// the brushed bar count of the classic crossfilter (BT strategy).
+  /// Brushes output row `out_rid` of `view` into every *other* view with
+  /// one BrushLinkedPlans call: for each, the output rows reachable through
+  /// the shared relation and their witness counts. For a group-by COUNT(*)
+  /// view the counts equal the brushed bar counts of the classic
+  /// crossfilter.
   Status Brush(const std::string& view, rid_t out_rid,
                std::map<std::string, Linked>* out) const;
 

@@ -67,6 +67,10 @@ Status BackwardRidsChecked(const QueryLineage& lineage,
   }
   SMOKE_RETURN_NOT_OK(
       ValidateRids(out_rids, tl.backward.size(), "output"));
+  // Deduplication marks rids over the relation's universe.
+  if (dedup && tl.table == nullptr) {
+    return Status::InvalidArgument("relation table not available");
+  }
   size_t universe = tl.table != nullptr ? tl.table->num_rows() : 0;
   *out = Trace(tl.backward, universe, out_rids, dedup);
   return Status::OK();

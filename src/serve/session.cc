@@ -35,24 +35,22 @@ Status ServeSession::Brush(const std::string& view, rid_t out_rid,
   const PlanResult* from = nullptr;
   SMOKE_RETURN_NOT_OK(snap->engine.GetPlanResult(view, &from));
 
+  std::vector<BrushTarget> targets;
+  for (const std::string& name : snap->views) {
+    if (name == view) continue;
+    BrushTarget t{name, nullptr};
+    SMOKE_RETURN_NOT_OK(snap->engine.GetPlanResult(name, &t.result));
+    targets.push_back(std::move(t));
+  }
+
   out->snapshot_version = snap->version;
-  out->views.clear();
   Status st;
   // The whole brush is one interactive-class job: it admits ahead of any
   // queued batch capture morsels, and the session's own thread co-executes,
   // so a saturated pool can only slow a brush, never park it.
   core_->pool().Run(TaskClass::kInteractive, [&] {
-    for (const std::string& name : snap->views) {
-      if (name == view) continue;
-      const PlanResult* to = nullptr;
-      st = snap->engine.GetPlanResult(name, &to);
-      if (!st.ok()) return;
-      LinkedBrush linked;
-      st = BrushLinkedPlans(*from, view, out_rid, core_->relation(), *to,
-                            name, CaptureOptions::Inject(), &linked);
-      if (!st.ok()) return;
-      out->views.emplace(name, std::move(linked));
-    }
+    st = BrushLinkedPlans(*from, out_rid, core_->relation(), targets,
+                          &out->views);
   });
   SMOKE_RETURN_NOT_OK(st);
 

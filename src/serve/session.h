@@ -47,9 +47,10 @@ class ServeSession {
   };
 
   /// Brushes output row `out_rid` of `view` into every other view of the
-  /// current snapshot (Trace∘Trace through the core's shared relation).
-  /// Runs as one interactive-class job on the core's admission pool, so it
-  /// preempts in-flight batch captures at morsel granularity.
+  /// current snapshot: one BrushLinkedPlans probe of the snapshot's
+  /// retained view indexes through the core's shared relation. Admitted as
+  /// one interactive-class job on the core's admission pool, ahead of any
+  /// queued batch capture work.
   Status Brush(const std::string& view, rid_t out_rid, BrushResult* out)
       SMOKE_EXCLUDES(mu_);
 

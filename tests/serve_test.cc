@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/plan_crossfilter.h"
+#include "query/lineage_query.h"
 #include "serve/session.h"
 #include "test_util.h"
 #include "workloads/zipf_table.h"
@@ -94,6 +95,54 @@ std::string Fingerprint(const std::map<std::string, LinkedBrush>& views) {
   return s;
 }
 
+/// The scan reference for one snapshot: the linked rows and counts of a
+/// brush recomputed from the views' definitions by scanning the snapshot's
+/// table — by_z keys every row by z, hot_z only the rows with v < 50.
+std::map<std::string, LinkedBrush> ScanBrush(const SmokeEngine& engine,
+                                             const std::string& view,
+                                             rid_t bar) {
+  const Table* t = nullptr;
+  SMOKE_CHECK(engine.GetTable("zipf", &t).ok());
+  const auto& z = t->column(zipf_table::kZ).ints();
+  const auto& v = t->column(zipf_table::kV).doubles();
+  // Output row of `name` each base row lands in (kInvalidRid: none).
+  auto rows_of = [&](const std::string& name) {
+    const Table* out = nullptr;
+    SMOKE_CHECK(engine.GetResult(name, &out).ok());
+    std::map<int64_t, rid_t> by_key;
+    for (rid_t r = 0; r < out->num_rows(); ++r) {
+      by_key[out->column(0).ints()[r]] = r;
+    }
+    std::vector<rid_t> row_of(t->num_rows(), kInvalidRid);
+    for (size_t r = 0; r < t->num_rows(); ++r) {
+      if (name == "hot_z" && !(v[r] < 50.0)) continue;
+      row_of[r] = by_key.at(z[r]);
+    }
+    return row_of;
+  };
+  const std::vector<rid_t> from = rows_of(view);
+  std::map<std::string, LinkedBrush> out;
+  for (const std::string name : {"by_z", "hot_z"}) {
+    if (name == view) continue;
+    const std::vector<rid_t> to = rows_of(name);
+    LinkedBrush& lb = out[name];
+    std::map<rid_t, size_t> slot;
+    for (size_t r = 0; r < t->num_rows(); ++r) {
+      if (from[r] != bar || to[r] == kInvalidRid) continue;
+      auto [it, fresh] = slot.emplace(to[r], lb.rids.size());
+      if (fresh) {
+        lb.rids.push_back(to[r]);
+        lb.counts.push_back(0);
+      }
+      lb.counts[it->second]++;
+    }
+    const Table* target = nullptr;
+    SMOKE_CHECK(engine.GetResult(name, &target).ok());
+    lb.rows = MaterializeRows(*target, lb.rids);
+  }
+  return out;
+}
+
 class ServeTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -153,6 +202,55 @@ TEST_F(ServeTest, BrushMatchesSerialCrossfilter) {
   EXPECT_EQ(stats.last_snapshot_version, 1u);
   EXPECT_GT(stats.total_brush_ms, 0.0);
   ASSERT_TRUE(core_->CloseSession("s0").ok());
+}
+
+TEST_F(ServeTest, BrushErrorsReturnStatus) {
+  std::shared_ptr<ServeSession> s;
+  ASSERT_TRUE(core_->OpenSession("s0", &s).ok());
+  ServeSession::BrushResult r;
+  EXPECT_EQ(s->Brush("by_z", static_cast<rid_t>(kGroups), &r).code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(s->Brush("nope", 0, &r).code(), Status::Code::kNotFound);
+  EXPECT_EQ(s->GetStats().brushes, 0u);
+  ASSERT_TRUE(core_->CloseSession("s0").ok());
+}
+
+// Views retained under the adaptive codec brush through their encoded
+// indexes; every brush equals a scan of the snapshot it pinned.
+TEST(ServeCodecTest, AdaptiveViewBrushesMatchSnapshotScan) {
+  ServeOptions opts;
+  opts.num_threads = 1;
+  opts.view_capture.lineage_codec = LineageCodec::kAdaptive;
+  ServeCore core("zipf", opts);
+  ASSERT_TRUE(core.CreateTable("zipf", VersionTable(1)).ok());
+  ASSERT_TRUE(core.DefineView("by_z", DefOf(ByZPlan)).ok());
+  ASSERT_TRUE(core.DefineView("hot_z", DefOf(HotZPlan)).ok());
+  ASSERT_TRUE(core.Start().ok());
+  const Table delta = MakeZipfTable(500, kGroups, 1.0, /*seed=*/9);
+  ASSERT_TRUE(core.AppendRows("zipf", delta).ok());
+
+  std::shared_ptr<ServeSession> s;
+  ASSERT_TRUE(core.OpenSession("s0", &s).ok());
+  ServeCore::SnapshotRef pin = core.AcquireSnapshot();
+  const SmokeEngine& engine = pin.snapshot->engine;
+  const PlanResult* by_z = nullptr;
+  ASSERT_TRUE(engine.GetPlanResult("by_z", &by_z).ok());
+  EXPECT_TRUE(by_z->lineage.input(0).forward.encoded());
+  EXPECT_TRUE(by_z->lineage.input(0).backward.encoded());
+
+  for (const std::string view : {"by_z", "hot_z"}) {
+    const Table* out = nullptr;
+    ASSERT_TRUE(engine.GetResult(view, &out).ok());
+    for (rid_t bar = 0; bar < out->num_rows(); ++bar) {
+      ServeSession::BrushResult got;
+      ASSERT_TRUE(s->Brush(view, bar, &got).ok());
+      ASSERT_EQ(got.snapshot_version, pin.version());
+      EXPECT_EQ(Fingerprint(got.views),
+                Fingerprint(ScanBrush(engine, view, bar)))
+          << view << " bar " << bar;
+    }
+  }
+  ASSERT_TRUE(core.CloseSession("s0").ok());
 }
 
 // The linearizability check: sessions brush while a writer replaces the
