@@ -94,8 +94,8 @@ void Run(const bench::Options& opts) {
         // to a Trace → Select → Derive → GroupBy plan (query/trace_builder)
         // under the indexed and skipping physical choices. Regressions of
         // the plan-compiled path show up next to the legacy kernels.
-        TraceSource src = TraceSource::FromSpja(q1, base, "q1");
-        TraceSource skip_src = TraceSource::FromSpja(q1, skip_base, "q1skip");
+        TraceSource src = TraceSource::FromPlan(base, "q1");
+        TraceSource skip_src = TraceSource::FromPlan(skip_base, "q1skip");
         bench::Row("fig10",
                    "mode=" + mode + ",instr=" + instr + ",group=" +
                        std::to_string(oid) + ",selectivity=" +

@@ -1,18 +1,16 @@
 // Sharded-execution scaling: the crossfilter group-by view executed over
-// 1/2/4/8 shards (or the single count given by --shards=N), plus backward
-// trace latency through the shard fan-out vs the composed index.
-//
-// Each row reports the shard fan-out of a selective single-group trace —
-// `shards_visited` must stay below `shards_total` for shards > 1, which the
-// perf canary checks from the --json lines. A machine-readable summary line
-// (prefix "JSON ") carries the whole curve:
+// 1/2/4/8 shards (or the single count given by --shards=N), plus the latency
+// of a selective single-group backward trace on the retained sharded view:
+// `trace_ms` through SmokeEngine::Backward, `trace_composed_ms` as a bare
+// probe of the composed index (the engine's lookup overhead is the gap).
+// A machine-readable summary line (prefix "JSON ") carries the whole curve:
 //   JSON {"bench":"shard_scaling","series":"groupby_view","n":...,
-//         "shards":[1,2,4,8],"execute_ms":[...],"trace_fanout_ms":[...],
-//         "trace_composed_ms":[...],"shards_visited":[...]}
+//         "shards":[1,2,4,8],"execute_ms":[...],"trace_ms":[...],
+//         "trace_composed_ms":[...]}
 //
 // Results and lineage are bit-identical sharded vs unsharded
 // (tests/shard_property_test.cc); this bench measures only the wall-clock
-// effect and the trace fan-out.
+// effect.
 #include "harness.h"
 
 #include <string>
@@ -32,7 +30,7 @@ void Run(const bench::Options& opts) {
   const size_t n = opts.full ? 5000000 : (opts.smoke ? 200000 : 1000000);
   const uint64_t groups = 1000;
   bench::Banner("Shard scaling",
-                "Sharded group-by view + backward trace fan-out vs shards");
+                "Sharded group-by view + backward trace vs shards");
 
   std::vector<uint32_t> shard_counts = {1, 2, 4, 8};
   if (opts.shards > 0) {
@@ -52,8 +50,7 @@ void Run(const bench::Options& opts) {
   LogicalPlan plan;
   SMOKE_CHECK(b.Build(b.GroupBy(b.Scan(zipf, "zipf"), spec), &plan).ok());
 
-  std::vector<double> execute_ms, fanout_ms, composed_ms;
-  std::vector<uint32_t> visited;
+  std::vector<double> execute_ms, trace_ms, composed_ms;
   for (uint32_t shards : shard_counts) {
     SMOKE_CHECK(
         engine.ShardTable("zipf", ShardingSpec::Hash(zipf_table::kZ, shards))
@@ -68,18 +65,15 @@ void Run(const bench::Options& opts) {
     });
     execute_ms.push_back(exec.mean_ms);
 
-    // Retain one view and trace: a selective single-group seed through the
-    // shard fan-out, the same seed through the composed index.
+    // Retain one view and trace a selective single-group seed: through the
+    // engine, then as a bare probe of the same composed index.
     SMOKE_CHECK(engine.ExecutePlan("view", plan, co, nullptr).ok());
     std::vector<rid_t> rids;
-    ShardTraceStats stats;
-    SMOKE_CHECK(
-        engine.BackwardSharded("view", "zipf", {0}, &rids, &stats).ok());
+    SMOKE_CHECK(engine.Backward("view", "zipf", {0}, &rids).ok());
     const size_t traced = rids.size();
-    RunStats fan = bench::Measure(opts, [&] {
+    RunStats trace = bench::Measure(opts, [&] {
       for (int i = 0; i < kTraceReps; ++i) {
-        SMOKE_CHECK(
-            engine.BackwardSharded("view", "zipf", {0}, &rids, nullptr).ok());
+        SMOKE_CHECK(engine.Backward("view", "zipf", {0}, &rids).ok());
       }
     });
     const PlanResult* pr = nullptr;
@@ -91,9 +85,8 @@ void Run(const bench::Options& opts) {
       }
     });
     SMOKE_CHECK(engine.DropResult("view").ok());
-    fanout_ms.push_back(fan.mean_ms);
+    trace_ms.push_back(trace.mean_ms);
     composed_ms.push_back(comp.mean_ms);
-    visited.push_back(static_cast<uint32_t>(stats.shards_visited));
 
     bench::Row("shard_scaling",
                "series=groupby_view,shards=" + std::to_string(shards) +
@@ -101,29 +94,25 @@ void Run(const bench::Options& opts) {
                    ",execute_ms=" + bench::F(exec.mean_ms) + ",mrows_s=" +
                    bench::F(static_cast<double>(n) / exec.mean_ms / 1000.0) +
                    ",trace_rids=" + std::to_string(traced) +
-                   ",trace_fanout_ms=" + bench::F(fan.mean_ms) +
-                   ",trace_composed_ms=" + bench::F(comp.mean_ms) +
-                   ",shards_visited=" + std::to_string(stats.shards_visited) +
-                   ",shards_total=" + std::to_string(stats.shards_total));
+                   ",trace_ms=" + bench::F(trace.mean_ms) +
+                   ",trace_composed_ms=" + bench::F(comp.mean_ms));
   }
   SMOKE_CHECK(engine.UnshardTable("zipf").ok());
 
-  std::string sh = "[", ex = "[", fo = "[", cm = "[", vi = "[";
+  std::string sh = "[", ex = "[", tr = "[", cm = "[";
   for (size_t i = 0; i < shard_counts.size(); ++i) {
     const char* sep = i == 0 ? "" : ",";
     sh += sep + std::to_string(shard_counts[i]);
     ex += sep + bench::F(execute_ms[i]);
-    fo += sep + bench::F(fanout_ms[i]);
+    tr += sep + bench::F(trace_ms[i]);
     cm += sep + bench::F(composed_ms[i]);
-    vi += sep + std::to_string(visited[i]);
   }
   std::printf(
       "JSON {\"bench\":\"shard_scaling\",\"series\":\"groupby_view\","
       "\"n\":%zu,\"groups\":%llu,\"shards\":%s],\"execute_ms\":%s],"
-      "\"trace_fanout_ms\":%s],\"trace_composed_ms\":%s],"
-      "\"shards_visited\":%s]}\n",
+      "\"trace_ms\":%s],\"trace_composed_ms\":%s]}\n",
       n, static_cast<unsigned long long>(groups), sh.c_str(), ex.c_str(),
-      fo.c_str(), cm.c_str(), vi.c_str());
+      tr.c_str(), cm.c_str());
 }
 
 }  // namespace

@@ -61,12 +61,17 @@ int main() {
               static_cast<long long>(v1.output.column(0).ints()[2]));
 
   // backward_trace(V1' ⊆ V1, X): the shared input records.
-  std::vector<rid_t> input_rids =
-      BackwardRids(v1.lineage, "X", brushed, /*dedup=*/true);
+  std::vector<rid_t> input_rids;
+  SMOKE_CHECK(BackwardRidsChecked(v1.lineage, "X", brushed, /*dedup=*/true,
+                                  &input_rids)
+                  .ok());
   std::printf("Backward lineage: %zu input records\n", input_rids.size());
 
   // forward_trace(X' ⊆ X, V2): the linked marks in V2.
-  std::vector<rid_t> linked = ForwardRids(v2.lineage, "X", input_rids);
+  std::vector<rid_t> linked;
+  SMOKE_CHECK(
+      ForwardRidsChecked(v2.lineage, "X", input_rids, /*dedup=*/true, &linked)
+          .ok());
   std::set<rid_t> highlight(linked.begin(), linked.end());
   std::printf("Forward lineage: highlight %zu of %zu V2 marks: [",
               highlight.size(), v2.output.num_rows());

@@ -10,6 +10,13 @@
 
 using namespace smoke;
 
+// Lineage queries return a Status: an out-of-range rid or a relation without
+// captured lineage is reported, never aborted on.
+static bool Check(const Status& st) {
+  if (!st.ok()) std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+  return st.ok();
+}
+
 int main() {
   // 1. Build a small sales relation.
   Schema schema;
@@ -36,18 +43,27 @@ int main() {
   std::printf("Query output:\n%s\n", result.output.ToString().c_str());
 
   // 3. Backward lineage: which input rows produced output group 0?
-  std::vector<rid_t> back = BackwardRids(result.lineage, "sales", {0});
+  std::vector<rid_t> back;
+  if (!Check(BackwardRidsChecked(result.lineage, "sales", {0},
+                                 /*dedup=*/false, &back))) {
+    return 1;
+  }
   std::printf("Backward lineage of output 0 (%s): rids [",
               result.output.column(0).strings()[0].c_str());
   for (size_t i = 0; i < back.size(); ++i) {
     std::printf("%s%u", i ? ", " : "", back[i]);
   }
   std::printf("]\n");
-  Table rows = MaterializeRows(sales, back);
+  Table rows;
+  if (!Check(MaterializeRowsChecked(sales, back, &rows))) return 1;
   std::printf("%s\n", rows.ToString().c_str());
 
   // 4. Forward lineage: which outputs does input row 1 feed?
-  std::vector<rid_t> fwd = ForwardRids(result.lineage, "sales", {1});
+  std::vector<rid_t> fwd;
+  if (!Check(ForwardRidsChecked(result.lineage, "sales", {1}, /*dedup=*/true,
+                                &fwd))) {
+    return 1;
+  }
   std::printf("Forward lineage of input 1 (west, 20.0): output rid %u\n",
               fwd[0]);
 

@@ -54,7 +54,12 @@ int main() {
   // Details on demand: materialize a few lineage rows of bar 0.
   std::vector<rid_t> sample(bar0.begin(),
                             bar0.begin() + std::min<size_t>(5, bar0.size()));
-  Table details = MaterializeRows(db.lineitem, sample);
+  Table details;
+  if (Status st = MaterializeRowsChecked(db.lineitem, sample, &details);
+      !st.ok()) {
+    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+    return 1;
+  }
   std::printf("\nDetails on demand (5 of bar 0's input rows):\n%s\n",
               details.ToString().c_str());
   return 0;

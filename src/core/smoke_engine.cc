@@ -1,8 +1,8 @@
 #include "core/smoke_engine.h"
 
-#include "optimizer/cost.h"
 #include "query/lazy.h"
 #include "query/lineage_query.h"
+#include "shard/coordinator.h"
 
 namespace smoke {
 
@@ -128,14 +128,6 @@ Status SmokeEngine::ShardTable(const std::string& name,
                                const ShardingSpec& spec) {
   const Table* base = nullptr;
   SMOKE_RETURN_NOT_OK(catalog_.GetTable(name, &base));
-  if (auto it = sharded_.find(name); it != sharded_.end()) {
-    if (const std::string b = ShardBorrowerOf(it->second.get()); !b.empty()) {
-      return Status::InvalidArgument(
-          "table '" + name + "' cannot be re-sharded: retained result '" + b +
-          "' holds shard fan-out state over its current ShardMap; drop the "
-          "result first");
-    }
-  }
   auto st = std::make_unique<ShardedTable>();
   SMOKE_RETURN_NOT_OK(ShardedTable::Create(base, spec, st.get()));
   sharded_[name] = std::move(st);
@@ -143,17 +135,9 @@ Status SmokeEngine::ShardTable(const std::string& name,
 }
 
 Status SmokeEngine::UnshardTable(const std::string& name) {
-  auto it = sharded_.find(name);
-  if (it == sharded_.end()) {
+  if (sharded_.erase(name) == 0) {
     return Status::NotFound("sharded table '" + name + "'");
   }
-  if (const std::string b = ShardBorrowerOf(it->second.get()); !b.empty()) {
-    return Status::InvalidArgument(
-        "table '" + name + "' cannot be unsharded: retained result '" + b +
-        "' holds shard fan-out state over its ShardMap; drop the result "
-        "first");
-  }
-  sharded_.erase(it);
   return Status::OK();
 }
 
@@ -178,17 +162,12 @@ Status SmokeEngine::AppendRows(const std::string& name, const Table& rows,
   std::vector<std::string> views;
   for (const auto& [qname, rp] : plans_) {
     if (!Borrows(rp->result, dst)) continue;
-    if (rp->shard != nullptr) {
-      return Status::FailedPrecondition(
-          "table '" + name + "' is borrowed by sharded retained plan '" +
-          qname + "'; sharded results cannot be refreshed in place — drop "
-          "it or route appends through re-execution");
-    }
     if (rp->result.refresh == nullptr) {
       return Status::FailedPrecondition(
           "table '" + name + "' is borrowed by retained result '" + qname +
-          "', which was executed without retain_refresh_state and cannot be "
-          "maintained; drop it or re-execute with refresh state retained");
+          "', which carries no refresh state (it executed sharded, or "
+          "without retain_refresh_state) and cannot be maintained; drop it "
+          "or re-execute it unsharded with refresh state retained");
     }
     if (rp->result.HasDeferred()) {
       return Status::FailedPrecondition(
@@ -244,13 +223,6 @@ Status SmokeEngine::AdoptRetainedPlan(const std::string& query_name,
   plans_[query_name] = std::move(retained);
   EnforceBudget();
   return Status::OK();
-}
-
-std::string SmokeEngine::ShardBorrowerOf(const ShardedTable* st) const {
-  for (const auto& [name, rp] : plans_) {
-    if (rp->shard != nullptr && rp->shard->map == &st->map()) return name;
-  }
-  return std::string();
 }
 
 std::string SmokeEngine::BorrowerOf(const Table* table) const {
@@ -335,10 +307,8 @@ Status SmokeEngine::ExecutePlan(const std::string& query_name,
     // table fall through to the unsharded executor inside.
     ShardResolver resolver;
     for (const auto& [tname, st] : sharded_) resolver[st->base()] = st.get();
-    ShardedPlanResult sp;
-    SMOKE_RETURN_NOT_OK(ExecuteShardedPlan(plan, resolver, opts, &sp));
-    retained->result = std::move(sp.plan);
-    retained->shard = std::move(sp.shard);
+    SMOKE_RETURN_NOT_OK(
+        ExecuteShardedPlan(plan, resolver, opts, &retained->result));
   }
   Retain(query_name, std::move(retained), opts);
   return Status::OK();
@@ -500,22 +470,6 @@ Status SmokeEngine::TraceForward(const std::string& query_name,
   return SplitTraceOutput(std::move(pr), out);
 }
 
-Status SmokeEngine::TraceLinked(const std::string& from_query,
-                                const std::vector<rid_t>& out_rids,
-                                const std::string& relation,
-                                const std::string& to_query,
-                                TraceResult* out) const {
-  TraceSource from;
-  SMOKE_RETURN_NOT_OK(MakeTraceSource(from_query, &from));
-  TraceSource to;
-  SMOKE_RETURN_NOT_OK(MakeTraceSource(to_query, &to));
-  PlanResult pr;
-  SMOKE_RETURN_NOT_OK(TraceBuilder::Backward(std::move(from), relation, out_rids)
-                          .ThenForward(std::move(to))
-                          .Execute(CaptureOptions::Inject(), &pr));
-  return SplitTraceOutput(std::move(pr), out);
-}
-
 Status SmokeEngine::ExecuteTraceQuery(const std::string& result_name,
                                       const TraceBuilder& builder,
                                       const CaptureOptions& opts) {
@@ -540,16 +494,6 @@ Status SmokeEngine::BackwardOf(const std::string& query_name,
   if (AnswersLazily(rp.result, relation)) {
     return LazyBackward(rp.result, out_rids, dedup, rids);
   }
-  // Sharded retained plans: when the seed set is selective enough that the
-  // shard fan-out beats a composed-index probe (optimizer/cost.h pricing),
-  // answer by probing only the touched shards. Rids are identical either
-  // way.
-  if (rp.shard != nullptr && relation == rp.shard->driver_relation &&
-      CostShardTrace(out_rids.size(), rp.shard->num_shards(),
-                     rp.result.output.num_rows())
-          .use_fan_out) {
-    return rp.shard->TraceBackward(out_rids, dedup, rids, nullptr);
-  }
   return BackwardRidsChecked(rp.result.lineage, relation, out_rids, dedup,
                              rids);
 }
@@ -561,30 +505,6 @@ Status SmokeEngine::Backward(const std::string& query_name,
   const RetainedPlan* rp = nullptr;
   SMOKE_RETURN_NOT_OK(Lookup(query_name, &rp));
   return BackwardOf(query_name, *rp, relation, out_rids, dedup, rids);
-}
-
-Status SmokeEngine::BackwardSharded(const std::string& query_name,
-                                    const std::string& relation,
-                                    const std::vector<rid_t>& out_rids,
-                                    std::vector<rid_t>* rids,
-                                    ShardTraceStats* stats,
-                                    bool dedup) const {
-  const RetainedPlan* rp = nullptr;
-  SMOKE_RETURN_NOT_OK(Lookup(query_name, &rp));
-  if (rp->shard == nullptr) {
-    return Status::InvalidArgument(
-        "query '" + query_name +
-        "' has no shard fan-out state (plan touched no sharded table, or "
-        "backward capture was off)");
-  }
-  if (relation != rp->shard->driver_relation) {
-    return Status::InvalidArgument(
-        "shard fan-out applies to the sharded driver relation '" +
-        rp->shard->driver_relation + "' only; trace '" + relation +
-        "' through Backward");
-  }
-  tracker_.Touch(query_name);
-  return rp->shard->TraceBackward(out_rids, dedup, rids, stats);
 }
 
 Status SmokeEngine::Forward(const std::string& query_name,

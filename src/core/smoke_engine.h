@@ -32,7 +32,7 @@
 #include "plan/plan.h"
 #include "query/trace_builder.h"
 #include "refresh/refresh.h"
-#include "shard/coordinator.h"
+#include "shard/sharded_table.h"
 #include "storage/catalog.h"
 
 namespace smoke {
@@ -99,17 +99,17 @@ class SmokeEngine {
   /// Partitions a registered base table into shards (range/hash on an int64
   /// column, shard/shard_map.h). Subsequent ExecutePlan calls whose plans
   /// scan the table route through the sharded coordinator
-  /// (shard/coordinator.h): per-shard morsel-parallel execution,
-  /// cross-shard lineage composition bit-identical to the unsharded run,
-  /// and retained fan-out state so backward traces probe only the shards
-  /// their seeds touch. Re-sharding with a new spec is allowed, but refused
-  /// while a retained sharded result still borrows the current ShardMap.
-  /// ReplaceTable re-slices a sharded table under the same spec.
+  /// (shard/coordinator.h): per-shard morsel-parallel execution and
+  /// cross-shard lineage composition bit-identical to the unsharded run.
+  /// A sharded result retains only its output and composed lineage, which
+  /// speak the base table's rids, so re-sharding with a new spec is allowed
+  /// while results are retained. ReplaceTable re-slices a sharded table
+  /// under the same spec.
   Status ShardTable(const std::string& name, const ShardingSpec& spec);
 
   /// Removes a table's sharding (slices and codec). The base relation and
-  /// every retained result stay; subsequent plans execute unsharded. Same
-  /// borrow refusal as re-sharding.
+  /// every retained result stay, sharded results included; subsequent plans
+  /// execute unsharded.
   Status UnshardTable(const std::string& name);
 
   /// Appends `rows` to a registered relation and incrementally maintains
@@ -120,10 +120,10 @@ class SmokeEngine {
   /// in their RefreshStats. Appending — unlike ReplaceTable — never
   /// invalidates retained rids, so this is the one mutation allowed while
   /// results are live. Refused (FailedPrecondition, naming the borrower)
-  /// when a borrowing result cannot be maintained at all: a sharded plan, a
-  /// plan with pending deferred capture, or one executed without
-  /// retain_refresh_state. Per-view stats for this batch are appended to
-  /// `stats` when non-null.
+  /// when a borrowing result cannot be maintained at all: a plan with
+  /// pending deferred capture, or one that carries no refresh state
+  /// (executed without retain_refresh_state, or sharded). Per-view stats
+  /// for this batch are appended to `stats` when non-null.
   Status AppendRows(const std::string& name, const Table& rows,
                     std::vector<RefreshStats>* stats = nullptr);
 
@@ -216,15 +216,6 @@ class SmokeEngine {
                       const std::vector<rid_t>& in_rids,
                       TraceResult* out) const;
 
-  /// Linked brushing as Trace∘Trace: backward from `from_query` to the
-  /// shared relation, forward into `to_query`. The handle's rows are
-  /// `to_query` output rows; its plan lineage maps them back to the shared
-  /// relation rows that link them (witness counts for brushing).
-  Status TraceLinked(const std::string& from_query,
-                     const std::vector<rid_t>& out_rids,
-                     const std::string& relation,
-                     const std::string& to_query, TraceResult* out) const;
-
   /// Executes a TraceBuilder lineage/consuming query and retains its
   /// PlanResult under `result_name` — the result chains like any retained
   /// plan (Backward / TraceBackward / further consuming queries all work).
@@ -239,19 +230,6 @@ class SmokeEngine {
   Status Backward(const std::string& query_name, const std::string& relation,
                   const std::vector<rid_t>& out_rids,
                   std::vector<rid_t>* rids, bool dedup = true) const;
-
-  /// Lb over a retained sharded plan, forced through the shard fan-out
-  /// path: probes only the shards the seeds' region rows live in and
-  /// reports the fan-out in `stats` (optional). `relation` must be the
-  /// sharded driver relation of the retained result. Rids are identical —
-  /// order, multiplicity, dedup — to Backward's composed-index answer.
-  /// (Backward itself picks between the two paths with the
-  /// optimizer/cost.h shard pricing; this entry point pins the choice.)
-  Status BackwardSharded(const std::string& query_name,
-                         const std::string& relation,
-                         const std::vector<rid_t>& out_rids,
-                         std::vector<rid_t>* rids, ShardTraceStats* stats,
-                         bool dedup = true) const;
 
   /// Lf(in_rids ⊆ R, O): output rids of `query_name` derived from the given
   /// input rids of `relation`.
@@ -297,19 +275,11 @@ class SmokeEngine {
   struct RetainedPlan {
     PlanResult result;
     LineageCodec codec = LineageCodec::kRaw;
-    /// Shard fan-out state when the plan executed sharded with backward
-    /// capture (borrows the ShardMap of the driver's ShardedTable).
-    std::unique_ptr<ShardedExecution> shard;
   };
 
   /// The retained result named `query_name`, or NotFound.
   Status Lookup(const std::string& query_name,
                 const RetainedPlan** out) const;
-
-  /// Name of a retained result whose shard fan-out state borrows `st`'s
-  /// ShardMap (first in name order), or "" when none — guards re-sharding
-  /// and unsharding the way BorrowerOf guards table replacement.
-  std::string ShardBorrowerOf(const ShardedTable* st) const;
 
   /// Name of a retained result whose lineage or SPJA block query still
   /// borrows `table` (first in name order), or "" when none — lets the
@@ -323,9 +293,8 @@ class SmokeEngine {
   TraceSource SourceOf(const std::string& query_name,
                        const RetainedPlan& rp) const;
 
-  /// Backward over a resolved retained result (lazy rescan when evicted,
-  /// shard fan-out when cheaper, composed index otherwise); bumps its LRU
-  /// tick.
+  /// Backward over a resolved retained result, sharded or not: lazy rescan
+  /// when evicted, composed index otherwise; bumps its LRU tick.
   Status BackwardOf(const std::string& query_name, const RetainedPlan& rp,
                     const std::string& relation,
                     const std::vector<rid_t>& out_rids, bool dedup,

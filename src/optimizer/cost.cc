@@ -1,7 +1,6 @@
 #include "optimizer/cost.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "query/lazy.h"
 
@@ -239,39 +238,6 @@ TraceCostReport CostTraceStrategies(const TraceSource& src,
     // error instead of the optimizer guessing.
     r.chosen = TraceStrategy::kIndexed;
   }
-  return r;
-}
-
-ShardTraceCostReport CostShardTrace(size_t seed_count, size_t num_shards,
-                                    size_t output_rows) {
-  ShardTraceCostReport r;
-  if (num_shards == 0) {
-    r.composed.feasible = true;
-    r.composed.note = "no shard state";
-    return r;
-  }
-  const double n = static_cast<double>(num_shards);
-  // Distinct seeds cannot exceed the output cardinality.
-  const double seeds = std::min(static_cast<double>(seed_count),
-                                std::max(1.0, static_cast<double>(output_rows)));
-  // With uniform shard placement the expected distinct shards touched by
-  // `seeds` region rows is the balls-into-bins bound.
-  r.expected_shards = n * (1.0 - std::pow(1.0 - 1.0 / n, seeds));
-  // Both candidates probe one posting list per seed; fan-out adds a second
-  // (per-shard) probe per seed plus a fixed touch cost per visited shard,
-  // but each probe runs against a shard-local index ~1/n the size. The
-  // constants mirror CostTraceStrategies' rid-touch units.
-  constexpr double kShardTouch = 4.0;
-  r.fan_out.feasible = true;
-  r.fan_out.cost = 2.0 * seeds + kShardTouch * r.expected_shards;
-  r.fan_out.note = "expected shards " + std::to_string(r.expected_shards) +
-                   " of " + std::to_string(num_shards);
-  // The composed index spans all shards' lineage; a probe pays one list
-  // walk per seed against full-fan-out-sized data.
-  r.composed.feasible = true;
-  r.composed.cost = seeds + kShardTouch * n;
-  r.composed.note = "single composed index probe, full-size data";
-  r.use_fan_out = r.fan_out.cost <= r.composed.cost;
   return r;
 }
 

@@ -69,25 +69,6 @@ TraceCostReport CostTraceStrategies(const TraceSource& src,
                                     const std::vector<rid_t>& seeds,
                                     const std::vector<Predicate>& filters);
 
-/// Shard-granularity skip pricing for backward traces over a sharded
-/// retained result (shard/coordinator.h). Two transparent candidates answer
-/// the same trace with identical rids: probing the single composed
-/// output→relation index, or fanning out through the retained per-shard
-/// indexes (an output→region probe, then one per-shard probe per touched
-/// region row). Fan-out wins when the seed set is selective — the expected
-/// touched-shard count (balls-into-bins over `num_shards`) stays below the
-/// full fan-out and the per-shard indexes keep the probes small and local;
-/// a broad seed set that touches every shard anyway pays fan-out's second
-/// indirection for nothing.
-struct ShardTraceCostReport {
-  StrategyCost fan_out;
-  StrategyCost composed;
-  bool use_fan_out = false;
-  double expected_shards = 0;  ///< expected distinct shards touched
-};
-ShardTraceCostReport CostShardTrace(size_t seed_count, size_t num_shards,
-                                    size_t output_rows);
-
 }  // namespace smoke
 
 #endif  // SMOKE_OPTIMIZER_COST_H_

@@ -1,7 +1,5 @@
 #include "query/lineage_query.h"
 
-#include "common/macros.h"
-
 namespace smoke {
 
 namespace {
@@ -109,42 +107,6 @@ Status MaterializeRowsChecked(const Table& table,
   for (rid_t r : rids) result.AppendRowFrom(table, r);
   *out = std::move(result);
   return Status::OK();
-}
-
-std::vector<rid_t> BackwardRids(const QueryLineage& lineage,
-                                const std::string& table_name,
-                                const std::vector<rid_t>& out_rids,
-                                bool dedup) {
-  std::vector<rid_t> out;
-  Status st = BackwardRidsChecked(lineage, table_name, out_rids, dedup, &out);
-  if (!st.ok()) {
-    std::fprintf(stderr, "BackwardRids: %s\n", st.ToString().c_str());
-    SMOKE_CHECK(false && "BackwardRids failed; use BackwardRidsChecked");
-  }
-  return out;
-}
-
-std::vector<rid_t> ForwardRids(const QueryLineage& lineage,
-                               const std::string& table_name,
-                               const std::vector<rid_t>& in_rids,
-                               bool dedup) {
-  std::vector<rid_t> out;
-  Status st = ForwardRidsChecked(lineage, table_name, in_rids, dedup, &out);
-  if (!st.ok()) {
-    std::fprintf(stderr, "ForwardRids: %s\n", st.ToString().c_str());
-    SMOKE_CHECK(false && "ForwardRids failed; use ForwardRidsChecked");
-  }
-  return out;
-}
-
-Table MaterializeRows(const Table& table, const std::vector<rid_t>& rids) {
-  Table out;
-  Status st = MaterializeRowsChecked(table, rids, &out);
-  if (!st.ok()) {
-    std::fprintf(stderr, "MaterializeRows: %s\n", st.ToString().c_str());
-    SMOKE_CHECK(false && "MaterializeRows failed; use MaterializeRowsChecked");
-  }
-  return out;
 }
 
 }  // namespace smoke

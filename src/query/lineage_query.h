@@ -5,11 +5,10 @@
 // from a subset of inputs. Smoke evaluates both as secondary index scans:
 // probe the rid index, then index directly into the relation's arrays.
 //
-// The Status-returning entry points validate every rid against the index
-// universe before probing (an out-of-range rid is a data error, not UB);
-// they are the shared core behind the free-function wrappers below, the
-// SmokeEngine facade, and the plan-level Trace operator
-// (plan/operators.cc).
+// Every entry point validates each rid against the index universe before
+// probing (an out-of-range rid is a data error, not UB) and returns a
+// Status; they are the shared core behind the SmokeEngine facade and the
+// plan-level Trace operator (plan/operators.cc).
 #ifndef SMOKE_QUERY_LINEAGE_QUERY_H_
 #define SMOKE_QUERY_LINEAGE_QUERY_H_
 
@@ -43,20 +42,6 @@ Status ForwardRidsChecked(const QueryLineage& lineage,
 /// rows into `*out`; fails with InvalidArgument on an out-of-range rid.
 Status MaterializeRowsChecked(const Table& table,
                               const std::vector<rid_t>& rids, Table* out);
-
-/// Legacy wrappers: same semantics, but an invalid rid or a missing index
-/// aborts with a diagnostic instead of indexing out of bounds.
-std::vector<rid_t> BackwardRids(const QueryLineage& lineage,
-                                const std::string& table_name,
-                                const std::vector<rid_t>& out_rids,
-                                bool dedup = false);
-
-std::vector<rid_t> ForwardRids(const QueryLineage& lineage,
-                               const std::string& table_name,
-                               const std::vector<rid_t>& in_rids,
-                               bool dedup = true);
-
-Table MaterializeRows(const Table& table, const std::vector<rid_t>& rids);
 
 }  // namespace smoke
 

@@ -68,7 +68,7 @@ TraceBuilder TraceBuilder::Backward(TraceSource src, std::string relation,
   b.relation_ = std::move(relation);
   b.dir_ = TraceDirection::kBackward;
   b.seeds_ = std::move(out_rids);
-  b.dedup_ = false;  // witness alignment, like BackwardRids
+  b.dedup_ = false;  // witness alignment: duplicates kept
   return b;
 }
 

@@ -60,23 +60,16 @@ struct TraceSource {
   const SPJAResult* artifacts = nullptr; ///< enables kSkipping / kCube
   TraceSourceStats stats;                ///< cost-model store statistics
 
-  static TraceSource FromPlan(const PlanResult& result,
+  /// Any executed result: a PlanResult, or an SPJAResult from SPJAExec.
+  /// The block query (enabling kLazy) is taken from `result.query` when the
+  /// result kept one.
+  static TraceSource FromPlan(const SPJAResult& result,
                               std::string name = "plan") {
     TraceSource s;
     s.lineage = &result.lineage;
     s.output = &result.output;
     s.name = std::move(name);
     if (result.query.fact != nullptr) s.query = &result.query;
-    s.artifacts = &result;
-    return s;
-  }
-  static TraceSource FromSpja(const SPJAQuery& query, const SPJAResult& result,
-                              std::string name = "spja") {
-    TraceSource s;
-    s.lineage = &result.lineage;
-    s.output = &result.output;
-    s.name = std::move(name);
-    s.query = &query;
     s.artifacts = &result;
     return s;
   }
@@ -137,7 +130,8 @@ class LineageQuery {
 ///   TraceBuilder::Backward(view1, "sales", {bar}).ThenForward(view2)
 ///
 /// Backward traces keep duplicate rids by default (witness alignment, like
-/// BackwardRids); forward and multi-hop traces deduplicate.
+/// BackwardRidsChecked without dedup); forward and multi-hop traces
+/// deduplicate.
 class TraceBuilder {
  public:
   /// Lb(out_rids ⊆ O, relation) over `src`.

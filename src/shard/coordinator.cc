@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/macros.h"
@@ -220,46 +219,8 @@ CaptureOptions InnerOpts(const CaptureOptions& user, bool backward,
 
 }  // namespace
 
-Status ShardedExecution::TraceBackward(const std::vector<rid_t>& out_rids,
-                                       bool dedup, std::vector<rid_t>* rids,
-                                       ShardTraceStats* stats) const {
-  rids->clear();
-  std::vector<uint8_t> visited(shard_backward.size(), 0);
-  std::unordered_set<rid_t> seen;
-  std::vector<rid_t> region_rows;
-  for (rid_t o : out_rids) {
-    region_rows.clear();
-    if (to_region_identity) {
-      if (static_cast<size_t>(o) >= owner.size()) {
-        return Status::InvalidArgument("output rid out of range");
-      }
-      region_rows.push_back(o);
-    } else {
-      if (static_cast<size_t>(o) >= to_region.size()) {
-        return Status::InvalidArgument("output rid out of range");
-      }
-      to_region.TraceInto(o, &region_rows);
-    }
-    for (rid_t q : region_rows) {
-      const ShardLoc& loc = owner[q];
-      visited[loc.shard] = 1;
-      shard_backward[loc.shard].ForEachRelated(loc.local, [&](rid_t local) {
-        rid_t g = map->ToGlobal(loc.shard, local);
-        if (!dedup || seen.insert(g).second) rids->push_back(g);
-      });
-    }
-  }
-  if (stats != nullptr) {
-    stats->shards_total = shard_backward.size();
-    stats->shards_visited = 0;
-    for (uint8_t v : visited) stats->shards_visited += v;
-    stats->rids_traced = rids->size();
-  }
-  return Status::OK();
-}
-
 Status ExecuteShardedPlan(const LogicalPlan& plan, const ShardResolver& sharded,
-                          const CaptureOptions& opts, ShardedPlanResult* out) {
+                          const CaptureOptions& opts, PlanResult* out) {
   if (plan.root() < 0) return Status::InvalidArgument("plan has no root");
 
   // Optimize first so classification sees the final (rewritten) DAG; the
@@ -271,7 +232,7 @@ Status ExecuteShardedPlan(const LogicalPlan& plan, const ShardResolver& sharded,
     CaptureOptions inner = opts;
     inner.optimize = false;
     SMOKE_RETURN_NOT_OK(ExecuteShardedPlan(optimized, sharded, inner, out));
-    out->plan.explain = std::move(explain);
+    out->explain = std::move(explain);
     return Status::OK();
   }
 
@@ -301,8 +262,7 @@ Status ExecuteShardedPlan(const LogicalPlan& plan, const ShardResolver& sharded,
   }
   if (sharded_scans.empty() || plan.node(root).kind == PlanOpKind::kScan) {
     // Nothing sharded (or the root-is-scan error path): plain execution.
-    out->shard.reset();
-    return ExecutePlan(plan, opts, &out->plan);
+    return ExecutePlan(plan, opts, out);
   }
 
   if (opts.mode != CaptureMode::kNone && !IsSmokeMode(opts.mode)) {
@@ -346,34 +306,11 @@ Status ExecuteShardedPlan(const LogicalPlan& plan, const ShardResolver& sharded,
   const bool trivial = region.root == driver;
 
   // ---- degenerate region: nothing above the scan shards — run the plan
-  // unsharded, but still retain shard-granularity fan-out state (the
-  // skip-index idea: backward traces probe only the shards their region
-  // rows — here, base rids — live in).
+  // unsharded.
   if (trivial && region.exchange < 0) {
-    CaptureOptions inner = InnerOpts(opts, want_b, want_f);
-    SMOKE_RETURN_NOT_OK(ExecutePlan(plan, inner, &out->plan));
-    ApplyUserPruning(&out->plan.lineage, opts);
-    out->shard.reset();
-    if (want_b && opts.WantsTable(driver_label)) {
-      int di = out->plan.lineage.FindInput(driver_label);
-      if (di >= 0 &&
-          !out->plan.lineage.input(static_cast<size_t>(di)).backward.empty()) {
-        auto ex = std::make_unique<ShardedExecution>();
-        ex->driver_relation = driver_label;
-        ex->map = &smap;
-        ex->to_region =
-            out->plan.lineage.input(static_cast<size_t>(di)).backward;
-        ex->owner.reserve(smap.num_rows());
-        for (size_t g = 0; g < smap.num_rows(); ++g) {
-          ex->owner.push_back(smap.ToLocal(static_cast<rid_t>(g)));
-        }
-        ex->shard_backward.resize(S);
-        for (uint32_t s = 0; s < S; ++s) {
-          ex->shard_backward[s] = IdentityIndex(smap.shard_rows(s));
-        }
-        out->shard = std::move(ex);
-      }
-    }
+    SMOKE_RETURN_NOT_OK(
+        ExecutePlan(plan, InnerOpts(opts, want_b, want_f), out));
+    ApplyUserPruning(&out->lineage, opts);
     return Status::OK();
   }
 
@@ -771,8 +708,8 @@ Status ExecuteShardedPlan(const LogicalPlan& plan, const ShardResolver& sharded,
   for (int id : DownSet(plan, region.root)) consumed[static_cast<size_t>(id)] = 1;
   if (region.exchange >= 0) consumed[static_cast<size_t>(region.exchange)] = 1;
   if (boundary == root) {
-    out->plan.output = std::move(boundary_table);
-    out->plan.output_cardinality = boundary_rows;
+    out->output = std::move(boundary_table);
+    out->output_cardinality = boundary_rows;
   } else {
     PlanBuilder pb;
     std::vector<int> newid(n, -1);
@@ -792,14 +729,14 @@ Status ExecuteShardedPlan(const LogicalPlan& plan, const ShardResolver& sharded,
     PlanResult rr;
     SMOKE_RETURN_NOT_OK(
         ExecutePlan(rplan, InnerOpts(opts, capture, want_f), &rr));
-    out->plan.output = std::move(rr.output);
-    out->plan.output_cardinality = rr.output_cardinality;
+    out->output = std::move(rr.output);
+    out->output_cardinality = rr.output_cardinality;
     // Block artifacts only: the remainder block's query reads the
     // coordinator-local boundary table, so it is not kept.
-    static_cast<SPJAArtifacts&>(out->plan) =
+    static_cast<SPJAArtifacts&>(*out) =
         std::move(static_cast<SPJAArtifacts&>(rr));
-    out->plan.query = SPJAQuery();
-    out->plan.owned_tables = std::move(rr.owned_tables);
+    out->query = SPJAQuery();
+    out->owned_tables = std::move(rr.owned_tables);
     for (size_t i = 0; i < rr.lineage.num_inputs(); ++i) {
       TableLineage& in = rr.lineage.mutable_input(i);
       if (in.table_name == kBoundaryLabel) {
@@ -819,7 +756,7 @@ Status ExecuteShardedPlan(const LogicalPlan& plan, const ShardResolver& sharded,
     if (x_b.identity) {
       to_region_b.index = std::move(rem_b.index);
     } else if (rem_b.identity) {
-      to_region_b.index = x_b.index;  // keep x_b for fan-out state below
+      to_region_b.index = std::move(x_b.index);
     } else {
       to_region_b.index = ComposeBackward(rem_b.index, x_b.index);
     }
@@ -870,7 +807,7 @@ Status ExecuteShardedPlan(const LogicalPlan& plan, const ShardResolver& sharded,
       const PlanNode& node = plan.node(static_cast<int>(id));
       if (!reachable[id] || node.kind != PlanOpKind::kScan) continue;
       TableLineage& tl =
-          out->plan.lineage.AddInput(node.label, node.table);
+          out->lineage.AddInput(node.label, node.table);
       LineageIndex b, f;
       auto tit = tpos_of.find(static_cast<int>(id));
       auto pit = prep_scan_pos.find(static_cast<int>(id));
@@ -898,31 +835,9 @@ Status ExecuteShardedPlan(const LogicalPlan& plan, const ShardResolver& sharded,
       if (opts.capture_backward) tl.backward = std::move(b);
       if (opts.capture_forward) tl.forward = std::move(f);
     }
-    out->plan.lineage.set_output_cardinality(out->plan.output_cardinality);
+    out->lineage.set_output_cardinality(out->output_cardinality);
   }
 
-  // ---- fan-out state for backward traces to the driver ----
-  out->shard.reset();
-  if (want_b && opts.WantsTable(driver_label)) {
-    auto ex = std::make_unique<ShardedExecution>();
-    ex->driver_relation = driver_label;
-    ex->map = &smap;
-    ex->to_region_identity = to_region_b.identity;
-    if (!to_region_b.identity) ex->to_region = std::move(to_region_b.index);
-    ex->owner = std::move(owner);
-    ex->shard_backward.resize(S);
-    for (uint32_t s = 0; s < S; ++s) {
-      if (trivial) {
-        ex->shard_backward[s] = IdentityIndex(smap.shard_rows(s));
-      } else {
-        ex->shard_backward[s] = std::move(
-            runs[s]
-                .result.lineage.mutable_input(static_cast<size_t>(driver_tpos))
-                .backward);
-      }
-    }
-    out->shard = std::move(ex);
-  }
   return Status::OK();
 }
 

@@ -31,19 +31,13 @@
 //      composed (lineage/compose.h) with the coordinator plan's lineage —
 //      the same associativity that makes morsel fragment merging exact.
 //
-// Backward traces over a retained sharded result fan out only to the shards
-// the traced rid set touches (the skip-index idea at shard granularity):
-// ShardedExecution keeps the per-shard driver indexes plus the
-// output→region chain, probes owner shards only, and reports
-// ShardTraceStats so callers can see the fan-out.
+// A sharded result is an ordinary PlanResult: lineage queries over it probe
+// the composed end-to-end index like any other retained plan, and nothing
+// in it refers to the shard slices or the ShardMap after execution.
 #ifndef SMOKE_SHARD_COORDINATOR_H_
 #define SMOKE_SHARD_COORDINATOR_H_
 
-#include <memory>
-#include <string>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "common/status.h"
 #include "plan/executor.h"
@@ -51,61 +45,16 @@
 
 namespace smoke {
 
-/// Fan-out accounting of one backward trace over a sharded result.
-struct ShardTraceStats {
-  size_t shards_total = 0;
-  size_t shards_visited = 0;
-  size_t rids_traced = 0;
-};
-
-/// \brief Retained fan-out state of one sharded execution: enough to answer
-/// backward traces to the driver relation by probing only the shards the
-/// seed rids touch, bit-identical to probing the composed index.
-struct ShardedExecution {
-  /// Scan label of the driver relation (the sharded lineage endpoint
-  /// fan-out applies to; other relations answer from the composed lineage).
-  std::string driver_relation;
-  /// Borrowed codec of the driver's sharded table (owned by the engine's
-  /// ShardedTable; DropTable refuses while results borrow it).
-  const ShardMap* map = nullptr;
-  /// Final output position -> sharded-region row positions. Identity when
-  /// the region root was the plan root.
-  LineageIndex to_region;
-  bool to_region_identity = false;
-  /// Region row position -> (shard, shard-local row position).
-  std::vector<ShardLoc> owner;
-  /// Per shard: local region row -> local driver rid (each shard's composed
-  /// subtree backward index, kept un-gathered for fan-out probing).
-  std::vector<LineageIndex> shard_backward;
-
-  size_t num_shards() const { return shard_backward.size(); }
-
-  /// Lb(out_rids, driver_relation) probing only owner shards. Identical
-  /// rids (order and multiplicity, first-encounter dedup when `dedup`) to a
-  /// trace over the composed index. `stats` (optional) reports fan-out.
-  Status TraceBackward(const std::vector<rid_t>& out_rids, bool dedup,
-                       std::vector<rid_t>* rids,
-                       ShardTraceStats* stats) const;
-};
-
-/// Result of a sharded plan execution: a PlanResult bit-identical to the
-/// unsharded executor's (output rows, order, composed lineage), plus the
-/// retained fan-out state (null when the plan touched no sharded table, or
-/// when capture was off).
-struct ShardedPlanResult {
-  PlanResult plan;
-  std::unique_ptr<ShardedExecution> shard;
-};
-
 /// Maps base-table pointers (what plan scans hold) to their sharded form.
 using ShardResolver = std::unordered_map<const Table*, const ShardedTable*>;
 
 /// Executes `plan` sharded per `sharded` with the capture technique in
-/// `opts`. Plans that scan no sharded table fall through to the unsharded
-/// executor. Rejects defer_plan_finalize (sharded lineage composes eagerly)
-/// and the logic/physical baseline modes.
+/// `opts`, writing a PlanResult bit-identical to the unsharded executor's
+/// (output rows, order, composed lineage). Plans that scan no sharded table
+/// fall through to the unsharded executor. Rejects defer_plan_finalize
+/// (sharded lineage composes eagerly) and the logic/physical baseline modes.
 Status ExecuteShardedPlan(const LogicalPlan& plan, const ShardResolver& sharded,
-                          const CaptureOptions& opts, ShardedPlanResult* out);
+                          const CaptureOptions& opts, PlanResult* out);
 
 }  // namespace smoke
 

@@ -211,7 +211,8 @@ TEST_F(ConsumingTest, LazyBackwardMatchesIndexBackward) {
 TEST_F(ConsumingTest, MaterializeRowsIsSecondaryIndexScan) {
   const RidVec& rids = base_->lineage.input(0).backward.index().list(0);
   std::vector<rid_t> vec(rids.begin(), rids.end());
-  Table rows = MaterializeRows(db_->lineitem, vec);
+  Table rows;
+  ASSERT_TRUE(MaterializeRowsChecked(db_->lineitem, vec, &rows).ok());
   ASSERT_EQ(rows.num_rows(), vec.size());
   EXPECT_EQ(std::get<int64_t>(rows.GetValue(0, tpch::kLOrderkey)),
             std::get<int64_t>(

@@ -112,9 +112,12 @@ TEST(LineageQueryTest, BackwardDedupPreservesFirstSeenOrder) {
   tl.backward = LineageIndex::FromIndex(std::move(idx));
   lineage.set_output_cardinality(2);
 
-  auto dup = BackwardRids(lineage, "t", {0, 1}, /*dedup=*/false);
+  std::vector<rid_t> dup, dedup;
+  ASSERT_TRUE(
+      BackwardRidsChecked(lineage, "t", {0, 1}, /*dedup=*/false, &dup).ok());
   EXPECT_EQ(dup, (std::vector<rid_t>{3, 1, 1, 4}));
-  auto dedup = BackwardRids(lineage, "t", {0, 1}, /*dedup=*/true);
+  ASSERT_TRUE(
+      BackwardRidsChecked(lineage, "t", {0, 1}, /*dedup=*/true, &dedup).ok());
   EXPECT_EQ(dedup, (std::vector<rid_t>{3, 1, 4}));
 }
 

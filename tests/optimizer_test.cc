@@ -462,7 +462,7 @@ class OptimizerTraceTest : public ::testing::Test {
   }
 
   static TraceSource BaseSource() {
-    return TraceSource::FromSpja(*q1_, *base_, "q1");
+    return TraceSource::FromPlan(*base_, "q1");
   }
 
   static tpch::Database* db_;
@@ -493,7 +493,7 @@ TEST_F(OptimizerTraceTest, AutoPicksIndexedOnPlainSource) {
 TEST_F(OptimizerTraceTest, AutoPicksSkippingWithCoveringPartitionIndex) {
   LineageQuery q;
   TraceBuilder b = TraceBuilder::Backward(
-      TraceSource::FromSpja(*q1_, *skip_base_, "q1skip"), "lineitem", {0});
+      TraceSource::FromPlan(*skip_base_, "q1skip"), "lineitem", {0});
   b.Filter(Predicate::Str(tpch::kLShipmode, CmpOp::kEq, "MAIL"));
   b.Filter(Predicate::Str(tpch::kLShipinstruct, CmpOp::kEq, "NONE"));
   ASSERT_TRUE(b.Compile(&q).ok());
@@ -512,7 +512,7 @@ TEST_F(OptimizerTraceTest, AutoFallsBackToIndexedWhenSkipIndexNotResident) {
 
   LineageQuery q;
   TraceBuilder b = TraceBuilder::Backward(
-      TraceSource::FromSpja(*q1_, hollow, "q1hollow"), "lineitem", {0});
+      TraceSource::FromPlan(hollow, "q1hollow"), "lineitem", {0});
   b.Filter(Predicate::Str(tpch::kLShipmode, CmpOp::kEq, "MAIL"));
   b.Filter(Predicate::Str(tpch::kLShipinstruct, CmpOp::kEq, "NONE"));
   ASSERT_TRUE(b.Compile(&q).ok());
@@ -527,7 +527,7 @@ TEST_F(OptimizerTraceTest, AutoPicksLazyOnEvictedSource) {
 
   LineageQuery q;
   TraceBuilder b = TraceBuilder::Backward(
-      TraceSource::FromSpja(*q1_, evicted, "q1evicted"), "lineitem", {0});
+      TraceSource::FromPlan(evicted, "q1evicted"), "lineitem", {0});
   ASSERT_TRUE(b.Compile(&q).ok());
   EXPECT_EQ(q.strategy(), TraceStrategy::kLazy);
   EXPECT_EQ(q.explain().strategy, "lazy");

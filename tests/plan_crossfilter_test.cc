@@ -177,7 +177,7 @@ LinkedBrush BruteForceBrush(const std::vector<rid_t>& rows,
     }
     lb.counts[it->second]++;
   }
-  lb.rows = MaterializeRows(to_out, lb.rids);
+  SMOKE_CHECK(MaterializeRowsChecked(to_out, lb.rids, &lb.rows).ok());
   return lb;
 }
 
@@ -434,7 +434,9 @@ TEST_F(PlanCrossfilterTest, BrushErrorsReturnStatus) {
   // relation rows: the probe reports the rid instead of reading past the
   // index, with the same status as the compiled chain.
   PlanResult short_fw;
-  short_fw.output = MaterializeRows(raw_.at("vb").output, {0, 1});
+  ASSERT_TRUE(
+      MaterializeRowsChecked(raw_.at("vb").output, {0, 1}, &short_fw.output)
+          .ok());
   TableLineage& tl = short_fw.lineage.AddInput("base", &data_);
   tl.forward = LineageIndex::FromArray(RidArray(3, 0));
   short_fw.lineage.set_output_cardinality(2);
@@ -473,7 +475,9 @@ TEST_F(PlanCrossfilterTest, BrushErrorsReturnStatus) {
   no_table.lineage.AddInput("base", nullptr).backward =
       LineageIndex::FromIndex(std::move(bw));
   PlanResult target;
-  target.output = MaterializeRows(raw_.at("vb").output, {0, 1});
+  ASSERT_TRUE(
+      MaterializeRowsChecked(raw_.at("vb").output, {0, 1}, &target.output)
+          .ok());
   target.lineage.AddInput("base", nullptr).forward =
       LineageIndex::FromArray(RidArray{0, 0, 1});
   target.lineage.set_output_cardinality(2);

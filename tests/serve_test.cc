@@ -138,7 +138,7 @@ std::map<std::string, LinkedBrush> ScanBrush(const SmokeEngine& engine,
     }
     const Table* target = nullptr;
     SMOKE_CHECK(engine.GetResult(name, &target).ok());
-    lb.rows = MaterializeRows(*target, lb.rids);
+    SMOKE_CHECK(MaterializeRowsChecked(*target, lb.rids, &lb.rows).ok());
   }
   return out;
 }

@@ -1,18 +1,17 @@
 // Sharded execution (shard/coordinator.h): ShardMap codec round-trips,
 // range/hash slicing, bit-identical sharded vs unsharded results and lineage
-// for the gather, exchange, broadcast and co-located join paths, selective
-// backward-trace fan-out, the engine's shard lifecycle guards, and SPJA
-// queries (ExecuteQuery) routed through the coordinator like any plan.
+// for the gather, exchange, broadcast and co-located join paths, sharded
+// results traced and accounted exactly like unsharded ones, the engine's
+// shard lifecycle (re-shard / unshard under retained results, atomic append
+// refusal), and SPJA queries (ExecuteQuery) routed through the coordinator
+// like any plan.
 #include <functional>
-#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/smoke_engine.h"
-#include "optimizer/cost.h"
-#include "shard/coordinator.h"
 #include "shard/shard_map.h"
 #include "shard/sharded_table.h"
 #include "test_util.h"
@@ -99,19 +98,6 @@ TEST(ShardedTableTest, RejectsNonInt64PartitionColumn) {
   EXPECT_FALSE(ShardedTable::Create(&base, ShardingSpec::Hash(9, 2), &st).ok());
 }
 
-TEST(CostShardTraceTest, FewSeedsFanOutManySeedsComposed) {
-  // One seed against many shards: fan-out probes ~1 shard, composed pays
-  // all of them.
-  ShardTraceCostReport few = CostShardTrace(1, 16, 100000);
-  EXPECT_TRUE(few.use_fan_out);
-  EXPECT_LT(few.expected_shards, 2.0);
-  // Seeds >> shards: every shard is expected to be touched anyway, and the
-  // fan-out's per-seed decode overhead loses.
-  ShardTraceCostReport many = CostShardTrace(50000, 4, 100000);
-  EXPECT_FALSE(many.use_fan_out);
-  EXPECT_GT(many.expected_shards, 3.9);
-}
-
 // ---------------------------------------------------------------------------
 // Engine-level sharded execution vs an identical unsharded engine.
 // ---------------------------------------------------------------------------
@@ -188,6 +174,17 @@ class ShardEngineTest : public ::testing::Test {
     }
   }
 
+  /// SELECT g, COUNT(*) FROM events GROUP BY g.
+  static LogicalPlan ByG(const Table* t) {
+    PlanBuilder b;
+    GroupBySpec spec;
+    spec.key_names = {"g"};
+    spec.aggs = {AggSpec::Count("cnt")};
+    LogicalPlan plan;
+    EXPECT_TRUE(b.Build(b.GroupBy(b.Scan(t, "events"), spec), &plan).ok());
+    return plan;
+  }
+
   SmokeEngine sharded_;
   SmokeEngine plain_;
 };
@@ -217,58 +214,73 @@ TEST_F(ShardEngineTest, SelectProjectDeriveGatherBitIdentical) {
   });
 }
 
-TEST_F(ShardEngineTest, BackwardShardedVisitsOnlyTouchedShards) {
-  const Table* t = nullptr;
-  ASSERT_TRUE(sharded_.GetTable("events", &t).ok());
-  PlanBuilder b;
-  GroupBySpec spec;
-  spec.key_names = {"g"};
-  spec.aggs = {AggSpec::Count("cnt")};
-  LogicalPlan plan;
-  ASSERT_TRUE(b.Build(b.GroupBy(b.Scan(t, "events"), spec), &plan).ok());
-  ASSERT_TRUE(sharded_.ExecutePlan("by_g", plan).ok());
-  const Table* out = nullptr;
-  ASSERT_TRUE(sharded_.GetResult("by_g", &out).ok());
-  ASSERT_EQ(out->num_rows(), 5u);  // g in 0..4
+TEST_F(ShardEngineTest, BackwardEqualsUnshardedForEverySeedSet) {
+  // The exchange (group-by) and gather (select/project) paths, each traced
+  // with single-seed, multi-seed and duplicate-bearing seed sets.
+  RunBoth("by_g", [](const Table* t) { return ByG(t); });
+  RunBoth("hot", [](const Table* t) {
+    PlanBuilder b;
+    int sel = b.Select(b.Scan(t, "events"),
+                       {Predicate::Double("v", CmpOp::kGe, 10.0)});
+    LogicalPlan plan;
+    EXPECT_TRUE(b.Build(b.Project(sel, std::vector<std::string>{"g", "v"}),
+                        &plan)
+                    .ok());
+    return plan;
+  });
+  const std::vector<std::vector<rid_t>> seed_sets = {
+      {0}, {3}, {0, 1, 2, 3, 4}, {4, 0, 2}, {2, 2, 0}, {1, 3, 1, 3, 0}};
+  for (const char* name : {"by_g", "hot"}) {
+    for (const std::vector<rid_t>& seeds : seed_sets) {
+      for (bool dedup : {true, false}) {
+        std::vector<rid_t> bs, bp;
+        ASSERT_TRUE(sharded_.Backward(name, "events", seeds, &bs, dedup).ok());
+        ASSERT_TRUE(plain_.Backward(name, "events", seeds, &bp, dedup).ok());
+        EXPECT_EQ(bs, bp) << name << " seeds " << seeds.size()
+                          << " dedup=" << dedup;
+        EXPECT_FALSE(bs.empty()) << name;
+      }
+    }
+    const Table* out = nullptr;
+    ASSERT_TRUE(sharded_.GetResult(name, &out).ok());
+    std::vector<rid_t> rids;
+    const rid_t past_end = static_cast<rid_t>(out->num_rows());
+    EXPECT_EQ(sharded_.Backward(name, "events", {0, past_end}, &rids).code(),
+              Status::Code::kInvalidArgument)
+        << name;
+    EXPECT_EQ(
+        sharded_.Backward(name, "events", {past_end}, &rids, false).code(),
+        Status::Code::kInvalidArgument)
+        << name;
+  }
+}
 
-  // All rows of one g block share the sharding key, so tracing one group
-  // must probe exactly one of the 5 shards.
-  ShardTraceStats one;
-  std::vector<rid_t> rids, composed;
-  ASSERT_TRUE(
-      sharded_.BackwardSharded("by_g", "events", {0}, &rids, &one).ok());
-  EXPECT_EQ(one.shards_total, 5u);
-  EXPECT_EQ(one.shards_visited, 1u);
-  EXPECT_EQ(one.rids_traced, 20u);
-  ASSERT_TRUE(sharded_.Backward("by_g", "events", {0}, &composed).ok());
-  EXPECT_EQ(rids, composed);
-
-  // Tracing every group touches exactly the shards hosting the 5 g values.
-  std::set<uint32_t> expect;
-  for (int64_t g = 0; g < 5; ++g) expect.insert(ShardOfHash(g, 5));
-  ShardTraceStats all;
-  ASSERT_TRUE(
-      sharded_.BackwardSharded("by_g", "events", {0, 1, 2, 3, 4}, &rids, &all)
-          .ok());
-  EXPECT_EQ(all.shards_visited, expect.size());
-  ASSERT_TRUE(
-      sharded_.Backward("by_g", "events", {0, 1, 2, 3, 4}, &composed).ok());
-  EXPECT_EQ(rids, composed);
-
-  // Duplicate-preserving traces agree too.
-  ASSERT_TRUE(sharded_
-                  .BackwardSharded("by_g", "events", {2, 2, 0}, &rids,
-                                   nullptr, /*dedup=*/false)
-                  .ok());
-  ASSERT_TRUE(
-      sharded_.Backward("by_g", "events", {2, 2, 0}, &composed, false).ok());
-  EXPECT_EQ(rids, composed);
-
-  // Wrong relation / unknown query are clear errors, not aborts.
-  EXPECT_FALSE(
-      sharded_.BackwardSharded("by_g", "nope", {0}, &rids, nullptr).ok());
-  EXPECT_FALSE(
-      sharded_.BackwardSharded("nope", "events", {0}, &rids, nullptr).ok());
+TEST_F(ShardEngineTest, LineageMemoryStatsMatchUnsharded) {
+  // A sharded result retains its composed lineage and nothing else, so the
+  // store accounts the same bytes for it as for the unsharded run. Encoded
+  // bytes are a function of the rids alone; raw bytes count allocated
+  // capacity, which depends on how each run grew its lists, so the raw
+  // codec is left out of the comparison.
+  const Table *ts = nullptr, *tp = nullptr;
+  ASSERT_TRUE(sharded_.GetTable("events", &ts).ok());
+  ASSERT_TRUE(plain_.GetTable("events", &tp).ok());
+  for (LineageCodec codec : {LineageCodec::kRange, LineageCodec::kBitmap,
+                             LineageCodec::kAdaptive}) {
+    const std::string name = LineageCodecName(codec);
+    CaptureOptions opts = CaptureOptions::Inject();
+    opts.lineage_codec = codec;
+    ASSERT_TRUE(sharded_.ExecutePlan(name, ByG(ts), opts).ok());
+    ASSERT_TRUE(plain_.ExecutePlan(name, ByG(tp), opts).ok());
+  }
+  const LineageStoreStats s = sharded_.LineageMemoryStats();
+  const LineageStoreStats p = plain_.LineageMemoryStats();
+  ASSERT_EQ(s.queries.size(), 3u);
+  ASSERT_EQ(p.queries.size(), 3u);
+  for (size_t i = 0; i < s.queries.size(); ++i) {
+    EXPECT_GT(s.queries[i].bytes, 0u) << s.queries[i].name;
+    EXPECT_EQ(s.queries[i].bytes, p.queries[i].bytes) << s.queries[i].name;
+  }
+  EXPECT_EQ(s.total_bytes, p.total_bytes);
 }
 
 TEST_F(ShardEngineTest, BroadcastJoinBitIdentical) {
@@ -378,39 +390,110 @@ TEST_F(ShardEngineTest, ShardLifecycleGuards) {
 
   const Table* t = nullptr;
   ASSERT_TRUE(sharded_.GetTable("events", &t).ok());
-  PlanBuilder b;
-  GroupBySpec spec;
-  spec.key_names = {"g"};
-  spec.aggs = {AggSpec::Count("cnt")};
-  LogicalPlan plan;
-  ASSERT_TRUE(b.Build(b.GroupBy(b.Scan(t, "events"), spec), &plan).ok());
-  ASSERT_TRUE(sharded_.ExecutePlan("by_g", plan).ok());
+  ASSERT_TRUE(sharded_.ExecutePlan("by_g", ByG(t)).ok());
+  const Table* out = nullptr;
+  ASSERT_TRUE(sharded_.GetResult("by_g", &out).ok());
+  ASSERT_EQ(out->num_rows(), 5u);  // g in 0..4
+  std::vector<rid_t> all_groups = {0, 1, 2, 3, 4};
+  std::vector<rid_t> before;
+  ASSERT_TRUE(sharded_.Backward("by_g", "events", all_groups, &before).ok());
+  Table rows_before;
+  ASSERT_TRUE(
+      sharded_.BackwardRows("by_g", "events", all_groups, &rows_before).ok());
 
-  // The retained result borrows the current ShardMap: re-shard and unshard
-  // are refused until it is dropped.
-  Status st = sharded_.ShardTable("events", ShardingSpec::Hash(1, 3));
-  EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
-  EXPECT_NE(st.message().find("by_g"), std::string::npos) << st.message();
-  EXPECT_FALSE(sharded_.UnshardTable("events").ok());
-
-  ASSERT_TRUE(sharded_.DropResult("by_g").ok());
-  EXPECT_TRUE(sharded_.ShardTable("events", ShardingSpec::Range(1, 3)).ok());
-  EXPECT_TRUE(sharded_.UnshardTable("events").ok());
-  EXPECT_FALSE(sharded_.UnshardTable("events").ok());  // already unsharded
+  // The retained result holds nothing of the ShardMap it executed over:
+  // re-sharding with a different spec and unsharding both go ahead, and its
+  // traces are unchanged after each.
+  auto expect_unchanged = [&](const char* step) {
+    std::vector<rid_t> rids;
+    ASSERT_TRUE(sharded_.Backward("by_g", "events", all_groups, &rids).ok());
+    EXPECT_EQ(rids, before) << step;
+    Table rows;
+    ASSERT_TRUE(
+        sharded_.BackwardRows("by_g", "events", all_groups, &rows).ok());
+    ASSERT_EQ(rows.num_rows(), rows_before.num_rows()) << step;
+    EXPECT_EQ(rows.column(0).ints(), rows_before.column(0).ints()) << step;
+    EXPECT_EQ(rows.column(1).ints(), rows_before.column(1).ints()) << step;
+    EXPECT_EQ(rows.column(2).doubles(), rows_before.column(2).doubles())
+        << step;
+  };
+  ASSERT_TRUE(sharded_.ShardTable("events", ShardingSpec::Range(1, 3)).ok());
+  expect_unchanged("re-shard");
+  ASSERT_TRUE(sharded_.UnshardTable("events").ok());
+  expect_unchanged("unshard");
+  EXPECT_EQ(sharded_.UnshardTable("events").code(),  // already unsharded
+            Status::Code::kNotFound);
 
   // Unsharded again: plans execute and trace normally.
-  ASSERT_TRUE(sharded_.ExecutePlan("again", plan).ok());
+  ASSERT_TRUE(sharded_.ExecutePlan("again", ByG(t)).ok());
   std::vector<rid_t> rids;
-  EXPECT_TRUE(sharded_.Backward("again", "events", {0}, &rids).ok());
-  // ...but the fan-out entry point now has no shard state to pin.
-  EXPECT_FALSE(
-      sharded_.BackwardSharded("again", "events", {0}, &rids, nullptr).ok());
+  ASSERT_TRUE(sharded_.Backward("again", "events", all_groups, &rids).ok());
+  EXPECT_EQ(rids, before);
+}
+
+TEST_F(ShardEngineTest, AppendRefusedAtomicallyWhileShardedResultRetained) {
+  // Executed with refresh state requested: a sharded result still carries
+  // none, so an append to a table it reads is refused before any row lands
+  // — both while the table is sharded and after it is unsharded.
+  const Table* t = nullptr;
+  ASSERT_TRUE(sharded_.GetTable("events", &t).ok());
+  CaptureOptions opts = CaptureOptions::Inject();
+  opts.retain_refresh_state = true;
+  ASSERT_TRUE(sharded_.ExecutePlan("by_g", ByG(t), opts).ok());
+  const PlanResult* pr = nullptr;
+  ASSERT_TRUE(sharded_.GetPlanResult("by_g", &pr).ok());
+  EXPECT_EQ(pr->refresh, nullptr);
+
+  const Table delta = MakeEvents();
+  const size_t rows = t->num_rows();
+  EXPECT_EQ(sharded_.AppendRows("events", delta).code(),
+            Status::Code::kFailedPrecondition);
+  EXPECT_EQ(t->num_rows(), rows);
+
+  ASSERT_TRUE(sharded_.UnshardTable("events").ok());
+  Status st = sharded_.AppendRows("events", delta);
+  EXPECT_EQ(st.code(), Status::Code::kFailedPrecondition);
+  EXPECT_NE(st.message().find("by_g"), std::string::npos) << st.message();
+  EXPECT_EQ(t->num_rows(), rows);
+
+  // A table that was never sharded but feeds a sharded result (the
+  // broadcast build side of a join) is refused the same way.
+  Schema ds;
+  ds.AddField("k", DataType::kInt64);
+  ds.AddField("w", DataType::kFloat64);
+  Table dims(ds);
+  for (int64_t k = 0; k < 8; ++k) dims.AppendRow({k, static_cast<double>(k)});
+  ASSERT_TRUE(sharded_.CreateTable("dims", dims).ok());
+  ASSERT_TRUE(sharded_.ShardTable("events", ShardingSpec::Hash(0, 3)).ok());
+  const Table* d = nullptr;
+  ASSERT_TRUE(sharded_.GetTable("dims", &d).ok());
+  PlanBuilder b;
+  JoinSpec spec;
+  spec.left_key_name = "k";
+  spec.right_key_name = "k";
+  spec.pk_build = true;
+  LogicalPlan join;
+  ASSERT_TRUE(
+      b.Build(b.HashJoin(b.Scan(d, "dims"), b.Scan(t, "events"), spec), &join)
+          .ok());
+  ASSERT_TRUE(sharded_.ExecutePlan("j", join, opts).ok());
+  st = sharded_.AppendRows("dims", dims);
+  EXPECT_EQ(st.code(), Status::Code::kFailedPrecondition);
+  EXPECT_NE(st.message().find("'j'"), std::string::npos) << st.message();
+  EXPECT_EQ(d->num_rows(), 8u);
+  ASSERT_TRUE(sharded_.DropResult("j").ok());
+  ASSERT_TRUE(sharded_.UnshardTable("events").ok());
+
+  // Once the borrowers are gone the append goes through.
+  ASSERT_TRUE(sharded_.DropResult("by_g").ok());
+  ASSERT_TRUE(sharded_.AppendRows("events", delta).ok());
+  EXPECT_EQ(t->num_rows(), 2 * rows);
 }
 
 TEST_F(ShardEngineTest, ExecuteQueryShardsLikeAPlan) {
   // TPC-H Q12 (lineitem ⋈ orders) issued through ExecuteQuery after
   // hash-sharding lineitem on l_orderkey: output and backward rids match an
-  // unsharded engine, and the result carries shard fan-out state.
+  // unsharded engine.
   tpch::Database db = tpch::Generate(0.01);
   SmokeEngine sharded, plain;
   for (SmokeEngine* e : {&sharded, &plain}) {
@@ -441,13 +524,12 @@ TEST_F(ShardEngineTest, ExecuteQueryShardsLikeAPlan) {
       EXPECT_EQ(bs, bp) << relation << " backward of output " << r;
     }
   }
-  std::vector<rid_t> fan_out, composed;
-  ShardTraceStats stats;
-  ASSERT_TRUE(
-      sharded.BackwardSharded("q12", "lineitem", {0}, &fan_out, &stats).ok());
-  ASSERT_TRUE(plain.Backward("q12", "lineitem", {0}, &composed).ok());
-  EXPECT_EQ(fan_out, composed);
-  EXPECT_EQ(stats.shards_total, 3u);
+  std::vector<rid_t> bs, bp;
+  std::vector<rid_t> seeds(op->num_rows());
+  for (rid_t r = 0; r < op->num_rows(); ++r) seeds[r] = r;
+  ASSERT_TRUE(sharded.Backward("q12", "lineitem", seeds, &bs).ok());
+  ASSERT_TRUE(plain.Backward("q12", "lineitem", seeds, &bp).ok());
+  EXPECT_EQ(bs, bp);
 }
 
 }  // namespace

@@ -52,7 +52,7 @@ class TraceEquivalenceTest : public ::testing::Test {
   }
 
   static TraceSource BaseSource() {
-    return TraceSource::FromSpja(*q1_, *base_, "q1");
+    return TraceSource::FromPlan(*base_, "q1");
   }
 
   static const RidVec& BackwardList(rid_t oid) {
@@ -128,7 +128,7 @@ TEST_F(TraceEquivalenceTest, Q1bLazyMatchesLegacy) {
 
 TEST_F(TraceEquivalenceTest, Q1bSkippingMatchesLegacy) {
   ASSERT_GT(skip_base_->skip_dict.num_codes, 0u);
-  TraceSource src = TraceSource::FromSpja(*q1_, *skip_base_, "q1skip");
+  TraceSource src = TraceSource::FromPlan(*skip_base_, "q1skip");
   for (const std::string mode : {"MAIL", "RAIL"}) {
     for (const std::string instr : {"NONE", "COLLECT COD"}) {
       ConsumingSpec q1b = tpch::MakeQ1b(*db_, mode, instr);
@@ -155,7 +155,7 @@ TEST_F(TraceEquivalenceTest, Q1bSkippingMatchesLegacy) {
 
 TEST_F(TraceEquivalenceTest, AutoResolvesSkippingFromArtifacts) {
   ConsumingSpec q1b = tpch::MakeQ1b(*db_, "MAIL", "NONE");
-  TraceSource src = TraceSource::FromSpja(*q1_, *skip_base_, "q1skip");
+  TraceSource src = TraceSource::FromPlan(*skip_base_, "q1skip");
   LineageQuery compiled;
   TraceBuilder b = TraceBuilder::Backward(src, "lineitem", {0});
   b.Consuming(q1b);  // strategy stays kAuto
@@ -176,7 +176,7 @@ TEST_F(TraceEquivalenceTest, Q1cCubeMatchesIndexed) {
   by_tax.group_by = {GroupExpr::Scale100(tpch::kLTax, "l_tax_x100")};
   by_tax.aggs = {AggSpec::Count("cnt"),
                  AggSpec::Sum(ScalarExpr::Col(tpch::kLQuantity), "sum_qty")};
-  TraceSource src = TraceSource::FromSpja(*q1_, *cube_base_, "q1cube");
+  TraceSource src = TraceSource::FromPlan(*cube_base_, "q1cube");
   for (rid_t oid = 0; oid < cube_base_->output.num_rows(); ++oid) {
     LineageQuery compiled;
     TraceBuilder b = TraceBuilder::Backward(src, "lineitem", {oid});
@@ -203,7 +203,7 @@ TEST_F(TraceEquivalenceTest, CubeResultOutlivesCompiledQuery) {
   PlanResult pr;
   {
     TraceBuilder b = TraceBuilder::Backward(
-        TraceSource::FromSpja(*q1_, *cube_base_, "q1cube"), "lineitem", {0});
+        TraceSource::FromPlan(*cube_base_, "q1cube"), "lineitem", {0});
     b.Consuming(by_tax).Strategy(TraceStrategy::kCube);
     ASSERT_TRUE(b.Execute(CaptureOptions::Inject(), &pr).ok());
   }
@@ -225,7 +225,7 @@ TEST_F(TraceEquivalenceTest, SkippingRequiresCoveredRelation) {
   push.skip_cols = {tpch::kLOrderkey};
   auto res = SPJAExec(q12, CaptureOptions::Inject(), &push);
   ASSERT_GT(res.skip_dict.num_codes, 0u);
-  TraceSource src = TraceSource::FromSpja(q12, res, "q12");
+  TraceSource src = TraceSource::FromPlan(res, "q12");
   const int64_t key = db_->lineitem.column(tpch::kLOrderkey).ints()[0];
 
   // Explicit skipping on a relation the skip index does not cover fails...
@@ -275,7 +275,7 @@ TEST_F(TraceEquivalenceTest, Q1cChainMatchesLegacyUnderEveryStrategy) {
       {TraceStrategy::kIndexed, BaseSource()},
       {TraceStrategy::kLazy, BaseSource()},
       {TraceStrategy::kSkipping,
-       TraceSource::FromSpja(*q1_, *skip_base_, "q1skip")},
+       TraceSource::FromPlan(*skip_base_, "q1skip")},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(TraceStrategyName(c.strategy));
