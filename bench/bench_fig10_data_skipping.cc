@@ -10,8 +10,6 @@
 #include "harness.h"
 
 #include "engine/spja.h"
-#include "query/consuming.h"
-#include "query/lazy.h"
 #include "query/trace_builder.h"
 #include "workloads/tpch.h"
 
@@ -65,37 +63,38 @@ void Run(const bench::Options& opts) {
   for (const std::string& mode : modes) {
     for (const std::string& instr : instrs) {
       ConsumingSpec q1b = tpch::MakeQ1b(db, mode, instr);
-      uint32_t code =
-          skip_base.skip_dict.CodeForString(mode + std::string("\x1f") + instr);
       const size_t num_groups =
           opts.smoke ? std::min<size_t>(2, base.output.num_rows())
                      : base.output.num_rows();
       for (rid_t oid = 0; oid < num_groups; ++oid) {
-        const RidVec& rids =
-            base.lineage.input(0).backward.index().list(oid);
-        double selectivity = static_cast<double>(rids.size()) /
+        const size_t group_rows =
+            base.lineage.input(0).backward.index().list(oid).size();
+        double selectivity = static_cast<double>(group_rows) /
                              static_cast<double>(total_rows) /
                              (7.0 * 4.0);  // one of 28 partitions
 
-        auto lazy_preds = LazyBackwardPredicates(q1, base.output, oid);
-        RunStats lazy = bench::Measure(opts, [&] {
-          ConsumingLazy(db.lineitem, lazy_preds, q1b,
-                        /*capture_lineage=*/false);
-        });
-        RunStats indexed = bench::Measure(opts, [&] {
-          ConsumingOverRids(db.lineitem, q1b, rids,
-                            /*capture_lineage=*/false);
-        });
-        RunStats skipping = bench::Measure(opts, [&] {
-          ConsumingSkipping(db.lineitem, skip_base.skip_index, oid, code,
-                            q1b, /*capture_lineage=*/false);
-        });
-        // The unified consumption path: the same consuming query compiled
-        // to a Trace → Select → Derive → GroupBy plan (query/trace_builder)
-        // under the indexed and skipping physical choices. Regressions of
-        // the plan-compiled path show up next to the legacy kernels.
+        // The three strategies as compiled lineage queries (TraceBuilder);
+        // each times Execute of a query compiled once, without capture.
         TraceSource src = TraceSource::FromPlan(base, "q1");
         TraceSource skip_src = TraceSource::FromPlan(skip_base, "q1skip");
+        auto time_strategy = [&](const TraceSource& s, TraceStrategy strategy,
+                                 bool optimize) {
+          LineageQuery q;
+          SMOKE_CHECK(TraceBuilder::Backward(s, "lineitem", {oid})
+                          .Consuming(q1b)
+                          .Strategy(strategy)
+                          .Optimize(optimize)
+                          .Compile(&q)
+                          .ok());
+          return bench::Measure(opts, [&] {
+            PlanResult pr;
+            SMOKE_CHECK(q.Execute(CaptureOptions::None(), &pr).ok());
+          });
+        };
+        RunStats lazy = time_strategy(src, TraceStrategy::kLazy, true);
+        RunStats indexed = time_strategy(src, TraceStrategy::kIndexed, true);
+        RunStats skipping =
+            time_strategy(skip_src, TraceStrategy::kSkipping, true);
         bench::Row("fig10",
                    "mode=" + mode + ",instr=" + instr + ",group=" +
                        std::to_string(oid) + ",selectivity=" +
@@ -104,33 +103,13 @@ void Run(const bench::Options& opts) {
                        bench::F(indexed.mean_ms) + ",skip_ms=" +
                        bench::F(skipping.mean_ms));
         // One row per rewriter setting: regressions of the optimized
-        // plan-compiled path show up as optimizer=on drifting off the
-        // optimizer=off series.
+        // (aggregate-fused) plans show up as optimizer=on drifting off the
+        // literal optimizer=off series.
         for (bool optimize : {true, false}) {
-          LineageQuery plan_indexed;
-          SMOKE_CHECK(TraceBuilder::Backward(src, "lineitem", {oid})
-                          .Consuming(q1b)
-                          .Strategy(TraceStrategy::kIndexed)
-                          .Optimize(optimize)
-                          .Compile(&plan_indexed)
-                          .ok());
-          RunStats plan_ix = bench::Measure(opts, [&] {
-            PlanResult pr;
-            SMOKE_CHECK(
-                plan_indexed.Execute(CaptureOptions::None(), &pr).ok());
-          });
-          LineageQuery plan_skipping;
-          SMOKE_CHECK(TraceBuilder::Backward(skip_src, "lineitem", {oid})
-                          .Consuming(q1b)
-                          .Strategy(TraceStrategy::kSkipping)
-                          .Optimize(optimize)
-                          .Compile(&plan_skipping)
-                          .ok());
-          RunStats plan_sk = bench::Measure(opts, [&] {
-            PlanResult pr;
-            SMOKE_CHECK(
-                plan_skipping.Execute(CaptureOptions::None(), &pr).ok());
-          });
+          RunStats plan_ix =
+              time_strategy(src, TraceStrategy::kIndexed, optimize);
+          RunStats plan_sk =
+              time_strategy(skip_src, TraceStrategy::kSkipping, optimize);
           bench::Row("fig10",
                      "mode=" + mode + ",instr=" + instr + ",group=" +
                          std::to_string(oid) + ",optimizer=" +

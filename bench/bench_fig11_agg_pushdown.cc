@@ -7,15 +7,25 @@
 
 #include "capture/cube_index.h"
 #include "engine/spja.h"
-#include "query/consuming.h"
-#include "query/lazy.h"
+#include "query/trace_builder.h"
 #include "workloads/tpch.h"
 
 namespace smoke {
 namespace {
 
+/// Times Execute (no capture) of `b` compiled once.
+RunStats TimeQuery(const bench::Options& opts, const TraceBuilder& b) {
+  LineageQuery q;
+  SMOKE_CHECK(b.Compile(&q).ok());
+  return bench::Measure(opts, [&] {
+    PlanResult pr;
+    SMOKE_CHECK(q.Execute(CaptureOptions::None(), &pr).ok());
+  });
+}
+
 void Run(const bench::Options& opts) {
-  const double sf = opts.scale > 0 ? opts.scale : (opts.full ? 1.0 : 0.1);
+  const double sf =
+      opts.scale > 0 ? opts.scale : (opts.smoke ? 0.01 : (opts.full ? 1.0 : 0.1));
   bench::Banner("Figure 11",
                 "Aggregation push-down: Q1c consuming-query latency (Lazy vs "
                 "indexed vs pushdown)");
@@ -23,22 +33,24 @@ void Run(const bench::Options& opts) {
   tpch::Database db = tpch::Generate(sf);
   SPJAQuery q1 = tpch::MakeQ1(db);
   auto base = SPJAExec(q1, CaptureOptions::Inject());
+  const TraceSource src = TraceSource::FromPlan(base, "q1");
 
   // Section 6.4 NoOptimization: Q1a per Q1 output group, Lazy vs Smoke-I.
   ConsumingSpec q1a = tpch::MakeQ1a(db);
   for (rid_t oid = 0; oid < base.output.num_rows(); ++oid) {
-    const RidVec& rids = base.lineage.input(0).backward.index().list(oid);
-    auto preds = LazyBackwardPredicates(q1, base.output, oid);
-    RunStats lazy = bench::Measure(opts, [&] {
-      ConsumingLazy(db.lineitem, preds, q1a, false);
-    });
-    RunStats indexed = bench::Measure(opts, [&] {
-      ConsumingOverRids(db.lineitem, q1a, rids, false);
-    });
+    const size_t group_rows =
+        base.lineage.input(0).backward.index().list(oid).size();
+    auto drill = [&](TraceStrategy strategy) {
+      return TraceBuilder::Backward(src, "lineitem", {oid})
+          .Consuming(q1a)
+          .Strategy(strategy);
+    };
+    RunStats lazy = TimeQuery(opts, drill(TraceStrategy::kLazy));
+    RunStats indexed = TimeQuery(opts, drill(TraceStrategy::kIndexed));
+    const double selectivity = static_cast<double>(group_rows) /
+                               static_cast<double>(db.lineitem.num_rows());
     bench::Row("fig11", "q1a,group=" + std::to_string(oid) +
-                            ",selectivity=" +
-                            bench::F(static_cast<double>(rids.size()) /
-                                     static_cast<double>(db.lineitem.num_rows())) +
+                            ",selectivity=" + bench::F(selectivity) +
                             ",lazy_ms=" + bench::F(lazy.mean_ms) +
                             ",smoke_ms=" + bench::F(indexed.mean_ms));
   }
@@ -49,10 +61,16 @@ void Run(const bench::Options& opts) {
   const std::vector<std::pair<std::string, std::string>> params = {
       {"MAIL", "NONE"}, {"SHIP", "COLLECT COD"}};
   for (rid_t oid = 0; oid < base.output.num_rows(); ++oid) {
-    const RidVec& rids = base.lineage.input(0).backward.index().list(oid);
     for (const auto& [mode, instr] : params) {
       ConsumingSpec q1b = tpch::MakeQ1b(db, mode, instr);
-      auto q1b_res = ConsumingOverRids(db.lineitem, q1b, rids);
+      PlanResult q1b_res;
+      SMOKE_CHECK(TraceBuilder::Backward(src, "lineitem", {oid})
+                      .Consuming(q1b)
+                      .Strategy(TraceStrategy::kIndexed)
+                      .Execute(CaptureOptions::Inject(), &q1b_res)
+                      .ok());
+      const LineageIndex& q1b_bw = q1b_res.lineage.input(0).backward;
+      const TraceSource q1b_src = TraceSource::FromPlan(q1b_res, "q1b");
       ConsumingSpec q1c = tpch::MakeQ1c(db, mode, instr);
 
       // Group-by push-down: the l_tax cube materialized during the Q1b
@@ -61,26 +79,25 @@ void Run(const bench::Options& opts) {
       cube.Init(db.lineitem, {tpch::kLTax}, q1b.aggs);
       for (size_t ob = 0; ob < q1b_res.output.num_rows(); ++ob) {
         cube.AddGroup();
-        for (rid_t r : q1b_res.backward.list(ob)) {
+        q1b_bw.ForEachRelated(static_cast<rid_t>(ob), [&](rid_t r) {
           cube.Update(static_cast<uint32_t>(ob), r);
-        }
+        });
       }
 
+      // Lazy: a full scan with the Q1 group's and Q1b's predicates.
+      RunStats lazy = TimeQuery(opts, TraceBuilder::Backward(src, "lineitem",
+                                                             {oid})
+                                          .Consuming(q1c)
+                                          .Strategy(TraceStrategy::kLazy));
       for (size_t ob = 0; ob < q1b_res.output.num_rows();
            ob += std::max<size_t>(1, q1b_res.output.num_rows() / 4)) {
-        const RidVec& sub = q1b_res.backward.list(ob);
-        // Lazy: full scan with all accumulated predicates.
-        std::vector<Predicate> lazy_preds =
-            LazyBackwardPredicates(q1, base.output, oid);
-        lazy_preds.push_back(Predicate::Str(tpch::kLShipmode, CmpOp::kEq, mode));
-        lazy_preds.push_back(
-            Predicate::Str(tpch::kLShipinstruct, CmpOp::kEq, instr));
-        RunStats lazy = bench::Measure(opts, [&] {
-          ConsumingLazy(db.lineitem, lazy_preds, q1c, false);
-        });
-        RunStats indexed = bench::Measure(opts, [&] {
-          ConsumingOverRids(db.lineitem, q1c, sub, false);
-        });
+        std::vector<rid_t> sub;
+        q1b_bw.TraceInto(static_cast<rid_t>(ob), &sub);
+        RunStats indexed = TimeQuery(
+            opts, TraceBuilder::Backward(q1b_src, "lineitem",
+                                         {static_cast<rid_t>(ob)})
+                      .Consuming(q1c)
+                      .Strategy(TraceStrategy::kIndexed));
         RunStats pushdown = bench::Measure(opts, [&] {
           cube.GroupTable(static_cast<uint32_t>(ob));  // just a lookup
         });

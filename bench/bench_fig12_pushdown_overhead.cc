@@ -6,14 +6,15 @@
 
 #include "capture/cube_index.h"
 #include "engine/spja.h"
-#include "query/consuming.h"
+#include "query/trace_builder.h"
 #include "workloads/tpch.h"
 
 namespace smoke {
 namespace {
 
 void Run(const bench::Options& opts) {
-  const double sf = opts.scale > 0 ? opts.scale : (opts.full ? 1.0 : 0.1);
+  const double sf =
+      opts.scale > 0 ? opts.scale : (opts.smoke ? 0.01 : (opts.full ? 1.0 : 0.1));
   bench::Banner("Figure 12",
                 "Capture overhead of the Q1b pass without/with aggregation "
                 "push-down, per Q1 output group");
@@ -21,30 +22,43 @@ void Run(const bench::Options& opts) {
   tpch::Database db = tpch::Generate(sf);
   SPJAQuery q1 = tpch::MakeQ1(db);
   auto base = SPJAExec(q1, CaptureOptions::Inject());
+  const TraceSource src = TraceSource::FromPlan(base, "q1");
   ConsumingSpec q1b = tpch::MakeQ1b(db, "MAIL", "NONE");
 
   for (rid_t oid = 0; oid < base.output.num_rows(); ++oid) {
-    const RidVec& rids = base.lineage.input(0).backward.index().list(oid);
+    // The Q1b pass over the group's backward lineage, compiled once.
+    LineageQuery pass;
+    SMOKE_CHECK(TraceBuilder::Backward(src, "lineitem", {oid})
+                    .Consuming(q1b)
+                    .Strategy(TraceStrategy::kIndexed)
+                    .Compile(&pass)
+                    .ok());
 
     // Non-instrumented: evaluate Q1b without capturing lineage.
     RunStats plain = bench::Measure(opts, [&] {
-      ConsumingOverRids(db.lineitem, q1b, rids, /*capture_lineage=*/false);
+      PlanResult pr;
+      SMOKE_CHECK(pass.Execute(CaptureOptions::None(), &pr).ok());
     });
     // Instrumented (no push-down): capture the consuming query's backward
     // lineage.
+    CaptureOptions backward_only = CaptureOptions::Inject();
+    backward_only.capture_forward = false;
     RunStats captured = bench::Measure(opts, [&] {
-      ConsumingOverRids(db.lineitem, q1b, rids, /*capture_lineage=*/true);
+      PlanResult pr;
+      SMOKE_CHECK(pass.Execute(backward_only, &pr).ok());
     });
     // Instrumented + push-down: additionally maintain the l_tax cube.
     RunStats pushdown = bench::Measure(opts, [&] {
-      auto res = ConsumingOverRids(db.lineitem, q1b, rids, true);
+      PlanResult pr;
+      SMOKE_CHECK(pass.Execute(backward_only, &pr).ok());
+      const LineageIndex& bw = pr.lineage.input(0).backward;
       CubeIndex cube;
       cube.Init(db.lineitem, {tpch::kLTax}, q1b.aggs);
-      for (size_t ob = 0; ob < res.output.num_rows(); ++ob) {
+      for (size_t ob = 0; ob < pr.output.num_rows(); ++ob) {
         cube.AddGroup();
-        for (rid_t r : res.backward.list(ob)) {
+        bw.ForEachRelated(static_cast<rid_t>(ob), [&](rid_t r) {
           cube.Update(static_cast<uint32_t>(ob), r);
-        }
+        });
       }
     });
 

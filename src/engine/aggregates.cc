@@ -81,6 +81,70 @@ void AggLayout::Update(double* state, rid_t rid) const {
   }
 }
 
+namespace {
+
+/// Applies `fold(slot_state, value_of(rid))` to every row, in stream order.
+template <typename ValueOf, typename Fold>
+void FoldRows(double* states, size_t stride, size_t slot,
+              const uint32_t* slots, const rid_t* rids, size_t n,
+              ValueOf value_of, Fold fold) {
+  if (slots == nullptr) {
+    double acc = states[slot];
+    for (size_t i = 0; i < n; ++i) fold(&acc, value_of(rids[i]));
+    states[slot] = acc;
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    fold(&states[slots[i] * stride + slot], value_of(rids[i]));
+  }
+}
+
+template <typename Fold>
+void FoldExpr(const CompiledExpr& expr, double* states, size_t stride,
+              size_t slot, const uint32_t* slots, const rid_t* rids, size_t n,
+              Fold fold) {
+  if (const int64_t* col = expr.int_column()) {
+    FoldRows(states, stride, slot, slots, rids, n,
+             [col](rid_t r) { return static_cast<double>(col[r]); }, fold);
+  } else if (const double* dcol = expr.double_column()) {
+    FoldRows(states, stride, slot, slots, rids, n,
+             [dcol](rid_t r) { return dcol[r]; }, fold);
+  } else {
+    FoldRows(states, stride, slot, slots, rids, n,
+             [&expr](rid_t r) { return expr.Eval(r); }, fold);
+  }
+}
+
+}  // namespace
+
+void AggLayout::UpdateBatch(double* states, const uint32_t* slots,
+                            const rid_t* rids, size_t n) const {
+  const auto add = [](double* s, double v) { *s += v; };
+  const auto one = [](rid_t) { return 1.0; };
+  for (const BoundAgg& b : bound_) {
+    switch (b.op) {
+      case AggOp::kCount:
+        FoldRows(states, stride_, b.slot, slots, rids, n, one, add);
+        break;
+      case AggOp::kSum:
+        FoldExpr(b.expr, states, stride_, b.slot, slots, rids, n, add);
+        break;
+      case AggOp::kMin:
+        FoldExpr(b.expr, states, stride_, b.slot, slots, rids, n,
+                 [](double* s, double v) { *s = std::min(*s, v); });
+        break;
+      case AggOp::kMax:
+        FoldExpr(b.expr, states, stride_, b.slot, slots, rids, n,
+                 [](double* s, double v) { *s = std::max(*s, v); });
+        break;
+      case AggOp::kAvg:
+        FoldExpr(b.expr, states, stride_, b.slot, slots, rids, n, add);
+        FoldRows(states, stride_, b.slot + 1, slots, rids, n, one, add);
+        break;
+    }
+  }
+}
+
 void AggLayout::UpdateMulti(double* state, const rid_t* rids) const {
   for (const BoundAgg& b : bound_) {
     const rid_t rid = rids[b.src];

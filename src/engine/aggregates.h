@@ -92,6 +92,14 @@ class AggLayout {
   /// Folds row `rid` into `state` (single-table binding).
   void Update(double* state, rid_t rid) const;
 
+  /// Batch form of Update over a rid stream: folds rids[i] into the state
+  /// block of group slots[i] (`states` holds stride() doubles per slot; a
+  /// null `slots` folds every row into slot 0). Runs one loop per
+  /// aggregate instead of dispatching per row; each state sees its rows in
+  /// stream order, so the result is bit-identical to n Update calls.
+  void UpdateBatch(double* states, const uint32_t* slots, const rid_t* rids,
+                   size_t n) const;
+
   /// Folds one joined row into `state`; rids[i] addresses tables[i] from the
   /// multi-table constructor.
   void UpdateMulti(double* state, const rid_t* rids) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 namespace smoke {
 
@@ -90,6 +91,57 @@ bool PredicateList::EvalOne(const Bound& b, rid_t rid) {
     case DataType::kString:  return Compare(p.op, b.scol[rid], p.sval);
   }
   return false;
+}
+
+namespace {
+
+/// Keeps the candidates (positions into `rids`) whose row passes `test`,
+/// compacting `cand` in place. Branch-free: selectivity does not matter.
+template <typename Test>
+void Refine(const rid_t* rids, std::vector<uint32_t>* cand, Test test) {
+  size_t kept = 0;
+  uint32_t* c = cand->data();
+  for (size_t j = 0, n = cand->size(); j < n; ++j) {
+    const uint32_t i = c[j];
+    c[kept] = i;
+    kept += test(rids[i]) ? 1 : 0;
+  }
+  cand->resize(kept);
+}
+
+template <typename T>
+void RefineCompare(const rid_t* rids, std::vector<uint32_t>* cand,
+                   const T* col, CmpOp op, T v) {
+  auto by = [&](auto cmp) {
+    Refine(rids, cand, [=](rid_t r) { return cmp(col[r], v); });
+  };
+  switch (op) {
+    case CmpOp::kLt: return by(std::less<T>());
+    case CmpOp::kLe: return by(std::less_equal<T>());
+    case CmpOp::kGt: return by(std::greater<T>());
+    case CmpOp::kGe: return by(std::greater_equal<T>());
+    case CmpOp::kEq: return by(std::equal_to<T>());
+    case CmpOp::kNe: return by(std::not_equal_to<T>());
+    case CmpOp::kIn: return;  // handled by the caller
+  }
+}
+
+}  // namespace
+
+void PredicateList::SelectPositions(const rid_t* rids, size_t n,
+                                    std::vector<uint32_t>* pos) const {
+  pos->resize(n);
+  for (size_t i = 0; i < n; ++i) (*pos)[i] = static_cast<uint32_t>(i);
+  for (const Bound& b : bound_) {
+    const Predicate& p = *b.pred;
+    if (p.rhs_col < 0 && p.op != CmpOp::kIn && b.icol != nullptr) {
+      RefineCompare(rids, pos, b.icol, p.op, p.ival);
+    } else if (p.rhs_col < 0 && p.op != CmpOp::kIn && b.dcol != nullptr) {
+      RefineCompare(rids, pos, b.dcol, p.op, p.dval);
+    } else {
+      Refine(rids, pos, [&b](rid_t r) { return EvalOne(b, r); });
+    }
+  }
 }
 
 ScalarExpr& ScalarExpr::operator=(const ScalarExpr& other) {

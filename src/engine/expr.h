@@ -125,6 +125,13 @@ class PredicateList {
   size_t size() const { return bound_.size(); }
   const std::vector<Predicate>& predicates() const { return preds_; }
 
+  /// Batch form of Eval over a rid stream: sets `*pos` to the positions i,
+  /// ascending, whose row rids[i] passes every predicate. Runs one tight
+  /// loop per predicate (column-vs-constant compares on numeric columns are
+  /// specialized per operator) instead of dispatching per row.
+  void SelectPositions(const rid_t* rids, size_t n,
+                       std::vector<uint32_t>* pos) const;
+
  private:
   struct Bound {
     const Predicate* pred;
@@ -188,7 +195,20 @@ class CompiledExpr {
 
   double Eval(rid_t rid) const;
 
+  /// When the program is a single column read (SUM(col) and friends): that
+  /// column's payload, exactly one of the two non-null. Both null otherwise.
+  const int64_t* int_column() const {
+    return IsColumnRead() ? prog_[0].icol : nullptr;
+  }
+  const double* double_column() const {
+    return IsColumnRead() ? prog_[0].dcol : nullptr;
+  }
+
  private:
+  bool IsColumnRead() const {
+    return prog_.size() == 1 && prog_[0].op == ScalarExpr::Op::kCol;
+  }
+
   struct Instr {
     ScalarExpr::Op op;
     const int64_t* icol = nullptr;

@@ -2,11 +2,11 @@
 // group by EXTRACT(YEAR/MONTH FROM date) over yyyymmdd-encoded dates, or by
 // small decimal columns scaled to integers, e.g. l_tax ×100).
 //
-// GroupExpr is the shared vocabulary between the legacy consuming-query
-// mini-language (query/consuming.h) and the plan-level Derive operator
-// (plan/plan.h) that the unified lineage-consumption API compiles consuming
-// queries onto — both paths evaluate keys through BoundGroupExpr, so their
-// results are bit-identical.
+// GroupExpr is the grouping vocabulary of lineage consuming queries
+// (TraceBuilder::GroupBy, query/trace_builder.h). Compiled plans evaluate
+// it in the Derive operator or, once the optimizer folds the group-by into
+// the trace, per traced rid inside the aggregating Trace node (plan/plan.h)
+// — both through BoundGroupExpr, so their results are bit-identical.
 #ifndef SMOKE_ENGINE_GROUP_EXPR_H_
 #define SMOKE_ENGINE_GROUP_EXPR_H_
 

@@ -11,7 +11,9 @@
 // nodes (the fused filter composes the same select fragment the literal
 // plan would); Trace∘Trace chains fuse into one node whose per-hop
 // fragments run through the identical lineage/compose calls the executor
-// would make, minus the intermediate endpoint materialization.
+// would make, minus the intermediate endpoint materialization; and a
+// GroupBy over a trace folds into the trace node, which aggregates the rid
+// stream against the endpoint columns without materializing any row.
 //
 // Shipping rules:
 //   fold_constants             constant folding over engine/expr ASTs
@@ -19,6 +21,8 @@
 //   push_select_through_project / _derive / _set_op
 //   fuse_trace_hops            Trace∘Trace -> one Trace with fused hops
 //   push_select_into_trace     Select(Trace(x)) -> Trace(x) with filters
+//   fuse_trace_aggregate       GroupBy([Derive](Trace(x))) -> aggregating
+//                              Trace(x)
 //   elide_identity_project, merge_projects, elide_empty_select
 #ifndef SMOKE_OPTIMIZER_OPTIMIZER_H_
 #define SMOKE_OPTIMIZER_OPTIMIZER_H_
@@ -37,7 +41,7 @@ namespace smoke {
 struct OptimizerOptions {
   bool constant_folding = true;
   bool predicate_pushdown = true;  ///< incl. push into kTrace
-  bool trace_fusion = true;
+  bool trace_fusion = true;        ///< trace hops and trace aggregates
   bool elision = true;             ///< select-true, identity project
   int max_passes = 10;
   int max_applications = 200;      ///< runaway-rule backstop

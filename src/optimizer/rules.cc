@@ -247,6 +247,8 @@ class PushSelectIntoTraceRule : public Rule {
   bool Apply(WorkPlan* wp, int id, std::string* detail) const override {
     if (!SelectOver(*wp, id, PlanOpKind::kTrace)) return false;
     const int cid = wp->node(id).children[0];
+    // A fused aggregate's output is the group-by's, not endpoint rows.
+    if (wp->node(cid).trace.aggregate) return false;
     // Trace output = endpoint columns ++ kTraceRidColumn; filters may read
     // only the endpoint columns.
     const int endpoint_width =
@@ -292,7 +294,7 @@ class FuseTraceHopsRule : public Rule {
     if (child.kind != PlanOpKind::kTrace || !wp->SingleParent(cid)) {
       return false;
     }
-    if (!child.trace.filters.empty()) return false;
+    if (!child.trace.filters.empty() || child.trace.aggregate) return false;
 
     PlanNode fused = wp->nodes[static_cast<size_t>(cid)];
     TraceHopSpec hop;
@@ -312,6 +314,90 @@ class FuseTraceHopsRule : public Rule {
                                                              : "backward") +
               " hop over '" + n.trace.relation + "' into '" + child.label +
               "'";
+    wp->nodes[static_cast<size_t>(id)] = std::move(fused);
+    wp->keys[static_cast<size_t>(id)] = wp->keys[static_cast<size_t>(cid)];
+    return true;
+  }
+};
+
+// ---------------------------------------------------------------------------
+// fuse_trace_aggregate
+// ---------------------------------------------------------------------------
+
+/// True when every column `e` reads (indicator predicates included) lies
+/// below `width`.
+bool ExprReadsBelow(const ScalarExpr& e, int width) {
+  if (e.op == ScalarExpr::Op::kCol && e.col >= width) return false;
+  if (e.pred != nullptr && (e.pred->col >= width || e.pred->rhs_col >= width)) {
+    return false;
+  }
+  if (e.left != nullptr && !ExprReadsBelow(*e.left, width)) return false;
+  return e.right == nullptr || ExprReadsBelow(*e.right, width);
+}
+
+/// GroupBy(Trace(x)) and GroupBy(Derive(Trace(x))) -> Trace(x) carrying the
+/// group keys and aggregates. The fused operator groups the (filtered) rid
+/// stream straight against the endpoint columns instead of copying endpoint
+/// rows for the group-by to read. Each group-by key becomes an int64
+/// GroupExpr over the endpoint: a Derive output column maps to its
+/// expression, an int64 endpoint column to GroupExpr::Raw under the
+/// column's name — so the output schema is the literal group-by's. Slots
+/// follow first-encounter order over the same rid stream, aggregates fold
+/// through the same AggLayout arithmetic, and the operator composes the
+/// group-by fragment through the same lineage/compose calls the executor
+/// would make, so results and lineage are bit-identical. Keys or
+/// aggregates that read the rid column, non-int64 raw keys, and group-bys
+/// with capture push-downs are left alone.
+class FuseTraceAggregateRule : public Rule {
+ public:
+  const char* name() const override { return "fuse_trace_aggregate"; }
+
+  bool Apply(WorkPlan* wp, int id, std::string* detail) const override {
+    const PlanNode& n = wp->node(id);
+    if (n.kind != PlanOpKind::kGroupBy || !n.pushdown.empty()) return false;
+    int cid = n.children[0];
+    if (!wp->SingleParent(cid)) return false;
+    const PlanNode* derive = nullptr;
+    if (wp->node(cid).kind == PlanOpKind::kDerive) {
+      derive = &wp->node(cid);
+      cid = derive->children[0];
+      if (!wp->SingleParent(cid)) return false;
+    }
+    const PlanNode& trace = wp->node(cid);
+    if (trace.kind != PlanOpKind::kTrace || trace.trace.aggregate) {
+      return false;
+    }
+    // Trace output = endpoint columns ++ kTraceRidColumn (++ derived keys).
+    const Schema& ts = wp->schema(cid);
+    const int endpoint_width = static_cast<int>(ts.num_fields()) - 1;
+    std::vector<GroupExpr> keys;
+    for (int k : n.group_by.keys) {
+      if (k < endpoint_width) {
+        if (ts.field(static_cast<size_t>(k)).type != DataType::kInt64) {
+          return false;
+        }
+        keys.push_back(
+            GroupExpr::Raw(k, ts.field(static_cast<size_t>(k)).name));
+      } else if (derive != nullptr && k > endpoint_width) {
+        const GroupExpr& g =
+            derive->derives[static_cast<size_t>(k - endpoint_width - 1)];
+        if (g.col >= endpoint_width) return false;
+        keys.push_back(g);
+      } else {
+        return false;
+      }
+    }
+    for (const AggSpec& a : n.group_by.aggs) {
+      if (!ExprReadsBelow(a.expr, endpoint_width)) return false;
+    }
+
+    PlanNode fused = trace;
+    fused.trace.aggregate = true;
+    fused.trace.group_keys = std::move(keys);
+    fused.trace.aggs = n.group_by.aggs;
+    *detail = "folded " + std::to_string(n.group_by.keys.size()) +
+              " key(s) and " + std::to_string(n.group_by.aggs.size()) +
+              " aggregate(s) into '" + trace.label + "'";
     wp->nodes[static_cast<size_t>(id)] = std::move(fused);
     wp->keys[static_cast<size_t>(id)] = wp->keys[static_cast<size_t>(cid)];
     return true;
@@ -436,6 +522,7 @@ std::vector<std::unique_ptr<Rule>> MakeRules(const OptimizerOptions& options) {
   }
   if (options.trace_fusion) {
     rules.push_back(std::make_unique<FuseTraceHopsRule>());
+    rules.push_back(std::make_unique<FuseTraceAggregateRule>());
   }
   if (options.elision) {
     rules.push_back(std::make_unique<ElideIdentityProjectRule>());

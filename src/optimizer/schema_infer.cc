@@ -312,8 +312,23 @@ Status Inference::InferNode(const PlanNode& n, Schema* out) {
       for (const Predicate& p : n.trace.filters) {
         SMOKE_RETURN_NOT_OK(ValidatePredicate(s, p, n.label));
       }
-      s.AddField(kTraceRidColumn, DataType::kInt64);
-      *out = std::move(s);
+      if (!n.trace.aggregate) {
+        s.AddField(kTraceRidColumn, DataType::kInt64);
+        *out = std::move(s);
+        return Status::OK();
+      }
+      // Fused aggregate: keys and aggregates read the endpoint columns.
+      Schema agg;
+      for (const GroupExpr& g : n.trace.group_keys) {
+        SMOKE_RETURN_NOT_OK(ValidateGroupExpr(s, g, n.label));
+        agg.AddField(g.name, DataType::kInt64);
+      }
+      for (const AggSpec& a : n.trace.aggs) {
+        SMOKE_RETURN_NOT_OK(ValidateScalarExpr(s, a.expr, n.label));
+        Field f = AggOutputField(a);
+        agg.AddField(f.name, f.type);
+      }
+      *out = std::move(agg);
       return Status::OK();
     }
     case PlanOpKind::kDerive: {

@@ -7,6 +7,7 @@
 #include "common/macros.h"
 #include "lineage/compose.h"
 #include "optimizer/optimizer.h"
+#include "optimizer/schema_infer.h"
 #include "plan/scheduler.h"
 
 namespace smoke {
@@ -135,24 +136,36 @@ void TakeRootArtifacts(const LogicalPlan& plan, OperatorResult* root,
 Status ExecutePlan(const LogicalPlan& plan, const CaptureOptions& opts,
                    PlanResult* out) {
   if (plan.root() < 0) return Status::InvalidArgument("plan has no root");
+
+  // Default path: rewrite the plan (src/optimizer/) and execute the
+  // optimized copy. Rewrites preserve results and lineage bit-identically;
+  // opts.optimize = false is the ablation escape hatch. Either way the plan
+  // is validated (schema inference) before any kernel runs, so a malformed
+  // plan fails with a Status rather than inside an operator.
+  if (!opts.optimize) {
+    std::vector<Schema> schemas;
+    SMOKE_RETURN_NOT_OK(InferPlanSchemas(plan, &schemas));
+    return internal::ExecuteValidatedPlan(plan, opts, out);
+  }
+  LogicalPlan optimized;
+  PlanExplain explain;
+  SMOKE_RETURN_NOT_OK(OptimizePlan(plan, &optimized, &explain));
+  CaptureOptions inner = opts;
+  inner.optimize = false;  // retained state records the optimized plan
+  SMOKE_RETURN_NOT_OK(internal::ExecuteValidatedPlan(optimized, inner, out));
+  out->explain = std::move(explain);
+  return Status::OK();
+}
+
+namespace internal {
+
+Status ExecuteValidatedPlan(const LogicalPlan& plan,
+                            const CaptureOptions& opts, PlanResult* out) {
+  if (plan.root() < 0) return Status::InvalidArgument("plan has no root");
   if (opts.retain_refresh_state && opts.defer_plan_finalize) {
     return Status::InvalidArgument(
         "retain_refresh_state needs finalized capture and composed indexes; "
         "it cannot be combined with defer_plan_finalize");
-  }
-
-  // Default path: rewrite the plan (src/optimizer/) and execute the
-  // optimized copy. Rewrites preserve results and lineage bit-identically;
-  // opts.optimize = false is the ablation escape hatch.
-  if (opts.optimize) {
-    LogicalPlan optimized;
-    PlanExplain explain;
-    SMOKE_RETURN_NOT_OK(OptimizePlan(plan, &optimized, &explain));
-    CaptureOptions inner = opts;
-    inner.optimize = false;
-    SMOKE_RETURN_NOT_OK(ExecutePlan(optimized, inner, out));
-    out->explain = std::move(explain);
-    return Status::OK();
   }
 
   const size_t n = plan.num_nodes();
@@ -312,6 +325,8 @@ Status ExecutePlan(const LogicalPlan& plan, const CaptureOptions& opts,
   }
   return Status::OK();
 }
+
+}  // namespace internal
 
 Status PlanResult::FinalizeDeferred() {
   if (deferred == nullptr) return Status::OK();

@@ -101,7 +101,9 @@ struct PlanResult : SPJAResult {
 };
 
 /// Executes `plan` with the capture technique in `opts` and composes the
-/// per-operator lineage fragments into `out->lineage`.
+/// per-operator lineage fragments into `out->lineage`. The plan is
+/// validated first — by the optimizer, or by schema inference alone when
+/// opts.optimize is off — so a malformed plan returns a Status.
 ///
 /// Supported modes for multi-operator plans: kNone, kInject, kDefer (defer
 /// finalization is eager per operator by default; set
@@ -121,6 +123,16 @@ struct PlanResult : SPJAResult {
 /// multi-input operators capture only the sides leading to traced scans.
 Status ExecutePlan(const LogicalPlan& plan, const CaptureOptions& opts,
                    PlanResult* out);
+
+namespace internal {
+
+/// ExecutePlan minus the entry work: runs `plan` as given, neither
+/// rewritten nor re-validated. For callers that validated the plan once
+/// and execute it many times (a compiled LineageQuery).
+Status ExecuteValidatedPlan(const LogicalPlan& plan,
+                            const CaptureOptions& opts, PlanResult* out);
+
+}  // namespace internal
 
 }  // namespace smoke
 

@@ -3,8 +3,12 @@
 // QueryLineage into per-input fragments for composition.
 #include "plan/operator.h"
 
+#include <algorithm>
+#include <string>
+#include <unordered_map>
 #include <utility>
 
+#include "common/hash.h"
 #include "engine/group_by.h"
 #include "engine/hash_join.h"
 #include "engine/select.h"
@@ -338,16 +342,123 @@ class SpjaBlockOperator : public Operator {
   const PlanNode& node_;
 };
 
+/// Hash aggregation over a rid stream: the fused Trace → GroupBy. Keys are
+/// int64 GroupExprs bound to the endpoint, aggregates fold through
+/// AggLayout, and group slots are assigned in first-encounter order — the
+/// slot order and arithmetic GroupByExec applies to the materialized rows.
+class RidGroupTable {
+ public:
+  RidGroupTable(const std::vector<BoundGroupExpr>& keys,
+                const AggLayout& layout)
+      : keys_(keys), layout_(layout) {}
+
+  size_t num_groups() const { return num_groups_; }
+  const int64_t* key(size_t g) const {
+    return key_vals_.data() + g * keys_.size();
+  }
+  const double* state(size_t g) const {
+    return state_.data() + g * layout_.stride();
+  }
+
+  /// Folds the endpoint rows rids[0, n) into their groups. When `slots` is
+  /// non-null it receives each row's group slot.
+  void Fold(const rid_t* rids, size_t n, std::vector<uint32_t>* slots) {
+    if (slots != nullptr) slots->resize(n);
+    if (n == 0) return;
+    if (keys_.empty()) {  // one group; the common drill-down aggregate
+      bool created = false;
+      FindOrAdd(nullptr, &created);
+      if (created) layout_.Init(state_.data());
+      if (slots != nullptr) std::fill(slots->begin(), slots->end(), 0u);
+      layout_.UpdateBatch(state_.data(), nullptr, rids, n);
+      return;
+    }
+    std::vector<uint32_t> local;
+    std::vector<uint32_t>& slot_of = slots != nullptr ? *slots : local;
+    slot_of.resize(n);
+    std::vector<int64_t> k(keys_.size());
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < keys_.size(); ++j) k[j] = keys_[j].Eval(rids[i]);
+      bool created = false;
+      slot_of[i] = FindOrAdd(k.data(), &created);
+      if (created) layout_.Init(mutable_state(slot_of[i]));
+    }
+    layout_.UpdateBatch(state_.data(), slot_of.data(), rids, n);
+  }
+
+  /// Merges a partition's groups in slot order (GroupByExecParallel's
+  /// partition-order merge); returns the partition slot -> merged slot map.
+  std::vector<uint32_t> Merge(const RidGroupTable& part) {
+    const size_t stride = layout_.stride();
+    std::vector<uint32_t> to_global(part.num_groups());
+    for (size_t ls = 0; ls < part.num_groups(); ++ls) {
+      bool created = false;
+      const uint32_t g = FindOrAdd(part.key(ls), &created);
+      if (created) {
+        std::copy(part.state(ls), part.state(ls) + stride, mutable_state(g));
+      } else {
+        layout_.Merge(mutable_state(g), part.state(ls));
+      }
+      to_global[ls] = g;
+    }
+    return to_global;
+  }
+
+ private:
+  double* mutable_state(size_t g) {
+    return state_.data() + g * layout_.stride();
+  }
+
+  /// Slot of the group keyed `k`, appended (state uninitialized) when new.
+  uint32_t FindOrAdd(const int64_t* k, bool* created) {
+    const uint32_t fresh = static_cast<uint32_t>(num_groups_);
+    uint32_t g = fresh;
+    if (keys_.empty()) {
+      g = 0;
+    } else if (keys_.size() == 1) {
+      g = int_map_.FindOrInsert(k[0], fresh);
+      if (g == IntKeyMap::kNotFound) g = fresh;
+    } else {
+      std::string bytes(reinterpret_cast<const char*>(k),
+                        keys_.size() * sizeof(int64_t));
+      g = multi_map_.emplace(std::move(bytes), fresh).first->second;
+    }
+    *created = g == fresh;
+    if (*created) {
+      if (!keys_.empty()) {
+        key_vals_.insert(key_vals_.end(), k, k + keys_.size());
+      }
+      state_.resize(state_.size() + layout_.stride());
+      ++num_groups_;
+    }
+    return g;
+  }
+
+  const std::vector<BoundGroupExpr>& keys_;
+  const AggLayout& layout_;
+  IntKeyMap int_map_{64};
+  std::unordered_map<std::string, uint32_t> multi_map_;
+  std::vector<int64_t> key_vals_;  // keys_.size() values per group
+  std::vector<double> state_;      // layout_.stride() slots per group
+  size_t num_groups_ = 0;
+};
+
+bool IsLogicMode(CaptureMode m) {
+  return m == CaptureMode::kLogicRid || m == CaptureMode::kLogicTup ||
+         m == CaptureMode::kLogicIdx;
+}
+
 /// The lineage query as a physical operator (paper §2.1: backward/forward
 /// traces are secondary index scans; here they are ordinary plan nodes, so
 /// consuming queries stack on top of them and capture their own lineage).
 ///
-/// Output: the endpoint rows of the traced rids plus the kTraceRidColumn.
-/// Fragment: output rows ↔ child positions — for a single-hop trace the
-/// child *is* the endpoint scan, so downstream lineage composes straight to
-/// the base relation; for a chained hop (seeds_from_child) the fragment
-/// records which child rows contributed to each traced output, composing
-/// through the previous hop.
+/// Output: the endpoint rows of the traced rids plus the kTraceRidColumn —
+/// or, for a fused aggregate, the group-by of those rows computed straight
+/// from the rid stream. Fragment: output rows ↔ child positions — for a
+/// single-hop trace the child *is* the endpoint scan, so downstream lineage
+/// composes straight to the base relation; for a chained hop
+/// (seeds_from_child) the fragment records which child rows contributed to
+/// each traced output, composing through the previous hop.
 class TraceOperator : public Operator {
  public:
   explicit TraceOperator(const PlanNode& node) : node_(node) {}
@@ -357,13 +468,16 @@ class TraceOperator : public Operator {
                  const CaptureOptions& opts, OperatorResult* out) const override {
     SMOKE_RETURN_NOT_OK(RequireFullRange(inputs, name()));
     const TraceSpec& s = node_.trace;
+    if (s.aggregate && IsLogicMode(opts.mode)) {
+      // The literal Trace → GroupBy chain is a multi-block plan.
+      return Status::Unsupported(
+          "logic capture modes require a single-block plan");
+    }
     const QueryLineage& lin = *s.lineage;
-    int idx = lin.FindInput(s.relation);
-    if (idx < 0) {
+    if (lin.FindInput(s.relation) < 0) {
       return Status::NotFound("relation '" + s.relation +
                               "' in trace source lineage");
     }
-    const TableLineage& tl = lin.input(static_cast<size_t>(idx));
     const bool backward = s.direction == TraceDirection::kBackward;
 
     // For single-hop traces the child scan is the endpoint; chained hops
@@ -375,285 +489,313 @@ class TraceOperator : public Operator {
     const bool want_b = capture && opts.capture_backward;
     const bool want_f = capture && opts.capture_forward;
 
+    // ---- stage fragments: own trace, fused hops, filters, aggregate ----
+    //
+    // Each stage (this node's own trace, then every fused hop, then the
+    // pushed-down filters, then the fused group-by) contributes the same
+    // lineage fragment the literal plan node would have, and the stages
+    // compose in the executor's association order: backward left-nested
+    // from the outermost stage inward, forward right-nested — so the
+    // emitted fragment is bit-identical to what ComposePlanLineage builds
+    // for the unfused chain. Intermediate endpoints are bounds-checked (the
+    // literal chain materializes them) but never copied — that skipped copy
+    // is the optimization.
     std::vector<rid_t> rids;
-    RidIndex chained_bw;  // chained: output position -> child positions
-    RidIndex chained_fw;  // chained: child position -> output positions
-
-    if (s.skip_index != nullptr) {
-      // Data-skipping physical choice: scan only the matching partition of
-      // each seed (the partition code encodes the pushed-down predicate).
-      const PartitionedRidIndex& pidx = *s.skip_index;
-      if (s.skip_code >= pidx.num_codes()) {
-        return Status::InvalidArgument("skip partition code out of range");
-      }
-      for (rid_t oid : s.seeds) {
-        if (oid >= pidx.num_outputs()) {
-          return Status::InvalidArgument("output rid " + std::to_string(oid) +
-                                         " out of range for skip index");
-        }
-        // Decode-on-demand: frozen (compressed) skip indexes stream the
-        // matching partition without materializing it.
-        pidx.ForEachInPartition(oid, s.skip_code,
-                                [&rids](rid_t r) { rids.push_back(r); });
-      }
-    } else if (!s.seeds_from_child) {
-      SMOKE_RETURN_NOT_OK(
-          backward
-              ? BackwardRidsChecked(lin, s.relation, s.seeds, s.dedup, &rids)
-              : ForwardRidsChecked(lin, s.relation, s.seeds, s.dedup, &rids));
-    } else {
-      // Multi-hop: seed from the child trace's rid column, tracking which
-      // child rows reach each traced output (the hop's lineage fragment).
+    std::vector<StageFrag> stages(1);
+    if (s.seeds_from_child) {
+      // Multi-hop: seed from the child trace's rid column; the hop's
+      // fragment records which child rows reach each traced output.
       const Table& child = *inputs[0].table;
       int rid_col = child.ColumnIndex(kTraceRidColumn);
       if (rid_col < 0) {
         return Status::InvalidArgument(
             "chained trace child carries no rid column");
       }
-      const LineageIndex& index = backward ? tl.backward : tl.forward;
-      if (index.empty()) {
-        return Status::InvalidArgument(
-            (backward ? std::string("backward") : std::string("forward")) +
-            " lineage for '" + s.relation + "' was not captured");
-      }
-      const size_t universe =
-          backward ? (tl.table != nullptr ? tl.table->num_rows() : 0)
-                   : lin.output_cardinality();
       const auto& seed_vals = child.column(static_cast<size_t>(rid_col)).ints();
-      const size_t m = seed_vals.size();
-      std::vector<uint32_t> pos(s.dedup ? universe : 0, UINT32_MAX);
-      std::vector<rid_t> targets;
-      if (want_f) chained_fw.Resize(m);
-      for (size_t j = 0; j < m; ++j) {
-        rid_t f = static_cast<rid_t>(seed_vals[j]);
-        if (f >= index.size()) {
-          return Status::InvalidArgument("chained trace seed rid " +
-                                         std::to_string(f) + " out of range");
-        }
-        targets.clear();
-        index.TraceInto(f, &targets);
-        for (rid_t t : targets) {
-          uint32_t p;
-          if (s.dedup) {
-            if (pos[t] == UINT32_MAX) {
-              pos[t] = static_cast<uint32_t>(rids.size());
-              rids.push_back(t);
-            }
-            p = pos[t];
-          } else {
-            p = static_cast<uint32_t>(rids.size());
-            rids.push_back(t);
-          }
-          if (want_b) {
-            if (chained_bw.size() <= p) chained_bw.Resize(p + 1);
-            chained_bw.Append(p, static_cast<rid_t>(j));
-          }
-          if (want_f) chained_fw.Append(j, p);
-        }
-      }
-    }
-
-    // ---- fused drill-down hops + pushed-down filters (optimizer) ----
-    //
-    // Each stage (this node's own trace, then every fused hop, then the
-    // filters) contributes the same lineage fragment the literal plan node
-    // would have, and the stages compose in the executor's association
-    // order: backward left-nested from the outermost stage inward, forward
-    // right-nested — so the emitted fragment is bit-identical to what
-    // ComposePlanLineage builds for the unfused chain. Intermediate
-    // endpoints are bounds-checked (the literal chain materializes them)
-    // but never copied — that skipped copy is the optimization.
-    struct StageFrag {
-      LineageIndex bw, fw;
-    };
-    std::vector<StageFrag> stages;
-    const bool is_fused = !s.fused_hops.empty() || !s.filters.empty();
-    if (is_fused) {
-      StageFrag base;
-      if (s.seeds_from_child) {
-        if (want_b) {
-          chained_bw.Resize(rids.size());
-          base.bw = LineageIndex::FromIndex(std::move(chained_bw));
-        }
-        if (want_f) base.fw = LineageIndex::FromIndex(std::move(chained_fw));
-      } else {
-        if (want_b) base.bw = LineageIndex::FromArray(RidArray(rids));
-        if (want_f) {
-          RidIndex fw(inputs[0].table->num_rows());
-          for (size_t i = 0; i < rids.size(); ++i) {
-            fw.Append(rids[i], static_cast<rid_t>(i));
-          }
-          base.fw = LineageIndex::FromIndex(std::move(fw));
-        }
-      }
-      stages.push_back(std::move(base));
-
-      for (const TraceHopSpec& hop : s.fused_hops) {
-        // The literal chain materializes the previous stage's endpoint
-        // before this hop probes; keep its bounds check (and error text).
-        if (endpoint == nullptr) {
-          return Status::InvalidArgument("trace endpoint table not available");
-        }
-        for (rid_t r : rids) {
-          if (r >= endpoint->num_rows()) {
-            return Status::InvalidArgument("traced rid " + std::to_string(r) +
-                                           " out of range for endpoint");
-          }
-        }
-        const QueryLineage& hl = *hop.lineage;
-        int hidx = hl.FindInput(hop.relation);
-        if (hidx < 0) {
-          return Status::NotFound("relation '" + hop.relation +
-                                  "' in trace source lineage");
-        }
-        const TableLineage& htl = hl.input(static_cast<size_t>(hidx));
-        const bool hop_backward = hop.direction == TraceDirection::kBackward;
-        const LineageIndex& index = hop_backward ? htl.backward : htl.forward;
-        if (index.empty()) {
-          return Status::InvalidArgument(
-              (hop_backward ? std::string("backward")
-                            : std::string("forward")) +
-              " lineage for '" + hop.relation + "' was not captured");
-        }
-        const size_t universe =
-            hop_backward ? (htl.table != nullptr ? htl.table->num_rows() : 0)
-                         : hl.output_cardinality();
-        std::vector<rid_t> seeds_in = std::move(rids);
-        rids.clear();
-        std::vector<uint32_t> pos(hop.dedup ? universe : 0, UINT32_MAX);
-        RidIndex hop_bw, hop_fw;
-        if (want_f) hop_fw.Resize(seeds_in.size());
-        std::vector<rid_t> targets;
-        for (size_t j = 0; j < seeds_in.size(); ++j) {
-          rid_t f = seeds_in[j];
-          if (f >= index.size()) {
-            return Status::InvalidArgument("chained trace seed rid " +
-                                           std::to_string(f) +
-                                           " out of range");
-          }
-          targets.clear();
-          index.TraceInto(f, &targets);
-          for (rid_t t : targets) {
-            uint32_t p;
-            if (hop.dedup) {
-              if (pos[t] == UINT32_MAX) {
-                pos[t] = static_cast<uint32_t>(rids.size());
-                rids.push_back(t);
-              }
-              p = pos[t];
-            } else {
-              p = static_cast<uint32_t>(rids.size());
-              rids.push_back(t);
-            }
-            if (want_b) {
-              if (hop_bw.size() <= p) hop_bw.Resize(p + 1);
-              hop_bw.Append(p, static_cast<rid_t>(j));
-            }
-            if (want_f) hop_fw.Append(j, p);
-          }
-        }
-        StageFrag sf;
-        if (want_b) {
-          hop_bw.Resize(rids.size());
-          sf.bw = LineageIndex::FromIndex(std::move(hop_bw));
-        }
-        if (want_f) sf.fw = LineageIndex::FromIndex(std::move(hop_fw));
-        stages.push_back(std::move(sf));
-        endpoint = hop.endpoint;
-      }
-
-      if (!s.filters.empty()) {
-        if (endpoint == nullptr) {
-          return Status::InvalidArgument("trace endpoint table not available");
-        }
-        for (rid_t r : rids) {
-          if (r >= endpoint->num_rows()) {
-            return Status::InvalidArgument("traced rid " + std::to_string(r) +
-                                           " out of range for endpoint");
-          }
-        }
-        // Evaluate against the endpoint rows the literal select would have
-        // seen (the filters reference endpoint columns only — the rid
-        // column is never a predicate target). Same fragment shape as the
-        // selection kernel: backward = kept positions, forward = position
-        // -> kept index or kInvalidRid.
-        PredicateList preds(*endpoint, s.filters);
-        const size_t m = rids.size();
-        std::vector<rid_t> kept;
-        RidArray fbw;
-        RidArray ffw;
-        if (want_f) ffw.assign(m, kInvalidRid);
-        for (size_t i = 0; i < m; ++i) {
-          if (!preds.Eval(rids[i])) continue;
-          if (want_b) fbw.push_back(static_cast<rid_t>(i));
-          if (want_f) ffw[i] = static_cast<rid_t>(kept.size());
-          kept.push_back(rids[i]);
-        }
-        rids = std::move(kept);
-        StageFrag sf;
-        if (want_b) sf.bw = LineageIndex::FromArray(std::move(fbw));
-        if (want_f) sf.fw = LineageIndex::FromArray(std::move(ffw));
-        stages.push_back(std::move(sf));
-      }
-    }
-
-    // Materialize the endpoint rows (the secondary index scan), bounds-
-    // validated, with the traced rid as the trailing column.
-    if (endpoint == nullptr) {
-      return Status::InvalidArgument("trace endpoint table not available");
-    }
-    Schema schema = endpoint->schema();
-    schema.AddField(kTraceRidColumn, DataType::kInt64);
-    Table output(schema);
-    output.Reserve(rids.size());
-    Column& rid_out = output.mutable_column(endpoint->num_columns());
-    for (rid_t r : rids) {
-      if (r >= endpoint->num_rows()) {
-        return Status::InvalidArgument("traced rid " + std::to_string(r) +
-                                       " out of range for endpoint");
-      }
-      output.AppendRowFrom(*endpoint, r);
-      rid_out.AppendInt(static_cast<int64_t>(r));
-    }
-    out->output = std::move(output);
-    out->output_cardinality = rids.size();
-
-    LineageFragment frag;
-    if (is_fused) {
-      // Executor association order: backward composes outermost-first
-      // (CB(acc, frag) top-down), forward nests the deeper fragment as the
-      // inner operand (CF(frag, acc)).
-      StageFrag acc = std::move(stages.back());
-      for (size_t k = stages.size() - 1; k-- > 0;) {
-        if (want_b) acc.bw = ComposeBackward(acc.bw, stages[k].bw);
-        if (want_f) acc.fw = ComposeForward(stages[k].fw, acc.fw);
-      }
-      frag.backward = std::move(acc.bw);
-      frag.forward = std::move(acc.fw);
-    } else if (s.seeds_from_child) {
-      if (want_b) {
-        chained_bw.Resize(rids.size());
-        frag.backward = LineageIndex::FromIndex(std::move(chained_bw));
-      }
-      if (want_f) frag.forward = LineageIndex::FromIndex(std::move(chained_fw));
+      SMOKE_RETURN_NOT_OK(ProbeHop(
+          lin, s.relation, s.direction, s.dedup, seed_vals.size(),
+          [&seed_vals](size_t j) { return static_cast<rid_t>(seed_vals[j]); },
+          want_b, want_f, &rids, &stages[0]));
     } else {
-      // Single hop: output row i is child row rids[i].
-      if (want_b) {
-        frag.backward = LineageIndex::FromArray(RidArray(rids));
+      if (s.skip_index != nullptr) {
+        // Data-skipping physical choice: scan only the matching partition
+        // of each seed (the partition code encodes the pushed-down
+        // predicate).
+        const PartitionedRidIndex& pidx = *s.skip_index;
+        if (s.skip_code >= pidx.num_codes()) {
+          return Status::InvalidArgument("skip partition code out of range");
+        }
+        for (rid_t oid : s.seeds) {
+          if (oid >= pidx.num_outputs()) {
+            return Status::InvalidArgument("output rid " +
+                                           std::to_string(oid) +
+                                           " out of range for skip index");
+          }
+          // Decode-on-demand: frozen (compressed) skip indexes stream the
+          // matching partition without materializing it.
+          pidx.ForEachInPartition(oid, s.skip_code,
+                                  [&rids](rid_t r) { rids.push_back(r); });
+        }
+      } else {
+        SMOKE_RETURN_NOT_OK(
+            backward ? BackwardRidsChecked(lin, s.relation, s.seeds, s.dedup,
+                                           &rids)
+                     : ForwardRidsChecked(lin, s.relation, s.seeds, s.dedup,
+                                          &rids));
       }
+      // Single hop: output row i is child row rids[i].
+      if (want_b) stages[0].bw = LineageIndex::FromArray(RidArray(rids));
       if (want_f) {
         RidIndex fw(inputs[0].table->num_rows());
         for (size_t i = 0; i < rids.size(); ++i) {
           fw.Append(rids[i], static_cast<rid_t>(i));
         }
-        frag.forward = LineageIndex::FromIndex(std::move(fw));
+        stages[0].fw = LineageIndex::FromIndex(std::move(fw));
       }
     }
+
+    for (const TraceHopSpec& hop : s.fused_hops) {
+      // The literal chain materializes the previous stage's endpoint
+      // before this hop probes; keep its bounds check (and error text).
+      SMOKE_RETURN_NOT_OK(CheckEndpointRids(endpoint, rids));
+      const std::vector<rid_t> seeds_in = std::move(rids);
+      rids.clear();
+      StageFrag sf;
+      SMOKE_RETURN_NOT_OK(ProbeHop(
+          *hop.lineage, hop.relation, hop.direction, hop.dedup,
+          seeds_in.size(), [&seeds_in](size_t j) { return seeds_in[j]; },
+          want_b, want_f, &rids, &sf));
+      stages.push_back(std::move(sf));
+      endpoint = hop.endpoint;
+    }
+
+    // Every later stage reads endpoint rows: validate the rids once.
+    SMOKE_RETURN_NOT_OK(CheckEndpointRids(endpoint, rids));
+
+    if (!s.filters.empty()) {
+      // Evaluate against the endpoint rows the literal select would have
+      // seen (the filters reference endpoint columns only — the rid
+      // column is never a predicate target). Same fragment shape as the
+      // selection kernel: backward = kept positions, forward = position
+      // -> kept index or kInvalidRid.
+      RidArray pos;
+      PredicateList(*endpoint, s.filters)
+          .SelectPositions(rids.data(), rids.size(), &pos);
+      StageFrag sf;
+      if (want_f) {
+        RidArray ffw(rids.size(), kInvalidRid);
+        for (size_t j = 0; j < pos.size(); ++j) {
+          ffw[pos[j]] = static_cast<rid_t>(j);
+        }
+        sf.fw = LineageIndex::FromArray(std::move(ffw));
+      }
+      for (size_t j = 0; j < pos.size(); ++j) rids[j] = rids[pos[j]];
+      rids.resize(pos.size());
+      if (want_b) sf.bw = LineageIndex::FromArray(std::move(pos));
+      stages.push_back(std::move(sf));
+    }
+
+    if (s.aggregate) {
+      StageFrag sf;
+      SMOKE_RETURN_NOT_OK(
+          Aggregate(*endpoint, rids, opts, want_b, want_f, &out->output, &sf));
+      stages.push_back(std::move(sf));
+    } else {
+      // Materialize the endpoint rows (the secondary index scan) with the
+      // traced rid as the trailing column.
+      Schema schema = endpoint->schema();
+      schema.AddField(kTraceRidColumn, DataType::kInt64);
+      Table output(schema);
+      output.Reserve(rids.size());
+      Column& rid_out = output.mutable_column(endpoint->num_columns());
+      for (rid_t r : rids) {
+        output.AppendRowFrom(*endpoint, r);
+        rid_out.AppendInt(static_cast<int64_t>(r));
+      }
+      out->output = std::move(output);
+    }
+    out->output_cardinality = out->output.num_rows();
+
+    // Executor association order: backward composes outermost-first
+    // (CB(acc, frag) top-down), forward nests the deeper fragment as the
+    // inner operand (CF(frag, acc)).
+    StageFrag acc = std::move(stages.back());
+    for (size_t k = stages.size() - 1; k-- > 0;) {
+      if (want_b) acc.bw = ComposeBackward(acc.bw, stages[k].bw);
+      if (want_f) acc.fw = ComposeForward(stages[k].fw, acc.fw);
+    }
+    LineageFragment frag;
+    frag.backward = std::move(acc.bw);
+    frag.forward = std::move(acc.fw);
     out->fragments.push_back(std::move(frag));
     return Status::OK();
   }
 
  private:
+  struct StageFrag {
+    LineageIndex bw, fw;
+  };
+
+  static Status CheckEndpointRids(const Table* endpoint,
+                                  const std::vector<rid_t>& rids) {
+    if (endpoint == nullptr) {
+      return Status::InvalidArgument("trace endpoint table not available");
+    }
+    for (rid_t r : rids) {
+      if (r >= endpoint->num_rows()) {
+        return Status::InvalidArgument("traced rid " + std::to_string(r) +
+                                       " out of range for endpoint");
+      }
+    }
+    return Status::OK();
+  }
+
+  /// One drill-down hop over `relation` of `lin`: probes its index in
+  /// `dir` with seeds seed_at(0..num_seeds) in order and appends the
+  /// reached rids to `*rids` (deduplicated in first-encounter order when
+  /// `dedup`). Under capture `frag` receives the hop's fragment: backward =
+  /// output position -> seed positions, forward = seed position -> output
+  /// positions.
+  template <typename SeedAt>
+  static Status ProbeHop(const QueryLineage& lin, const std::string& relation,
+                         TraceDirection dir, bool dedup, size_t num_seeds,
+                         SeedAt seed_at, bool want_b, bool want_f,
+                         std::vector<rid_t>* rids, StageFrag* frag) {
+    const int idx = lin.FindInput(relation);
+    if (idx < 0) {
+      return Status::NotFound("relation '" + relation +
+                              "' in trace source lineage");
+    }
+    const TableLineage& tl = lin.input(static_cast<size_t>(idx));
+    const bool backward = dir == TraceDirection::kBackward;
+    const LineageIndex& index = backward ? tl.backward : tl.forward;
+    if (index.empty()) {
+      return Status::InvalidArgument(
+          (backward ? std::string("backward") : std::string("forward")) +
+          " lineage for '" + relation + "' was not captured");
+    }
+    const size_t universe =
+        backward ? (tl.table != nullptr ? tl.table->num_rows() : 0)
+                 : lin.output_cardinality();
+    std::vector<uint32_t> pos(dedup ? universe : 0, UINT32_MAX);
+    RidIndex bw, fw;
+    if (want_f) fw.Resize(num_seeds);
+    std::vector<rid_t> targets;
+    for (size_t j = 0; j < num_seeds; ++j) {
+      const rid_t f = seed_at(j);
+      if (f >= index.size()) {
+        return Status::InvalidArgument("chained trace seed rid " +
+                                       std::to_string(f) + " out of range");
+      }
+      targets.clear();
+      index.TraceInto(f, &targets);
+      for (rid_t t : targets) {
+        uint32_t p;
+        if (dedup) {
+          if (pos[t] == UINT32_MAX) {
+            pos[t] = static_cast<uint32_t>(rids->size());
+            rids->push_back(t);
+          }
+          p = pos[t];
+        } else {
+          p = static_cast<uint32_t>(rids->size());
+          rids->push_back(t);
+        }
+        if (want_b) {
+          if (bw.size() <= p) bw.Resize(p + 1);
+          bw.Append(p, static_cast<rid_t>(j));
+        }
+        if (want_f) fw.Append(j, p);
+      }
+    }
+    if (want_b) {
+      bw.Resize(rids->size());
+      frag->bw = LineageIndex::FromIndex(std::move(bw));
+    }
+    if (want_f) frag->fw = LineageIndex::FromIndex(std::move(fw));
+    return Status::OK();
+  }
+
+  /// The fused group-by over the (bounds-checked) endpoint rids: fills
+  /// `output` with the keys and finalized aggregates and, under capture,
+  /// `frag` with the group-by fragment over stream positions (backward:
+  /// group -> positions, forward: position -> group) — the forms
+  /// GroupByExec emits.
+  Status Aggregate(const Table& endpoint, const std::vector<rid_t>& rids,
+                   const CaptureOptions& opts, bool want_b, bool want_f,
+                   Table* output, StageFrag* frag) const {
+    const TraceSpec& s = node_.trace;
+    std::vector<BoundGroupExpr> keys(s.group_keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if (!BoundGroupExpr::Bind(endpoint, s.group_keys[i], &keys[i])) {
+        return Status::InvalidArgument(
+            "group key '" + s.group_keys[i].name +
+            "' binds to a missing or non-numeric column");
+      }
+    }
+    const AggLayout layout(endpoint, s.aggs);
+    RidGroupTable groups(keys, layout);
+
+    // Under morsel parallelism the literal group-by folds one partition
+    // per worker and merges them in partition order; fold the same
+    // partitions here so floating-point sums round identically.
+    size_t parts = 1;
+    if (opts.WantsParallel()) {
+      parts = static_cast<size_t>(opts.scheduler != nullptr
+                                      ? opts.scheduler->num_threads()
+                                      : std::max(1, opts.num_threads));
+    }
+    const size_t m = rids.size();
+    const bool lineage = want_b || want_f;
+    std::vector<uint32_t> slot_of;
+    if (parts <= 1) {
+      groups.Fold(rids.data(), m, lineage ? &slot_of : nullptr);
+    } else {
+      if (lineage) slot_of.resize(m);
+      std::vector<uint32_t> local_slot;
+      for (const Morsel& part : MakePartitions(m, parts)) {
+        RidGroupTable local(keys, layout);
+        local.Fold(rids.data() + part.begin, part.rows(), &local_slot);
+        const std::vector<uint32_t> to_global = groups.Merge(local);
+        if (!lineage) continue;
+        for (size_t i = 0; i < part.rows(); ++i) {
+          slot_of[part.begin + i] = to_global[local_slot[i]];
+        }
+      }
+    }
+
+    Schema schema;
+    for (const GroupExpr& g : s.group_keys) {
+      schema.AddField(g.name, DataType::kInt64);
+    }
+    for (size_t i = 0; i < layout.num_aggs(); ++i) {
+      schema.AddField(layout.OutputField(i).name, layout.OutputField(i).type);
+    }
+    *output = Table(schema);
+    const size_t ng = groups.num_groups();
+    output->Reserve(ng);
+    std::vector<Column*> agg_cols;
+    for (size_t i = 0; i < layout.num_aggs(); ++i) {
+      agg_cols.push_back(&output->mutable_column(keys.size() + i));
+    }
+    for (size_t g = 0; g < ng; ++g) {
+      for (size_t k = 0; k < keys.size(); ++k) {
+        output->mutable_column(k).AppendInt(groups.key(g)[k]);
+      }
+      layout.Finalize(groups.state(g), &agg_cols);
+    }
+
+    if (want_b) {
+      std::vector<RidVec> lists(ng);
+      for (size_t i = 0; i < m; ++i) {
+        lists[slot_of[i]].PushBack(static_cast<rid_t>(i));
+      }
+      frag->bw = LineageIndex::FromIndex(RidIndex::FromLists(std::move(lists)));
+    }
+    if (want_f) frag->fw = LineageIndex::FromArray(std::move(slot_of));
+    return Status::OK();
+  }
+
   const PlanNode& node_;
 };
 

@@ -30,6 +30,7 @@ void AppendNodeString(const LogicalPlan& plan, int id, int depth,
   *out += PlanOpKindName(n.kind);
   *out += " [";
   *out += n.label;
+  if (n.kind == PlanOpKind::kTrace && n.trace.aggregate) *out += " +aggregate";
   *out += "] #" + std::to_string(id) + "\n";
   for (int c : n.children) AppendNodeString(plan, c, depth + 1, out);
 }

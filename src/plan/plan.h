@@ -121,6 +121,16 @@ struct TraceSpec {
   /// the optimizer (predicate push-down into kTrace): evaluated per traced
   /// rid *before* materialization, so dropped rows are never copied.
   std::vector<Predicate> filters;
+  /// Fused aggregate (optimizer fuse_trace_aggregate): GroupBy over this
+  /// trace folded into the node. The filtered rid stream is grouped by
+  /// `group_keys` (int64 keys over the final endpoint's columns) and
+  /// `aggs` fold per group, straight against the endpoint columns — no
+  /// endpoint row is copied. Output: one int64 column per key (named by
+  /// the expression), then the aggregates, groups in first-encounter
+  /// order; the lineage fragment is the composed Trace → GroupBy one.
+  bool aggregate = false;
+  std::vector<GroupExpr> group_keys;
+  std::vector<AggSpec> aggs;
 };
 
 /// One node of the plan DAG. Exactly the payload fields for its kind are

@@ -4,6 +4,7 @@
 
 #include "optimizer/cost.h"
 #include "optimizer/optimizer.h"
+#include "optimizer/schema_infer.h"
 #include "query/lazy.h"
 
 namespace smoke {
@@ -48,11 +49,11 @@ Status LineageQuery::Execute(const CaptureOptions& opts,
   if (plan_.root() < 0) {
     return Status::InvalidArgument("lineage query was not compiled");
   }
-  // The compiled plan is already optimized (or deliberately not, via
-  // TraceBuilder::Optimize(false)); don't re-run the rewriter per Execute.
+  // Compile already validated the plan and optimized it (or deliberately
+  // not, via TraceBuilder::Optimize(false)); Execute adds no entry work.
   CaptureOptions run_opts = opts;
   run_opts.optimize = false;
-  SMOKE_RETURN_NOT_OK(ExecutePlan(plan_, run_opts, out));
+  SMOKE_RETURN_NOT_OK(internal::ExecuteValidatedPlan(plan_, run_opts, out));
   out->explain = explain_;
   // The result's lineage borrows whatever the plan scans; keep compile-time
   // materializations (the cube lookup table) alive with the result, not
@@ -404,6 +405,8 @@ Status TraceBuilder::Compile(LineageQuery* out) const {
     SMOKE_RETURN_NOT_OK(OptimizePlan(q.plan_, &optimized, &q.explain_));
     q.plan_ = std::move(optimized);
   } else {
+    std::vector<Schema> schemas;
+    SMOKE_RETURN_NOT_OK(InferPlanSchemas(q.plan_, &schemas));
     q.explain_.plan_text = q.plan_.ToString();
   }
   *out = std::move(q);

@@ -6,6 +6,10 @@
 // parallelism, deterministic fragment merging, and its own composed
 // end-to-end lineage back to the base relation (which is what lets drill-
 // down chains like TPC-H Q1a → Q1b → Q1c stack without special cases).
+// The optimizer folds that chain into one aggregating Trace node
+// (fuse_trace_aggregate), so a drill-down reads the rid stream against
+// the relation's columns and never copies a traced row — the paper's
+// consuming query as a secondary index scan.
 //
 // The paper's evaluation strategies (Figures 10–11) are a *physical* choice
 // resolved at plan-compile time against the retained query's capture
@@ -33,9 +37,18 @@
 #include "optimizer/explain.h"
 #include "plan/executor.h"
 #include "plan/plan.h"
-#include "query/consuming.h"
 
 namespace smoke {
+
+/// A lineage consuming query (paper §2.1, §6.4, Appendix C): extra filters,
+/// extra (derived) grouping keys and aggregates, all over the traced rows —
+/// e.g. the TPC-H Q1a/Q1b/Q1c drill-downs. TraceBuilder::Consuming adds one
+/// to a trace in bulk.
+struct ConsumingSpec {
+  std::vector<Predicate> filters;
+  std::vector<GroupExpr> group_by;
+  std::vector<AggSpec> aggs;
+};
 
 /// \brief Store-level statistics about a trace source's retained lineage
 /// (LineageStoreStats, filled by SmokeEngine::MakeTraceSource from the
@@ -153,7 +166,7 @@ class TraceBuilder {
   TraceBuilder& Filter(Predicate p);
   TraceBuilder& GroupBy(GroupExpr g);
   TraceBuilder& Agg(AggSpec a);
-  /// Bulk form of Filter/GroupBy/Agg from the legacy mini-language.
+  /// Bulk form of Filter/GroupBy/Agg.
   TraceBuilder& Consuming(const ConsumingSpec& spec);
 
   /// Requests a physical strategy (default kAuto). Non-indexed strategies
@@ -167,7 +180,7 @@ class TraceBuilder {
   /// Toggles the plan rewriter on the compiled plan (default on). The
   /// resolved strategy is cost-based either way; this gates only the
   /// rule-based rewrites (fusion, push-down, elision) — the `--no-optimize`
-  /// ablation path.
+  /// ablation path. The plan is validated either way.
   TraceBuilder& Optimize(bool on);
 
   /// Resolves the strategy against the source's capture artifacts and

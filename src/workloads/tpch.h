@@ -12,7 +12,7 @@
 #include <cstdint>
 
 #include "engine/spja.h"
-#include "query/consuming.h"
+#include "query/trace_builder.h"
 #include "storage/table.h"
 
 namespace smoke {

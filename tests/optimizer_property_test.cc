@@ -16,6 +16,7 @@
 #include "optimizer/optimizer.h"
 #include "plan/executor.h"
 #include "plan/plan.h"
+#include "query/trace_builder.h"
 
 namespace smoke {
 namespace {
@@ -328,6 +329,195 @@ TEST(OptimizerProperty, RandomPlansBitIdenticalOnAndOff) {
   }
   // The run is only meaningful if a healthy share of plans got rewritten.
   EXPECT_GE(optimized_plans, 10);
+}
+
+// ---------------------------------------------------------------------------
+// Fused trace aggregates: TraceBuilder drill-downs compiled with the
+// rewriter (Trace → filters → GroupBy folded into one aggregating trace
+// node) against the literal Trace → Select → Derive → GroupBy chain.
+// ---------------------------------------------------------------------------
+
+/// Columns of the drill-down relation: two small int keys, a yyyymmdd date,
+/// a float value.
+enum DrillCol : int { kDk1 = 0, kDk2, kDDate, kDVal };
+
+Table MakeDrillTable(Lcg* rng, size_t rows) {
+  Schema s;
+  s.AddField("k1", DataType::kInt64);
+  s.AddField("k2", DataType::kInt64);
+  s.AddField("date", DataType::kInt64);
+  s.AddField("val", DataType::kFloat64);
+  Table t(s);
+  for (size_t i = 0; i < rows; ++i) {
+    const int64_t date = rng->IntIn(1992, 1998) * 10000 +
+                         rng->IntIn(1, 12) * 100 + rng->IntIn(1, 28);
+    t.AppendRow({rng->IntIn(0, 5), rng->IntIn(0, 2), date,
+                 rng->DoubleIn(0.0, 100.0)});
+  }
+  return t;
+}
+
+/// GROUP BY k1 over the relation, with COUNT and SUM(val) — optionally with
+/// its backward lineage partitioned on k2 (the data-skipping push-down).
+PlanResult RunBase(const Table* t, bool skip) {
+  PlanBuilder b;
+  GroupBySpec spec;
+  spec.keys = {kDk1};
+  spec.aggs = {AggSpec::Count("cnt"),
+               AggSpec::Sum(ScalarExpr::Col(kDVal), "sum_val")};
+  SPJAPushdown push;
+  if (skip) push.skip_cols = {kDk2};
+  const int gb = b.GroupBy(b.Scan(t, "t"), spec, push);
+  LogicalPlan plan;
+  SMOKE_CHECK(b.Build(gb, &plan).ok());
+  PlanResult r;
+  SMOKE_CHECK(ExecutePlan(plan, CaptureOptions::Inject(), &r).ok());
+  return r;
+}
+
+/// Executes `b` compiled with and without the rewriter under `opts` and
+/// expects bit-identical outputs and lineage. Returns the fused result.
+PlanResult ExpectFusedMatchesLiteral(TraceBuilder b, const CaptureOptions& opts,
+                                     const std::string& ctx) {
+  LineageQuery fused, literal;
+  EXPECT_TRUE(b.Optimize(true).Compile(&fused).ok()) << ctx;
+  EXPECT_TRUE(b.Optimize(false).Compile(&literal).ok()) << ctx;
+  PlanResult on, off;
+  Status st_on = fused.Execute(opts, &on);
+  Status st_off = literal.Execute(opts, &off);
+  EXPECT_TRUE(st_on.ok()) << ctx << st_on.ToString();
+  EXPECT_TRUE(st_off.ok()) << ctx << st_off.ToString();
+  EXPECT_TRUE(fused.explain().HasRule("fuse_trace_aggregate"))
+      << ctx << fused.explain().ToString();
+  ExpectBitIdentical(on, off,
+                     ctx + "\n" + fused.explain().ToString() +
+                         literal.explain().plan_text);
+  return on;
+}
+
+TEST(OptimizerProperty, FusedTraceAggregateBitIdenticalToLiteral) {
+  Lcg table_rng(2024);
+  const Table t = MakeDrillTable(&table_rng, 600);
+  const PlanResult plain = RunBase(&t, /*skip=*/false);
+  const PlanResult skip = RunBase(&t, /*skip=*/true);
+  const TraceSource plain_src = TraceSource::FromPlan(plain, "plain");
+  const TraceSource skip_src = TraceSource::FromPlan(skip, "skip");
+  const rid_t groups = static_cast<rid_t>(plain.output.num_rows());
+  ASSERT_GT(groups, 1u);
+
+  int with_filters = 0, with_keys = 0, hops = 0, skipping = 0;
+  for (uint64_t seed = 1; seed <= 48; ++seed) {
+    Lcg rng(seed * 104729);
+    const size_t shape = rng.Below(3);  // indexed, skipping, forward hop
+    std::vector<rid_t> seeds;
+    for (size_t i = 0, n = 1 + rng.Below(3); i < n; ++i) {
+      seeds.push_back(static_cast<rid_t>(rng.Below(groups)));
+    }
+    if (shape == 1) seeds.resize(1);
+    TraceBuilder b = TraceBuilder::Backward(shape == 1 ? skip_src : plain_src,
+                                            "t", seeds);
+    if (shape == 0) b.Dedup(rng.Chance(50));
+    if (shape == 1) {
+      b.Strategy(TraceStrategy::kSkipping);
+      b.Filter(Predicate::Int(kDk2, CmpOp::kEq, rng.IntIn(0, 2)));
+      ++skipping;
+    }
+
+    // The endpoint: the relation, or — after a forward hop back into the
+    // grouped view — the view's rows (k1, cnt, sum_val).
+    int key_col = kDk1, int_col = kDk2, dbl_col = kDVal;
+    if (shape == 2) {
+      b.ThenForward(plain_src);
+      key_col = 0;
+      int_col = 1;
+      dbl_col = 2;
+      ++hops;
+    }
+    if (rng.Chance(60)) {
+      ++with_filters;
+      b.Filter(Predicate::Int(int_col, CmpOp::kLe, rng.IntIn(0, 150)));
+      if (rng.Chance(50)) {
+        b.Filter(Predicate::Double(dbl_col, CmpOp::kGe,
+                                   rng.DoubleIn(0.0, 80.0)));
+      }
+    }
+    const size_t key_shape = rng.Below(4);  // none, raw, derived, both
+    if (key_shape != 0) ++with_keys;
+    if (key_shape == 1 || key_shape == 3) {
+      b.GroupBy(GroupExpr::Raw(key_col, "key"));
+    }
+    if (key_shape >= 2) {
+      if (shape == 2) {
+        b.GroupBy(GroupExpr::Scale100(dbl_col, "scaled"));
+      } else {
+        b.GroupBy(GroupExpr::Year(kDDate, "year"));
+        b.GroupBy(GroupExpr::Month(kDDate, "month"));
+      }
+    }
+    b.Agg(AggSpec::Count("n"));
+    b.Agg(AggSpec::Sum(ScalarExpr::Col(dbl_col), "s"));
+    if (rng.Chance(50)) b.Agg(AggSpec::Avg(ScalarExpr::Col(dbl_col), "a"));
+    if (rng.Chance(50)) b.Agg(AggSpec::Min(ScalarExpr::Col(int_col), "lo"));
+
+    for (int threads : {1, 3}) {
+      for (CaptureMode mode : {CaptureMode::kNone, CaptureMode::kInject}) {
+        CaptureOptions opts;
+        opts.mode = mode;
+        opts.num_threads = threads;
+        ExpectFusedMatchesLiteral(
+            b, opts,
+            "seed " + std::to_string(seed) + " threads " +
+                std::to_string(threads) +
+                (mode == CaptureMode::kNone ? " none" : " inject"));
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+  // Every dimension of the generator was exercised.
+  EXPECT_GE(with_filters, 10);
+  EXPECT_GE(with_keys, 10);
+  EXPECT_GE(hops, 5);
+  EXPECT_GE(skipping, 5);
+}
+
+TEST(OptimizerProperty, FusedKeylessAggregateOverNoRowsEmitsNoRow) {
+  Lcg table_rng(7);
+  const Table t = MakeDrillTable(&table_rng, 200);
+  const PlanResult plain = RunBase(&t, /*skip=*/false);
+  for (CaptureMode mode : {CaptureMode::kNone, CaptureMode::kInject}) {
+    CaptureOptions opts;
+    opts.mode = mode;
+    TraceBuilder b =
+        TraceBuilder::Backward(TraceSource::FromPlan(plain, "plain"), "t", {0});
+    b.Filter(Predicate::Int(kDk1, CmpOp::kLt, -1))  // nothing survives
+        .Agg(AggSpec::Count("n"))
+        .Agg(AggSpec::Sum(ScalarExpr::Col(kDVal), "s"));
+    const PlanResult r = ExpectFusedMatchesLiteral(b, opts, "empty");
+    EXPECT_EQ(r.output.num_rows(), 0u);
+    EXPECT_EQ(r.output.num_columns(), 2u);
+  }
+}
+
+TEST(OptimizerProperty, FusedTraceAggregateRefusesLogicCaptureLikeLiteral) {
+  Lcg table_rng(9);
+  const Table t = MakeDrillTable(&table_rng, 200);
+  const PlanResult plain = RunBase(&t, /*skip=*/false);
+  TraceBuilder b =
+      TraceBuilder::Backward(TraceSource::FromPlan(plain, "plain"), "t", {0});
+  b.GroupBy(GroupExpr::Raw(kDk2, "k2")).Agg(AggSpec::Count("n"));
+  for (bool optimize : {true, false}) {
+    LineageQuery q;
+    ASSERT_TRUE(b.Optimize(optimize).Compile(&q).ok());
+    EXPECT_EQ(q.explain().HasRule("fuse_trace_aggregate"), optimize);
+    for (CaptureMode mode : {CaptureMode::kLogicRid, CaptureMode::kLogicTup,
+                             CaptureMode::kLogicIdx}) {
+      CaptureOptions opts;
+      opts.mode = mode;
+      PlanResult r;
+      EXPECT_EQ(q.Execute(opts, &r).code(), Status::Code::kUnsupported)
+          << (optimize ? "fused" : "literal");
+    }
+  }
 }
 
 }  // namespace

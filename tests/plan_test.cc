@@ -467,6 +467,29 @@ TEST(PlanValidationTest, RejectsMalformedPlans) {
   }
 }
 
+TEST(PlanValidationTest, TypeMismatchedPredicateIsAStatusWithoutOptimizer) {
+  // Regression: with the optimizer off nothing validated the plan, and a
+  // float64 predicate on an int64 column aborted inside the selection
+  // kernel. Both settings now reject it with InvalidArgument.
+  Schema s;
+  s.AddField("k", DataType::kInt64);
+  Table t(s);
+  for (int64_t i = 0; i < 5; ++i) t.AppendRow({i});
+  PlanBuilder b;
+  int root = b.Select(b.Scan(&t, "t"),
+                      {Predicate::Double("k", CmpOp::kLt, 3.0)});
+  LogicalPlan plan;
+  ASSERT_TRUE(b.Build(root, &plan).ok());
+  for (bool optimize : {true, false}) {
+    CaptureOptions opts = CaptureOptions::Inject();
+    opts.optimize = optimize;
+    PlanResult res;
+    Status st = ExecutePlan(plan, opts, &res);
+    EXPECT_EQ(st.code(), Status::Code::kInvalidArgument)
+        << (optimize ? "optimizer on: " : "optimizer off: ") << st.ToString();
+  }
+}
+
 TEST(PlanPruningTest, RelationAndDirectionPruning) {
   Table sales = MakeSales();
   Table returns = MakeReturns();

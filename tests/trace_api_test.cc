@@ -3,13 +3,13 @@
 // bounds-validated lineage query core.
 #include "query/trace_builder.h"
 
+#include <cmath>
+#include <map>
 #include <random>
 
 #include <gtest/gtest.h>
 
 #include "core/smoke_engine.h"
-#include "query/consuming.h"
-#include "query/lazy.h"
 #include "query/lineage_query.h"
 #include "test_util.h"
 #include "workloads/tpch.h"
@@ -17,13 +17,99 @@
 namespace smoke {
 namespace {
 
-using testing::GroupedRows;
 using testing::Sorted;
 
 // ---------------------------------------------------------------------------
-// TPC-H equivalence: the compiled consuming path must reproduce the legacy
-// free-function results for Q1a/Q1b/Q1c under all four strategies.
+// TPC-H drill-downs: the compiled consuming queries must reproduce a
+// brute-force scan of lineitem for Q1a/Q1b/Q1c under every strategy — counts,
+// sums, and each output cell's captured lineage.
 // ---------------------------------------------------------------------------
+
+/// One drill-down cell of the brute-force reference.
+struct RefCell {
+  int64_t count = 0;
+  double sum = 0;
+  std::vector<rid_t> rids;  // member rows, ascending
+};
+using RefCells = std::map<std::vector<int64_t>, RefCell>;
+
+/// Scans every lineitem row and keeps the members of Q1 output group `oid`
+/// (Q1's shipdate cut, then the group's returnflag/linestatus). `keep`
+/// filters further; `key_of` maps a member to its cell key. Each cell
+/// counts its rows and sums `sum_col`.
+template <typename Keep, typename KeyOf>
+RefCells BruteDrill(const Table& lineitem, const Table& q1_out, rid_t oid,
+                    int sum_col, Keep keep, KeyOf key_of) {
+  const auto& shipdate = lineitem.column(tpch::kLShipdate).ints();
+  const auto& flag = lineitem.column(tpch::kLReturnflag).strings();
+  const auto& status = lineitem.column(tpch::kLLinestatus).strings();
+  const auto& sum_vals =
+      lineitem.column(static_cast<size_t>(sum_col)).doubles();
+  const std::string want_flag = std::get<std::string>(q1_out.GetValue(oid, 0));
+  const std::string want_status =
+      std::get<std::string>(q1_out.GetValue(oid, 1));
+  RefCells cells;
+  for (rid_t r = 0; r < lineitem.num_rows(); ++r) {
+    if (shipdate[r] > 19980902 || flag[r] != want_flag ||
+        status[r] != want_status || !keep(r)) {
+      continue;
+    }
+    RefCell& c = cells[key_of(r)];
+    ++c.count;
+    c.sum += sum_vals[r];
+    c.rids.push_back(r);
+  }
+  return cells;
+}
+
+std::vector<int64_t> YearMonth(const Table& lineitem, rid_t r) {
+  const int64_t d = lineitem.column(tpch::kLShipdate).ints()[r];
+  return {d / 10000, (d / 100) % 100};
+}
+
+int64_t Tax100(const Table& lineitem, rid_t r) {
+  return static_cast<int64_t>(
+      std::llround(lineitem.column(tpch::kLTax).doubles()[r] * 100.0));
+}
+
+/// Row `r`'s first `nkeys` (int64) columns.
+std::vector<int64_t> KeyOfRow(const Table& t, size_t nkeys, size_t r) {
+  std::vector<int64_t> key;
+  for (size_t k = 0; k < nkeys; ++k) key.push_back(t.column(k).ints()[r]);
+  return key;
+}
+
+/// Compares a drill-down result against the reference: one output row per
+/// cell, count and sum per cell, and — when `lineage` — each row's backward
+/// lineage to lineitem equal to the cell's member rows.
+void ExpectMatchesReference(const PlanResult& pr, size_t nkeys,
+                            const std::string& count_col,
+                            const std::string& sum_col, const RefCells& ref,
+                            bool lineage) {
+  ASSERT_EQ(pr.output.num_rows(), ref.size());
+  const auto& counts = pr.output.column(count_col).ints();
+  const auto& sums = pr.output.column(sum_col).doubles();
+  const LineageIndex* bw = nullptr;
+  if (lineage) {
+    const int rel = pr.lineage.FindInput("lineitem");
+    ASSERT_GE(rel, 0);
+    bw = &pr.lineage.input(static_cast<size_t>(rel)).backward;
+    ASSERT_EQ(bw->size(), ref.size());
+  }
+  std::vector<rid_t> got;
+  for (size_t r = 0; r < pr.output.num_rows(); ++r) {
+    auto it = ref.find(KeyOfRow(pr.output, nkeys, r));
+    ASSERT_NE(it, ref.end()) << "row " << r << " is no reference cell";
+    EXPECT_EQ(counts[r], it->second.count) << "row " << r;
+    EXPECT_NEAR(sums[r], it->second.sum, 1e-9 * std::abs(it->second.sum))
+        << "row " << r;
+    if (bw != nullptr) {
+      got.clear();
+      bw->TraceInto(static_cast<rid_t>(r), &got);
+      EXPECT_EQ(Sorted(got), it->second.rids) << "row " << r;
+    }
+  }
+}
 
 class TraceEquivalenceTest : public ::testing::Test {
  protected:
@@ -55,8 +141,19 @@ class TraceEquivalenceTest : public ::testing::Test {
     return TraceSource::FromPlan(*base_, "q1");
   }
 
-  static const RidVec& BackwardList(rid_t oid) {
-    return base_->lineage.input(0).backward.index().list(oid);
+  /// Brute-force Q1a (no filters) or Q1b (`mode`/`instr` non-empty) cells
+  /// of Q1 group `oid`, summing l_quantity.
+  static RefCells BruteQ1ab(rid_t oid, const std::string& mode = "",
+                            const std::string& instr = "") {
+    const Table& li = db_->lineitem;
+    const auto& modes = li.column(tpch::kLShipmode).strings();
+    const auto& instrs = li.column(tpch::kLShipinstruct).strings();
+    return BruteDrill(
+        li, base_->output, oid, tpch::kLQuantity,
+        [&](rid_t r) {
+          return mode.empty() || (modes[r] == mode && instrs[r] == instr);
+        },
+        [&](rid_t r) { return YearMonth(li, r); });
   }
 
   static tpch::Database* db_;
@@ -71,9 +168,10 @@ SPJAResult* TraceEquivalenceTest::base_ = nullptr;
 SPJAResult* TraceEquivalenceTest::skip_base_ = nullptr;
 SPJAResult* TraceEquivalenceTest::cube_base_ = nullptr;
 
-TEST_F(TraceEquivalenceTest, Q1aIndexedMatchesLegacy) {
+TEST_F(TraceEquivalenceTest, Q1aIndexedMatchesBruteForce) {
   ConsumingSpec q1a = tpch::MakeQ1a(*db_);
   for (rid_t oid = 0; oid < base_->output.num_rows(); ++oid) {
+    SCOPED_TRACE("group " + std::to_string(oid));
     PlanResult pr;
     LineageQuery compiled;
     TraceBuilder b = TraceBuilder::Backward(BaseSource(), "lineitem", {oid});
@@ -81,36 +179,27 @@ TEST_F(TraceEquivalenceTest, Q1aIndexedMatchesLegacy) {
     ASSERT_TRUE(b.Compile(&compiled).ok());
     EXPECT_EQ(compiled.strategy(), TraceStrategy::kIndexed);
     ASSERT_TRUE(compiled.Execute(CaptureOptions::Inject(), &pr).ok());
+    ExpectMatchesReference(pr, 2, "count_order", "sum_qty", BruteQ1ab(oid),
+                           /*lineage=*/true);
 
-    auto legacy = ConsumingOverRids(db_->lineitem, q1a, BackwardList(oid));
-    ASSERT_EQ(GroupedRows(pr.output, 2), GroupedRows(legacy.output, 2))
-        << "group " << oid;
-    // Row-for-row: the compiled pipeline preserves first-encounter order.
-    ASSERT_EQ(pr.output.num_rows(), legacy.output.num_rows());
-    for (size_t r = 0; r < pr.output.num_rows(); ++r) {
-      ASSERT_EQ(testing::RowKey(pr.output, static_cast<rid_t>(r)),
-                testing::RowKey(legacy.output, static_cast<rid_t>(r)));
+    // (year, month) cells within the generated date range; the first
+    // (largest) group spans several years.
+    if (oid == 0) {
+      EXPECT_GT(pr.output.num_rows(), 12u);
     }
-    // The consuming query's own composed lineage matches the legacy
-    // backward lists (same rids, same witness order).
-    int rel = pr.lineage.FindInput("lineitem");
-    ASSERT_GE(rel, 0);
-    const LineageIndex& bw = pr.lineage.input(static_cast<size_t>(rel)).backward;
-    ASSERT_EQ(bw.size(), legacy.backward.size());
-    std::vector<rid_t> got;
-    for (size_t g = 0; g < legacy.backward.size(); ++g) {
-      got.clear();
-      bw.TraceInto(static_cast<rid_t>(g), &got);
-      const RidVec& want = legacy.backward.list(g);
-      ASSERT_EQ(got, std::vector<rid_t>(want.begin(), want.end()))
-          << "group " << oid << " cell " << g;
+    for (size_t g = 0; g < pr.output.num_rows(); ++g) {
+      EXPECT_GE(pr.output.column(0).ints()[g], 1992);
+      EXPECT_LE(pr.output.column(0).ints()[g], 1998);
+      EXPECT_GE(pr.output.column(1).ints()[g], 1);
+      EXPECT_LE(pr.output.column(1).ints()[g], 12);
     }
   }
 }
 
-TEST_F(TraceEquivalenceTest, Q1bLazyMatchesLegacy) {
+TEST_F(TraceEquivalenceTest, Q1bLazyMatchesBruteForce) {
   ConsumingSpec q1b = tpch::MakeQ1b(*db_, "MAIL", "NONE");
   for (rid_t oid = 0; oid < base_->output.num_rows(); ++oid) {
+    SCOPED_TRACE("group " + std::to_string(oid));
     LineageQuery compiled;
     TraceBuilder b = TraceBuilder::Backward(BaseSource(), "lineitem", {oid});
     b.Consuming(q1b).Strategy(TraceStrategy::kLazy);
@@ -118,24 +207,21 @@ TEST_F(TraceEquivalenceTest, Q1bLazyMatchesLegacy) {
     EXPECT_EQ(compiled.strategy(), TraceStrategy::kLazy);
     PlanResult pr;
     ASSERT_TRUE(compiled.Execute(CaptureOptions::Inject(), &pr).ok());
-
-    auto preds = LazyBackwardPredicates(*q1_, base_->output, oid);
-    auto legacy = ConsumingLazy(db_->lineitem, preds, q1b);
-    ASSERT_EQ(GroupedRows(pr.output, 2), GroupedRows(legacy.output, 2))
-        << "group " << oid;
+    ExpectMatchesReference(pr, 2, "count_order", "sum_qty",
+                           BruteQ1ab(oid, "MAIL", "NONE"), /*lineage=*/true);
   }
 }
 
-TEST_F(TraceEquivalenceTest, Q1bSkippingMatchesLegacy) {
+TEST_F(TraceEquivalenceTest, Q1bIndexedAndSkippingMatchBruteForce) {
   ASSERT_GT(skip_base_->skip_dict.num_codes, 0u);
   TraceSource src = TraceSource::FromPlan(*skip_base_, "q1skip");
   for (const std::string mode : {"MAIL", "RAIL"}) {
     for (const std::string instr : {"NONE", "COLLECT COD"}) {
       ConsumingSpec q1b = tpch::MakeQ1b(*db_, mode, instr);
-      uint32_t code = skip_base_->skip_dict.CodeForString(
-          mode + std::string("\x1f") + instr);
-      ASSERT_NE(code, UINT32_MAX);
       for (rid_t oid = 0; oid < skip_base_->output.num_rows(); ++oid) {
+        SCOPED_TRACE(mode + "/" + instr + " group " + std::to_string(oid));
+        const RefCells ref = BruteQ1ab(oid, mode, instr);
+
         LineageQuery compiled;
         TraceBuilder b = TraceBuilder::Backward(src, "lineitem", {oid});
         b.Consuming(q1b).Strategy(TraceStrategy::kSkipping);
@@ -143,11 +229,17 @@ TEST_F(TraceEquivalenceTest, Q1bSkippingMatchesLegacy) {
         EXPECT_EQ(compiled.strategy(), TraceStrategy::kSkipping);
         PlanResult pr;
         ASSERT_TRUE(compiled.Execute(CaptureOptions::Inject(), &pr).ok());
+        ExpectMatchesReference(pr, 2, "count_order", "sum_qty", ref,
+                               /*lineage=*/true);
 
-        auto legacy = ConsumingSkipping(db_->lineitem, skip_base_->skip_index,
-                                        oid, code, q1b);
-        ASSERT_EQ(GroupedRows(pr.output, 2), GroupedRows(legacy.output, 2))
-            << mode << "/" << instr << " oid " << oid;
+        PlanResult ix;
+        ASSERT_TRUE(TraceBuilder::Backward(BaseSource(), "lineitem", {oid})
+                        .Consuming(q1b)
+                        .Strategy(TraceStrategy::kIndexed)
+                        .Execute(CaptureOptions::Inject(), &ix)
+                        .ok());
+        ExpectMatchesReference(ix, 2, "count_order", "sum_qty", ref,
+                               /*lineage=*/true);
       }
     }
   }
@@ -170,14 +262,21 @@ TEST_F(TraceEquivalenceTest, AutoResolvesSkippingFromArtifacts) {
   EXPECT_EQ(compiled2.strategy(), TraceStrategy::kIndexed);
 }
 
-TEST_F(TraceEquivalenceTest, Q1cCubeMatchesIndexed) {
+TEST_F(TraceEquivalenceTest, Q1cCubeMatchesBruteForce) {
   ASSERT_TRUE(cube_base_->cube.enabled());
   ConsumingSpec by_tax;
   by_tax.group_by = {GroupExpr::Scale100(tpch::kLTax, "l_tax_x100")};
   by_tax.aggs = {AggSpec::Count("cnt"),
                  AggSpec::Sum(ScalarExpr::Col(tpch::kLQuantity), "sum_qty")};
   TraceSource src = TraceSource::FromPlan(*cube_base_, "q1cube");
+  const Table& li = db_->lineitem;
   for (rid_t oid = 0; oid < cube_base_->output.num_rows(); ++oid) {
+    SCOPED_TRACE("group " + std::to_string(oid));
+    const RefCells ref = BruteDrill(
+        li, cube_base_->output, oid, tpch::kLQuantity,
+        [](rid_t) { return true; },
+        [&](rid_t r) { return std::vector<int64_t>{Tax100(li, r)}; });
+
     LineageQuery compiled;
     TraceBuilder b = TraceBuilder::Backward(src, "lineitem", {oid});
     b.Consuming(by_tax).Strategy(TraceStrategy::kCube);
@@ -185,10 +284,16 @@ TEST_F(TraceEquivalenceTest, Q1cCubeMatchesIndexed) {
     EXPECT_EQ(compiled.strategy(), TraceStrategy::kCube);
     PlanResult pr;
     ASSERT_TRUE(compiled.Execute(CaptureOptions::Inject(), &pr).ok());
+    ExpectMatchesReference(pr, 1, "cnt", "sum_qty", ref, /*lineage=*/false);
 
-    auto legacy = ConsumingOverRids(db_->lineitem, by_tax, BackwardList(oid));
-    ASSERT_EQ(GroupedRows(pr.output, 1), GroupedRows(legacy.output, 1))
-        << "group " << oid;
+    // The indexed drill-down over the same group agrees, lineage included.
+    PlanResult ix;
+    ASSERT_TRUE(TraceBuilder::Backward(BaseSource(), "lineitem", {oid})
+                    .Consuming(by_tax)
+                    .Strategy(TraceStrategy::kIndexed)
+                    .Execute(CaptureOptions::Inject(), &ix)
+                    .ok());
+    ExpectMatchesReference(ix, 1, "cnt", "sum_qty", ref, /*lineage=*/true);
   }
 }
 
@@ -255,17 +360,16 @@ TEST_F(TraceEquivalenceTest, SkippingRequiresCoveredRelation) {
   EXPECT_EQ(lq.strategy(), TraceStrategy::kSkipping);
 }
 
-TEST_F(TraceEquivalenceTest, Q1cChainMatchesLegacyUnderEveryStrategy) {
+TEST_F(TraceEquivalenceTest, Q1cChainMatchesBruteForceUnderEveryStrategy) {
   // Hop 1 (Q1b) under each strategy that captures fine-grained lineage;
   // hop 2 (Q1c) always consumes the retained hop-1 plan's composed lineage.
-  ConsumingSpec q1b = tpch::MakeQ1b(*db_, "SHIP", "COLLECT COD");
-  ConsumingSpec q1c = tpch::MakeQ1c(*db_, "SHIP", "COLLECT COD");
+  const std::string mode = "SHIP", instr = "COLLECT COD";
+  ConsumingSpec q1b = tpch::MakeQ1b(*db_, mode, instr);
+  ConsumingSpec q1c = tpch::MakeQ1c(*db_, mode, instr);
   const rid_t oid = 0;
-
-  auto legacy_q1b = ConsumingOverRids(db_->lineitem, q1b, BackwardList(oid));
-  if (legacy_q1b.output.num_rows() == 0) GTEST_SKIP();
-  const RidVec& legacy_sub = legacy_q1b.backward.list(0);
-  auto legacy_q1c = ConsumingOverRids(db_->lineitem, q1c, legacy_sub);
+  const RefCells q1b_ref = BruteQ1ab(oid, mode, instr);
+  if (q1b_ref.empty()) GTEST_SKIP();
+  const Table& li = db_->lineitem;
 
   struct Case {
     TraceStrategy strategy;
@@ -283,15 +387,84 @@ TEST_F(TraceEquivalenceTest, Q1cChainMatchesLegacyUnderEveryStrategy) {
     TraceBuilder b1 = TraceBuilder::Backward(c.src, "lineitem", {oid});
     b1.Consuming(q1b).Strategy(c.strategy);
     ASSERT_TRUE(b1.Execute(CaptureOptions::Inject(), &hop1).ok());
-    ASSERT_EQ(GroupedRows(hop1.output, 2), GroupedRows(legacy_q1b.output, 2));
+    ExpectMatchesReference(hop1, 2, "count_order", "sum_qty", q1b_ref,
+                           /*lineage=*/true);
 
-    // The chain: trace backward through the retained hop-1 plan.
+    // The chain: trace backward through the retained hop-1 plan from its
+    // first (year, month) cell, adding l_tax to the grouping.
+    const std::vector<int64_t> cell = KeyOfRow(hop1.output, 2, 0);
+    const std::vector<rid_t>& members = q1b_ref.at(cell).rids;
+    RefCells q1c_ref;
+    for (rid_t r : members) {
+      RefCell& rc = q1c_ref[{cell[0], cell[1], Tax100(li, r)}];
+      ++rc.count;
+      rc.sum += li.column(tpch::kLQuantity).doubles()[r];
+      rc.rids.push_back(r);
+    }
     PlanResult hop2;
     TraceBuilder b2 = TraceBuilder::Backward(
         TraceSource::FromPlan(hop1, "q1b"), "lineitem", {0});
     b2.Consuming(q1c);
     ASSERT_TRUE(b2.Execute(CaptureOptions::Inject(), &hop2).ok());
-    ASSERT_EQ(GroupedRows(hop2.output, 3), GroupedRows(legacy_q1c.output, 3));
+    ExpectMatchesReference(hop2, 3, "count_order", "sum_qty", q1c_ref,
+                           /*lineage=*/true);
+    // Q1c's l_tax (x100) keys lie in [0, 8].
+    for (size_t g = 0; g < hop2.output.num_rows(); ++g) {
+      EXPECT_GE(hop2.output.column(2).ints()[g], 0);
+      EXPECT_LE(hop2.output.column(2).ints()[g], 8);
+    }
+  }
+}
+
+TEST_F(TraceEquivalenceTest, ExplainNamesTheAggregateFusion) {
+  ConsumingSpec q1b = tpch::MakeQ1b(*db_, "MAIL", "NONE");
+  LineageQuery fused;
+  ASSERT_TRUE(TraceBuilder::Backward(BaseSource(), "lineitem", {0})
+                  .Consuming(q1b)
+                  .Strategy(TraceStrategy::kIndexed)
+                  .Compile(&fused)
+                  .ok());
+  EXPECT_TRUE(fused.explain().HasRule("push_select_into_trace"));
+  EXPECT_TRUE(fused.explain().HasRule("fuse_trace_aggregate"));
+  // One aggregating trace node over the relation scan.
+  EXPECT_EQ(fused.plan().num_nodes(), 2u);
+  const std::string text = fused.explain().ToString();
+  EXPECT_NE(text.find("fuse_trace_aggregate @"), std::string::npos) << text;
+  EXPECT_NE(text.find("+aggregate]"), std::string::npos) << text;
+  EXPECT_EQ(text.find("group_by ["), std::string::npos) << text;
+
+  // Without the rewriter the literal chain stays, and says so.
+  LineageQuery literal;
+  ASSERT_TRUE(TraceBuilder::Backward(BaseSource(), "lineitem", {0})
+                  .Consuming(q1b)
+                  .Strategy(TraceStrategy::kIndexed)
+                  .Optimize(false)
+                  .Compile(&literal)
+                  .ok());
+  EXPECT_TRUE(literal.explain().rules.empty());
+  const std::string plain = literal.explain().plan_text;
+  EXPECT_EQ(plain.find("+aggregate"), std::string::npos) << plain;
+  for (const char* node : {"group_by [", "derive [", "select [", "trace ["}) {
+    EXPECT_NE(plain.find(node), std::string::npos) << node << "\n" << plain;
+  }
+}
+
+TEST_F(TraceEquivalenceTest, TypeMismatchedFilterIsAStatusEitherWay) {
+  // l_shipdate is int64; a float64 predicate on it used to abort inside the
+  // selection kernel when the optimizer (which validates) was off.
+  for (bool optimize : {true, false}) {
+    SCOPED_TRACE(optimize ? "optimizer on" : "optimizer off");
+    TraceBuilder b = TraceBuilder::Backward(BaseSource(), "lineitem", {0});
+    b.Filter(Predicate::Double(tpch::kLShipdate, CmpOp::kLt, 3.0))
+        .Agg(AggSpec::Count("n"))
+        .Strategy(TraceStrategy::kIndexed)
+        .Optimize(optimize);
+    LineageQuery q;
+    Status st = b.Compile(&q);
+    EXPECT_EQ(st.code(), Status::Code::kInvalidArgument) << st.ToString();
+    PlanResult pr;
+    st = b.Execute(CaptureOptions::None(), &pr);
+    EXPECT_EQ(st.code(), Status::Code::kInvalidArgument) << st.ToString();
   }
 }
 
