@@ -7,9 +7,9 @@
 // retained end-to-end indexes: the paper's BT+FT strategy over any view
 // shape with captured lineage on the shared relation. The same chain as a
 // compiled lineage query (TraceBuilder::Backward(...).ThenForward(...))
-// gives the same answer and is the test reference; the classic per-view
-// SPJA implementation in apps/crossfilter.h remains as the strategy
-// benchmark (Figure 13/14).
+// gives the same answer and is the test reference. Figures 13–14 time it
+// as the BT+FT strategy beside the TraceBuilder strategies (Lazy, BT,
+// DataCube) over the same views.
 #ifndef SMOKE_APPS_PLAN_CROSSFILTER_H_
 #define SMOKE_APPS_PLAN_CROSSFILTER_H_
 
@@ -42,8 +42,8 @@ struct BrushTarget {
 /// target rows reachable through the shared relation, in first-seen order,
 /// with counts[i] = the (relation row, forward edge) pairs reaching rids[i]
 /// over the brushed row's deduplicated backward lineage, and the reached
-/// rows materialized. For a group-by COUNT(*) view the counts equal the
-/// brushed bar counts of the classic crossfilter (BT+FT strategy).
+/// rows materialized. For a group-by COUNT(*) view the counts are the
+/// brushed bar counts: the paper's BT+FT strategy.
 ///
 /// Cost: one backward probe of `from` shared by all targets, then one
 /// forward probe per (relation row, target), plus a zero-filled counter
@@ -95,8 +95,7 @@ class PlanCrossfilter {
   /// Brushes output row `out_rid` of `view` into every *other* view with
   /// one BrushLinkedPlans call: for each, the output rows reachable through
   /// the shared relation and their witness counts. For a group-by COUNT(*)
-  /// view the counts equal the brushed bar counts of the classic
-  /// crossfilter.
+  /// view the counts are the brushed bar counts.
   Status Brush(const std::string& view, rid_t out_rid,
                std::map<std::string, Linked>* out) const;
 

@@ -42,7 +42,8 @@ std::string TraceCostReport::Summary() const {
   return s;
 }
 
-bool SkipCoversRelation(const TraceSource& src, const std::string& relation) {
+bool PushdownCoversRelation(const TraceSource& src,
+                            const std::string& relation) {
   if (src.query != nullptr) return src.query->fact_name == relation;
   if (src.artifacts != nullptr && src.artifacts->lineage.num_inputs() > 0) {
     return src.artifacts->lineage.input(0).table_name == relation;
@@ -61,7 +62,7 @@ bool ResolveSkipCode(const TraceSource& src, const std::string& relation,
   // partitions would silently answer wrong / error instead of taking the
   // lazy fallback.
   if (artifacts->skip_index.num_codes() == 0) return false;
-  if (!SkipCoversRelation(src, relation)) return false;
+  if (!PushdownCoversRelation(src, relation)) return false;
   const std::vector<int>& cols = artifacts->applied_pushdown.skip_cols;
   if (cols.empty()) return false;
   std::string key;

@@ -45,9 +45,11 @@ struct TraceCostReport {
   std::string Summary() const;
 };
 
-/// True when the source's partitioned skip index covers `relation` (the
-/// skip push-down partitions the fact table's backward lists).
-bool SkipCoversRelation(const TraceSource& src, const std::string& relation);
+/// True when `relation` is the source block's fact relation — the only one
+/// its push-down artifacts cover (the skip index partitions the fact
+/// backward lists; the cube folds fact rows).
+bool PushdownCoversRelation(const TraceSource& src,
+                            const std::string& relation);
 
 /// Resolves the data-skipping partition code: the skip index must cover the
 /// traced relation and be resident, every partition column must be pinned by

@@ -188,6 +188,10 @@ Status TraceBuilder::ResolveStrategy(TraceStrategy* out, uint32_t* skip_code,
         return Status::InvalidArgument(
             "cube strategy needs group-by push-down artifacts");
       }
+      if (!PushdownCoversRelation(src_, relation_)) {
+        return Status::InvalidArgument(
+            "cube strategy traces the fact relation only");
+      }
       if (seeds_.size() != 1) {
         return Status::InvalidArgument(
             "cube strategy traces exactly one output rid");
@@ -208,6 +212,15 @@ Status TraceBuilder::ResolveStrategy(TraceStrategy* out, uint32_t* skip_code,
           return Status::InvalidArgument(
               "cube strategy group expressions must match the cube columns "
               "in order");
+        }
+        // Cube cells are keyed by the raw column values and are not
+        // re-aggregated: a key that merges values (year, month) would emit
+        // one unmerged row per cell.
+        if (groups_[i].kind != GroupExpr::Kind::kRaw &&
+            groups_[i].kind != GroupExpr::Kind::kScale100) {
+          return Status::InvalidArgument(
+              "cube strategy group expressions must be injective (raw or "
+              "scale100)");
         }
       }
       if (aggs_.size() != cube_aggs.size()) {

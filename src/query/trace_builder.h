@@ -22,7 +22,9 @@
 //               matches the query's equality predicates on the partition
 //               attributes (data-skipping push-down);
 //  - kCube:     no scan at all — the materialized sub-aggregates of the
-//               group-by push-down, reshaped to the consuming schema.
+//               group-by push-down, reshaped to the consuming schema
+//               (fact relation only; the cube columns in order, as raw or
+//               scale100 keys, since the cells are never re-aggregated).
 // kAuto picks kSkipping when the artifacts and predicates line up, and
 // kIndexed otherwise (kLazy / kCube are opt-in: the former is the paper's
 // baseline, the latter trades chainable fine-grained lineage for lookups).

@@ -1,104 +1,119 @@
-#include "apps/crossfilter.h"
+// The crossfilter brush strategies of Figures 13–14 (bench/crossfilter_modes.h)
+// — Lazy, BT, DataCube, the engine's BT+FT (Plan) and the Listing 1
+// reference loop — each checked against a brute-force count over the
+// Ontime table.
+#include "crossfilter_modes.h"
+
+#include <algorithm>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "workloads/ontime.h"
-
 namespace smoke {
 namespace {
+
+using bench::BrushCounts;
+using bench::BrushMode;
+using bench::CrossfilterModes;
+using bench::kCrossfilterDims;
+using bench::kNumCrossfilterViews;
 
 class CrossfilterTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     data_ = new Table(ontime::Generate(20000, 5));
+    modes_ = new CrossfilterModes(*data_, CaptureOptions::Inject());
+    modes_->BuildCubes();
+    modes_->DecodeListing1();
   }
-  static void TearDownTestSuite() { delete data_; }
+  static void TearDownTestSuite() {
+    delete modes_;
+    delete data_;
+  }
+
+  /// Initial COUNT(*) of bar `bar` of view `v`.
+  static int64_t BarCount(size_t v, size_t bar) {
+    return modes_->view(v).output.column(1).ints()[bar];
+  }
+
+  /// Brute force: every other view recounted over the table rows whose
+  /// view-`v` bin is that of bar `bar`.
+  static BrushCounts BruteForce(size_t v, size_t bar) {
+    BrushCounts ref(kNumCrossfilterViews);
+    const auto& sel = data_->column(kCrossfilterDims[v]).ints();
+    const int64_t bin = modes_->BinOf(v, static_cast<rid_t>(bar));
+    for (size_t r = 0; r < data_->num_rows(); ++r) {
+      if (sel[r] != bin) continue;
+      for (size_t w = 0; w < kNumCrossfilterViews; ++w) {
+        if (w != v) ++ref[w][data_->column(kCrossfilterDims[w]).ints()[r]];
+      }
+    }
+    return ref;
+  }
+
   static Table* data_;
-  static std::vector<int> Dims() {
-    return {ontime::kLatLonBin, ontime::kDateBin, ontime::kDelayBin,
-            ontime::kCarrier};
-  }
+  static CrossfilterModes* modes_;
 };
 Table* CrossfilterTest::data_ = nullptr;
+CrossfilterModes* CrossfilterTest::modes_ = nullptr;
 
 TEST_F(CrossfilterTest, InitialCountsSumToRows) {
-  Crossfilter cf(*data_, Dims());
-  cf.Initialize(Crossfilter::Strategy::kLazy);
-  for (size_t v = 0; v < cf.num_views(); ++v) {
+  for (size_t v = 0; v < kNumCrossfilterViews; ++v) {
     int64_t total = 0;
-    for (size_t b = 0; b < cf.NumBars(v); ++b) total += cf.BarCount(v, b);
+    for (size_t b = 0; b < modes_->NumBars(v); ++b) total += BarCount(v, b);
     EXPECT_EQ(total, static_cast<int64_t>(data_->num_rows()));
   }
 }
 
 TEST_F(CrossfilterTest, ViewCardinalitiesMatchGenerator) {
-  Crossfilter cf(*data_, Dims());
-  cf.Initialize(Crossfilter::Strategy::kLazy);
-  EXPECT_LE(cf.NumBars(0), static_cast<size_t>(ontime::kNumAirports));
-  EXPECT_LE(cf.NumBars(1), static_cast<size_t>(ontime::kNumDateBins));
-  EXPECT_LE(cf.NumBars(2), static_cast<size_t>(ontime::kNumDelayBins));
-  EXPECT_LE(cf.NumBars(3), static_cast<size_t>(ontime::kNumCarriers));
-  EXPECT_GT(cf.NumBars(0), 100u);  // most airports appear
+  EXPECT_LE(modes_->NumBars(0), static_cast<size_t>(ontime::kNumAirports));
+  EXPECT_LE(modes_->NumBars(1), static_cast<size_t>(ontime::kNumDateBins));
+  EXPECT_LE(modes_->NumBars(2), static_cast<size_t>(ontime::kNumDelayBins));
+  EXPECT_LE(modes_->NumBars(3), static_cast<size_t>(ontime::kNumCarriers));
+  EXPECT_GT(modes_->NumBars(0), 100u);  // most airports appear
 }
 
 TEST_F(CrossfilterTest, AllStrategiesAgree) {
-  Crossfilter lazy(*data_, Dims());
-  lazy.Initialize(Crossfilter::Strategy::kLazy);
-  Crossfilter bt(*data_, Dims());
-  bt.Initialize(Crossfilter::Strategy::kBT);
-  Crossfilter btft(*data_, Dims());
-  btft.Initialize(Crossfilter::Strategy::kBTFT);
-  Crossfilter cube(*data_, Dims());
-  cube.Initialize(Crossfilter::Strategy::kCube);
-
-  // Brush a sample of bars in every view; all four strategies must agree.
-  for (size_t v = 0; v < lazy.num_views(); ++v) {
-    const size_t step = std::max<size_t>(1, lazy.NumBars(v) / 7);
-    for (size_t bar = 0; bar < lazy.NumBars(v); bar += step) {
-      auto r_lazy = lazy.Brush(v, bar);
-      auto r_bt = bt.Brush(v, bar);
-      auto r_btft = btft.Brush(v, bar);
-      auto r_cube = cube.Brush(v, bar);
-      for (size_t w = 0; w < lazy.num_views(); ++w) {
-        ASSERT_EQ(r_lazy[w], r_bt[w]) << "view " << v << " bar " << bar;
-        ASSERT_EQ(r_lazy[w], r_btft[w]) << "view " << v << " bar " << bar;
-        ASSERT_EQ(r_lazy[w], r_cube[w]) << "view " << v << " bar " << bar;
+  const std::vector<BrushMode> modes = {modes_->Lazy(), modes_->BT(),
+                                        modes_->DataCube(), modes_->Plan(),
+                                        modes_->BTFT()};
+  // A sample of bars in every view, each mode against the brute force.
+  for (size_t v = 0; v < kNumCrossfilterViews; ++v) {
+    const size_t step = std::max<size_t>(1, modes_->NumBars(v) / 7);
+    for (size_t bar = 0; bar < modes_->NumBars(v); bar += step) {
+      const BrushCounts ref = BruteForce(v, bar);
+      for (const BrushMode& mode : modes) {
+        BrushCounts got;
+        ASSERT_TRUE(mode.brush(v, static_cast<rid_t>(bar), &got).ok())
+            << mode.name;
+        ASSERT_EQ(got, ref) << mode.name << " view " << v << " bar " << bar;
       }
     }
   }
 }
 
-TEST_F(CrossfilterTest, BrushedViewKeepsInitialCounts) {
-  Crossfilter cf(*data_, Dims());
-  cf.Initialize(Crossfilter::Strategy::kBTFT);
-  auto r = cf.Brush(2, 0);
-  for (size_t b = 0; b < cf.NumBars(2); ++b) {
-    EXPECT_EQ(r[2][b], cf.BarCount(2, b));
-  }
-}
-
 TEST_F(CrossfilterTest, BrushCountsSumToBarCount) {
-  Crossfilter cf(*data_, Dims());
-  cf.Initialize(Crossfilter::Strategy::kBTFT);
-  for (size_t bar = 0; bar < cf.NumBars(3); ++bar) {
-    auto r = cf.Brush(3, bar);
-    const int64_t expect = cf.BarCount(3, bar);
-    for (size_t w = 0; w < cf.num_views(); ++w) {
+  const BrushMode plan = modes_->Plan();
+  for (size_t bar = 0; bar < modes_->NumBars(3); ++bar) {
+    BrushCounts got;
+    ASSERT_TRUE(plan.brush(3, static_cast<rid_t>(bar), &got).ok());
+    for (size_t w = 0; w < kNumCrossfilterViews; ++w) {
       if (w == 3) continue;
       int64_t total = 0;
-      for (int64_t c : r[w]) total += c;
-      ASSERT_EQ(total, expect);
+      for (const auto& [bin, cnt] : got[w]) total += cnt;
+      ASSERT_EQ(total, BarCount(3, bar));
     }
   }
 }
 
 TEST_F(CrossfilterTest, IndexMemoryReported) {
-  Crossfilter bt(*data_, Dims());
-  bt.Initialize(Crossfilter::Strategy::kBT);
-  EXPECT_GT(bt.IndexMemoryBytes(), 0u);
-  Crossfilter lazy(*data_, Dims());
-  lazy.Initialize(Crossfilter::Strategy::kLazy);
-  EXPECT_EQ(lazy.IndexMemoryBytes(), 0u);
+  for (size_t v = 0; v < kNumCrossfilterViews; ++v) {
+    EXPECT_GT(modes_->view(v).lineage.MemoryBytes(), 0u);
+  }
+  CrossfilterModes lazy(*data_, CaptureOptions::None());
+  for (size_t v = 0; v < kNumCrossfilterViews; ++v) {
+    EXPECT_EQ(lazy.view(v).lineage.MemoryBytes(), 0u);
+  }
 }
 
 }  // namespace

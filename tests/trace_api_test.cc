@@ -12,6 +12,7 @@
 #include "core/smoke_engine.h"
 #include "query/lineage_query.h"
 #include "test_util.h"
+#include "workloads/ontime.h"
 #include "workloads/tpch.h"
 
 namespace smoke {
@@ -319,6 +320,80 @@ TEST_F(TraceEquivalenceTest, CubeResultOutlivesCompiledQuery) {
   EXPECT_EQ(tl.table->num_rows(), pr.output.num_rows());
   Table rows;
   EXPECT_TRUE(MaterializeRowsChecked(*tl.table, {0}, &rows).ok());
+}
+
+/// COUNT(*) per carrier over 10k ontime rows as one SpjaBlock, with the
+/// delay-bin cube pushed down.
+PlanResult CarrierDelayCube(const Table& flights) {
+  SPJAQuery q;
+  q.fact = &flights;
+  q.fact_name = "ontime";
+  q.group_by = {ColRef::Fact(ontime::kCarrier)};
+  q.aggs = {AggSpec::Count("cnt")};
+  SPJAPushdown push;
+  push.cube_cols = {ontime::kDelayBin};
+  push.cube_aggs = {AggSpec::Count("cnt")};
+  PlanBuilder b;
+  LogicalPlan plan;
+  SMOKE_CHECK(b.Build(b.SpjaBlock(std::move(q), std::move(push)), &plan).ok());
+  PlanResult pr;
+  SMOKE_CHECK(ExecutePlan(plan, CaptureOptions::Inject(), &pr).ok());
+  return pr;
+}
+
+TEST(CubeStrategyTest, TracesOnlyTheFactRelation) {
+  const Table flights = ontime::Generate(10000, 5);
+  const PlanResult cube = CarrierDelayCube(flights);
+  const TraceSource src = TraceSource::FromPlan(cube, "by_carrier");
+  auto drill = [&](const std::string& relation, TraceStrategy strategy,
+                   PlanResult* out) {
+    return TraceBuilder::Backward(src, relation, {0})
+        .GroupBy(GroupExpr::Raw(ontime::kDelayBin, "d"))
+        .Agg(AggSpec::Count("cnt"))
+        .Strategy(strategy)
+        .Execute(CaptureOptions::None(), out);
+  };
+  PlanResult pr;
+  EXPECT_EQ(drill("no_such_relation", TraceStrategy::kIndexed, &pr).code(),
+            Status::Code::kNotFound);
+  EXPECT_EQ(drill("no_such_relation", TraceStrategy::kCube, &pr).code(),
+            Status::Code::kInvalidArgument);
+
+  // On the fact relation the cube answers the brute-force count.
+  ASSERT_TRUE(drill("ontime", TraceStrategy::kCube, &pr).ok());
+  const auto& carrier = flights.column(ontime::kCarrier).ints();
+  const auto& delay = flights.column(ontime::kDelayBin).ints();
+  const int64_t bar = cube.output.column(0).ints()[0];
+  std::map<int64_t, int64_t> ref;
+  for (size_t r = 0; r < flights.num_rows(); ++r) {
+    if (carrier[r] == bar) ++ref[delay[r]];
+  }
+  std::map<int64_t, int64_t> got;
+  for (size_t r = 0; r < pr.output.num_rows(); ++r) {
+    got[pr.output.column(0).ints()[r]] += pr.output.column("cnt").ints()[r];
+  }
+  EXPECT_EQ(got, ref);
+}
+
+TEST(CubeStrategyTest, RejectsKeysThatMergeCubeCells) {
+  const Table flights = ontime::Generate(10000, 5);
+  const PlanResult cube = CarrierDelayCube(flights);
+  auto by_year = [&](TraceStrategy strategy, PlanResult* out) {
+    return TraceBuilder::Backward(TraceSource::FromPlan(cube, "by_carrier"),
+                                  "ontime", {0})
+        .GroupBy(GroupExpr::Year(ontime::kDelayBin, "d"))
+        .Agg(AggSpec::Count("cnt"))
+        .Strategy(strategy)
+        .Execute(CaptureOptions::None(), out);
+  };
+  // Every delay bin lies in year 0: one merged group, as the index says.
+  PlanResult ix;
+  ASSERT_TRUE(by_year(TraceStrategy::kIndexed, &ix).ok());
+  EXPECT_EQ(ix.output.num_rows(), 1u);
+  // The cube cannot merge its per-bin cells, so it refuses the key.
+  PlanResult cb;
+  EXPECT_EQ(by_year(TraceStrategy::kCube, &cb).code(),
+            Status::Code::kInvalidArgument);
 }
 
 TEST_F(TraceEquivalenceTest, SkippingRequiresCoveredRelation) {
