@@ -23,6 +23,7 @@
 #include <cstdlib>
 
 #include "core/smoke_engine.h"
+#include "query/lineage_query.h"
 #include "workloads/ontime.h"
 #include "workloads/tpch.h"
 #include "workloads/zipf_table.h"
@@ -97,11 +98,16 @@ void RunWorkload(const bench::Options& opts, SmokeEngine* engine,
                        })
             .mean_ms /
         static_cast<double>(out_seeds.size());
+    // Forward probes read the retained index directly (there is no lazy
+    // forward fallback, so nothing else sits on this path).
+    const PlanResult* retained = nullptr;
+    if (!engine->GetPlanResult(name, &retained).ok()) std::exit(1);
     double ft_ms =
         bench::Measure(opts,
                        [&] {
                          for (rid_t i : in_seeds) {
-                           engine->Forward(name, relation, {i}, &scratch)
+                           ForwardRidsChecked(retained->lineage, relation, {i},
+                                              /*dedup=*/true, &scratch)
                                .IgnoreError();
                          }
                        })

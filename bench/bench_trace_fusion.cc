@@ -1,6 +1,6 @@
 // Trace-hop fusion: fused vs literal drill-down chains (linked brushing:
-// backward out of one retained view, forward into another — Lf ∘ Lb, the
-// paper's TraceAcross). The literal plan materializes the intermediate
+// backward out of one retained view, forward into another — Lf ∘ Lb).
+// The literal plan materializes the intermediate
 // endpoint (every traced base row, full width) before the next hop probes;
 // the fused plan (optimizer trace-hop fusion) collapses the chain into one
 // Trace node that only materializes the final hop's endpoint. The wider the

@@ -73,9 +73,10 @@ int main() {
 
   // 3. Backward lineage of the first rollup row reaches the *base* sales
   //    rows, straight through both aggregations.
-  Table rows;
-  OR_DIE(engine.BackwardRows("rollup", "sales", {0}, &rows));
-  std::printf("Base rows behind rollup row 0:\n%s\n", rows.ToString().c_str());
+  TraceResult behind;
+  OR_DIE(engine.TraceBackward("rollup", "sales", {0}, &behind));
+  std::printf("Base rows behind rollup row 0:\n%s\n",
+              behind.rows.ToString().c_str());
 
   // 4. Linked brushing across two independent views of the same relation
   //    (one of them a plan, the other a legacy SPJA query).
@@ -86,9 +87,15 @@ int main() {
   by_region_spja.aggs = {AggSpec::Count("cnt")};
   OR_DIE(engine.ExecuteQuery("by_region", by_region_spja));
 
-  std::vector<rid_t> linked;
-  OR_DIE(engine.TraceAcross("rollup", {0}, "sales", "by_region", &linked));
+  //    Lf(Lb(row 0, sales), by_region) is one two-hop trace plan.
+  TraceSource rollup_src, by_region_src;
+  OR_DIE(engine.MakeTraceSource("rollup", &rollup_src));
+  OR_DIE(engine.MakeTraceSource("by_region", &by_region_src));
+  PlanResult linked;
+  OR_DIE(TraceBuilder::Backward(rollup_src, "sales", {0})
+             .ThenForward(by_region_src)
+             .Execute(CaptureOptions::None(), &linked));
   std::printf("Rollup row 0 brushes %zu region bars in the other view\n",
-              linked.size());
+              linked.output.num_rows());
   return 0;
 }

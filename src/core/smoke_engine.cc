@@ -482,21 +482,7 @@ Status SmokeEngine::ExecuteTraceQuery(const std::string& result_name,
   return Status::OK();
 }
 
-// ---- lineage queries: string-keyed shims ----
-
-Status SmokeEngine::BackwardOf(const std::string& query_name,
-                               const RetainedPlan& rp,
-                               const std::string& relation,
-                               const std::vector<rid_t>& out_rids, bool dedup,
-                               std::vector<rid_t>* rids) const {
-  tracker_.Touch(query_name);
-  // Evicted under the lineage budget: answer by lazy rescan.
-  if (AnswersLazily(rp.result, relation)) {
-    return LazyBackward(rp.result, out_rids, dedup, rids);
-  }
-  return BackwardRidsChecked(rp.result.lineage, relation, out_rids, dedup,
-                             rids);
-}
+// ---- lineage queries: rid lists ----
 
 Status SmokeEngine::Backward(const std::string& query_name,
                              const std::string& relation,
@@ -504,47 +490,13 @@ Status SmokeEngine::Backward(const std::string& query_name,
                              std::vector<rid_t>* rids, bool dedup) const {
   const RetainedPlan* rp = nullptr;
   SMOKE_RETURN_NOT_OK(Lookup(query_name, &rp));
-  return BackwardOf(query_name, *rp, relation, out_rids, dedup, rids);
-}
-
-Status SmokeEngine::Forward(const std::string& query_name,
-                            const std::string& relation,
-                            const std::vector<rid_t>& in_rids,
-                            std::vector<rid_t>* rids) const {
-  const RetainedPlan* rp = nullptr;
-  SMOKE_RETURN_NOT_OK(Lookup(query_name, &rp));
   tracker_.Touch(query_name);
-  return ForwardRidsChecked(rp->result.lineage, relation, in_rids,
-                            /*dedup=*/true, rids);
-}
-
-Status SmokeEngine::BackwardRows(const std::string& query_name,
-                                 const std::string& relation,
-                                 const std::vector<rid_t>& out_rids,
-                                 Table* rows) const {
-  const RetainedPlan* rp = nullptr;
-  SMOKE_RETURN_NOT_OK(Lookup(query_name, &rp));
-  std::vector<rid_t> rids;
-  SMOKE_RETURN_NOT_OK(
-      BackwardOf(query_name, *rp, relation, out_rids, /*dedup=*/true, &rids));
-  const QueryLineage& lineage = rp->result.lineage;
-  int idx = lineage.FindInput(relation);
-  const Table* table = lineage.input(static_cast<size_t>(idx)).table;
-  if (table == nullptr) {
-    return Status::InvalidArgument("relation table not available");
+  // Evicted under the lineage budget: answer by lazy rescan.
+  if (AnswersLazily(rp->result, relation)) {
+    return LazyBackward(rp->result, out_rids, dedup, rids);
   }
-  return MaterializeRowsChecked(*table, rids, rows);
-}
-
-Status SmokeEngine::TraceAcross(const std::string& from_query,
-                                const std::vector<rid_t>& out_rids,
-                                const std::string& relation,
-                                const std::string& to_query,
-                                std::vector<rid_t>* linked) const {
-  std::vector<rid_t> shared;
-  SMOKE_RETURN_NOT_OK(
-      Backward(from_query, relation, out_rids, &shared, /*dedup=*/true));
-  return Forward(to_query, relation, shared, linked);
+  return BackwardRidsChecked(rp->result.lineage, relation, out_rids, dedup,
+                             rids);
 }
 
 Status SmokeEngine::DropResult(const std::string& query_name) {

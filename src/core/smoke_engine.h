@@ -15,8 +15,7 @@
 // traces and consuming queries compile to ordinary plans with Trace nodes,
 // run by the same executor as base queries, and retain PlanResults — so a
 // consuming result chains exactly like any other retained query. The typed
-// handles (TraceResult / ExecuteTraceQuery) are the primary interface; the
-// older string-keyed methods remain as thin shims over the same path.
+// handles (TraceResult / ExecuteTraceQuery) are the interface.
 #ifndef SMOKE_CORE_SMOKE_ENGINE_H_
 #define SMOKE_CORE_SMOKE_ENGINE_H_
 
@@ -158,8 +157,8 @@ class SmokeEngine {
 
   /// Executes a composable operator DAG (plan/plan.h) and retains its
   /// result and composed end-to-end lineage under `query_name`. All lineage
-  /// queries (Backward / Forward / BackwardRows / TraceAcross) and
-  /// consuming queries work over every retained plan. The workload's
+  /// queries (TraceBackward / TraceForward / TraceBuilder) and consuming
+  /// queries work over every retained plan. The workload's
   /// traced_relations / directions configure pruning; a non-empty pushdown
   /// field is refused (attach push-downs to SpjaBlock nodes when building
   /// the plan).
@@ -223,34 +222,12 @@ class SmokeEngine {
                            const TraceBuilder& builder,
                            const CaptureOptions& opts = CaptureOptions::Inject());
 
-  // ---- lineage queries: string-keyed shims ----
-
   /// Lb(out_rids ⊆ O, relation): input rids of `relation` that contributed
   /// to the given outputs of `query_name`.
+  /// Kept for perfbench's tpch_capture check; other callers use TraceBackward.
   Status Backward(const std::string& query_name, const std::string& relation,
                   const std::vector<rid_t>& out_rids,
                   std::vector<rid_t>* rids, bool dedup = true) const;
-
-  /// Lf(in_rids ⊆ R, O): output rids of `query_name` derived from the given
-  /// input rids of `relation`.
-  Status Forward(const std::string& query_name, const std::string& relation,
-                 const std::vector<rid_t>& in_rids,
-                 std::vector<rid_t>* rids) const;
-
-  /// SELECT * FROM Lb(...): materializes the traced rows.
-  Status BackwardRows(const std::string& query_name,
-                      const std::string& relation,
-                      const std::vector<rid_t>& out_rids, Table* rows) const;
-
-  /// Linked brushing (paper Figure 1): Lf(Lb(out_rids ⊆ V1, relation), V2) —
-  /// backward from `from_query`'s outputs to the shared input relation,
-  /// then forward into `to_query`'s outputs. Both queries must have lineage
-  /// on `relation` (backward on from, forward on to).
-  Status TraceAcross(const std::string& from_query,
-                     const std::vector<rid_t>& out_rids,
-                     const std::string& relation,
-                     const std::string& to_query,
-                     std::vector<rid_t>* linked) const;
 
   /// Drops a retained query result and its lineage (releasing its lineage
   /// store accounting). Refused while another retained result's lineage
@@ -292,13 +269,6 @@ class SmokeEngine {
   /// statistics; bumps its LRU tick.
   TraceSource SourceOf(const std::string& query_name,
                        const RetainedPlan& rp) const;
-
-  /// Backward over a resolved retained result, sharded or not: lazy rescan
-  /// when evicted, composed index otherwise; bumps its LRU tick.
-  Status BackwardOf(const std::string& query_name, const RetainedPlan& rp,
-                    const std::string& relation,
-                    const std::vector<rid_t>& out_rids, bool dedup,
-                    std::vector<rid_t>* rids) const;
 
   /// Retains a freshly executed result: encodes its lineage per
   /// `opts.lineage_codec`, registers it with the tracker, applies

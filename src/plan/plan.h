@@ -82,7 +82,7 @@ struct TraceHopSpec {
 ///
 /// The node's single child is the trace's lineage endpoint scan (the traced
 /// base relation for backward, the retained query's output for forward) —
-/// or, for multi-hop traces (TraceAcross ≡ Trace∘Trace), another Trace node
+/// or, for multi-hop traces (Trace∘Trace), another Trace node
 /// whose emitted rid column seeds this hop. Output: the endpoint rows of
 /// the traced rids (secondary index scan) plus the kTraceRidColumn. The
 /// lineage fragment maps output rows to the child, so plans stacked on top
@@ -102,7 +102,7 @@ struct TraceSpec {
   /// instead of `seeds`.
   bool seeds_from_child = false;
   /// Deduplicate traced rids (first-encounter order). Backward consuming
-  /// queries keep duplicates for witness alignment; TraceAcross dedups.
+  /// queries keep duplicates for witness alignment; multi-hop traces dedup.
   bool dedup = true;
   /// Rows materialized into the output. Defaults to the child's table;
   /// chained hops must set it (the hop's own endpoint differs from the
@@ -239,7 +239,7 @@ class PlanBuilder {
 
   /// Lineage query as a plan node. `child` is the trace's endpoint scan, or
   /// a previous Trace node when `spec.seeds_from_child` chains hops
-  /// (TraceAcross ≡ Trace∘Trace). Most callers should build traces through
+  /// (Trace∘Trace). Most callers should build traces through
   /// TraceBuilder (query/trace_builder.h) rather than by hand.
   int Trace(int child, TraceSpec spec);
 

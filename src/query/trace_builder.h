@@ -140,7 +140,7 @@ class LineageQuery {
 ///   PlanResult r;
 ///   q.Execute(CaptureOptions::Inject(), &r);   // r has its own lineage
 ///
-/// Multi-hop linked brushing (TraceAcross ≡ Trace∘Trace):
+/// Multi-hop linked brushing (Trace∘Trace):
 ///
 ///   TraceBuilder::Backward(view1, "sales", {bar}).ThenForward(view2)
 ///

@@ -58,8 +58,9 @@ struct TraceRound {
         engine.Backward(query, relation, out_rids, &t.bw_dups, false).ok());
     EXPECT_TRUE(
         engine.Backward(query, relation, out_rids, &t.bw_dedup, true).ok());
-    EXPECT_TRUE(engine.Forward(query, relation, in_rids, &t.fw).ok());
     TraceResult tr;
+    EXPECT_TRUE(engine.TraceForward(query, relation, in_rids, &tr).ok());
+    t.fw = tr.rids;
     EXPECT_TRUE(engine.TraceBackward(query, relation, out_rids, &tr).ok());
     t.trace_rids = tr.rids;
     t.trace_rows = testing::RowSet(tr.rows);
@@ -479,10 +480,11 @@ TEST(LineageStoreTest, BudgetEvictionFallsBackToLazyRescan) {
     EXPECT_TRUE(testing::AreInverse(mgot.plan.lineage.input(0).backward,
                                     mgot.plan.lineage.input(0).forward));
 
-    Table rwant, rgot;
-    ASSERT_TRUE(unbounded.BackwardRows(name, "zipf", {1}, &rwant).ok());
-    ASSERT_TRUE(budgeted.BackwardRows(name, "zipf", {1}, &rgot).ok());
-    EXPECT_EQ(testing::RowSet(rgot), testing::RowSet(rwant)) << name;
+    TraceResult rwant, rgot;
+    ASSERT_TRUE(unbounded.TraceBackward(name, "zipf", {1}, &rwant).ok());
+    ASSERT_TRUE(budgeted.TraceBackward(name, "zipf", {1}, &rgot).ok());
+    EXPECT_EQ(testing::RowSet(rgot.rows), testing::RowSet(rwant.rows))
+        << name;
   }
 
   // Forward lineage has no lazy rewrite: an evicted query reports a clear
@@ -490,8 +492,8 @@ TEST(LineageStoreTest, BudgetEvictionFallsBackToLazyRescan) {
   LineageStoreStats after = budgeted.LineageMemoryStats();
   for (const auto& q : after.queries) {
     if (!q.evicted) continue;
-    std::vector<rid_t> fwd;
-    EXPECT_FALSE(budgeted.Forward(q.name, "zipf", {0}, &fwd).ok());
+    TraceResult fwd;
+    EXPECT_FALSE(budgeted.TraceForward(q.name, "zipf", {0}, &fwd).ok());
   }
 
   // SetLineageBudget(0) lifts the budget; new captures stay resident.
@@ -591,7 +593,7 @@ TEST(LineageStoreTest, PrunedBackwardDoesNotLazyFallback) {
   EXPECT_FALSE(engine.TraceBackward("q", "zipf", {0}, &tr).ok());
   EXPECT_FALSE(engine.TraceBackward("q", "zipf", {0, 1}, &tr).ok());
   // Forward still answers (that is what the workload declared).
-  EXPECT_TRUE(engine.Forward("q", "zipf", {0}, &rids).ok());
+  EXPECT_TRUE(engine.TraceForward("q", "zipf", {0}, &tr).ok());
 }
 
 TEST(LineageStoreTest, BudgetReencodesBeforeEvicting) {

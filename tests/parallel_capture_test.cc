@@ -598,7 +598,8 @@ TEST(ParallelCaptureTest, EngineParallelPlanMatchesSequential) {
 
   // Linked brushing across a sequential and a parallel query.
   std::vector<rid_t> linked;
-  ASSERT_TRUE(engine.TraceAcross("q1", {0}, "events", "q7", &linked).ok());
+  ASSERT_TRUE(
+      testing::TraceAcross(engine, "q1", {0}, "events", "q7", &linked).ok());
   EXPECT_EQ(linked, (std::vector<rid_t>{0}));
 }
 

@@ -1,7 +1,7 @@
 // SmokeEngine facade over composable plans: ExecutePlan retention, lineage
-// queries, TraceAcross across plan/SPJA retained queries, consuming queries
-// over plan lineage, the table replace/drop lifetime guard, and parity of
-// ExecuteQuery with the single-SpjaBlock plan it retains.
+// queries, linked brushing across plan/SPJA retained queries, consuming
+// queries over plan lineage, the table replace/drop lifetime guard, and
+// parity of ExecuteQuery with the single-SpjaBlock plan it retains.
 #include "core/smoke_engine.h"
 
 #include <set>
@@ -76,16 +76,16 @@ TEST_F(PlanEngineTest, ExecutePlanRetainsResultAndLineage) {
   EXPECT_EQ(testing::Sorted(rids), (std::vector<rid_t>{0, 3, 7, 9}));
 
   // Forward from rid 1 (region 1) reaches exactly the region-1 output.
-  std::vector<rid_t> outs;
-  ASSERT_TRUE(engine_.Forward("by_region", "sales", {1}, &outs).ok());
-  ASSERT_EQ(outs.size(), 1u);
-  EXPECT_EQ(out->column(0).ints()[outs[0]], 1);
+  TraceResult outs;
+  ASSERT_TRUE(engine_.TraceForward("by_region", "sales", {1}, &outs).ok());
+  ASSERT_EQ(outs.rids.size(), 1u);
+  EXPECT_EQ(out->column(0).ints()[outs.rids[0]], 1);
 
-  // BackwardRows materializes the traced base rows.
-  Table rows;
+  // TraceBackward materializes the traced base rows.
+  TraceResult rows;
   ASSERT_TRUE(
-      engine_.BackwardRows("by_region", "sales", {region0_out}, &rows).ok());
-  EXPECT_EQ(rows.num_rows(), 4u);
+      engine_.TraceBackward("by_region", "sales", {region0_out}, &rows).ok());
+  EXPECT_EQ(rows.rows.num_rows(), 4u);
 
   // Duplicate names are refused across namespaces.
   EXPECT_FALSE(engine_.ExecutePlan("by_region", RegionPlan()).ok());
@@ -119,8 +119,9 @@ TEST_F(PlanEngineTest, TraceAcrossPlanAndSpjaQueries) {
   ASSERT_GT(big->num_rows(), 0u);
 
   std::vector<rid_t> linked;
-  ASSERT_TRUE(
-      engine_.TraceAcross("big_regions", {0}, "sales", "by_day", &linked).ok());
+  ASSERT_TRUE(testing::TraceAcross(engine_, "big_regions", {0}, "sales",
+                                   "by_day", &linked)
+                  .ok());
   // Region 0 has sales on days spanning the whole cycle; brute-force check.
   std::vector<rid_t> base;
   ASSERT_TRUE(engine_.Backward("big_regions", "sales", {0}, &base).ok());
@@ -213,8 +214,8 @@ TEST_F(PlanEngineTest, WorkloadPruningOnPlans) {
                   .ok());
   std::vector<rid_t> rids;
   EXPECT_TRUE(engine_.Backward("bw_only", "sales", {0}, &rids).ok());
-  std::vector<rid_t> outs;
-  EXPECT_FALSE(engine_.Forward("bw_only", "sales", {0}, &outs).ok());
+  TraceResult outs;
+  EXPECT_FALSE(engine_.TraceForward("bw_only", "sales", {0}, &outs).ok());
 }
 
 // ---- ExecuteQuery == ExecutePlan(SpjaBlock) ----
@@ -282,10 +283,11 @@ TEST(SpjaPlanParityTest, ExecuteQueryMatchesSingleBlockPlan) {
         EXPECT_EQ(qs.ToString(), ps.ToString()) << what;
         EXPECT_EQ(qb, pb) << what;
       }
-      std::vector<rid_t> qf, pf;
-      ASSERT_TRUE(engine.Forward("query", "lineitem", {0, 7, 99}, &qf).ok());
-      ASSERT_TRUE(engine.Forward("plan", "lineitem", {0, 7, 99}, &pf).ok());
-      EXPECT_EQ(qf, pf) << what;
+      TraceResult qf, pf;
+      ASSERT_TRUE(
+          engine.TraceForward("query", "lineitem", {0, 7, 99}, &qf).ok());
+      ASSERT_TRUE(engine.TraceForward("plan", "lineitem", {0, 7, 99}, &pf).ok());
+      EXPECT_EQ(qf.rids, pf.rids) << what;
 
       // Every strategy over plain, skip-pinned and cube-shaped traces
       // resolves and answers identically on both retained results.

@@ -146,10 +146,10 @@ class ShardEngineTest : public ::testing::Test {
     const Table* base = nullptr;
     ASSERT_TRUE(plain_.GetTable("events", &base).ok());
     for (rid_t r = 0; r < base->num_rows(); ++r) {
-      std::vector<rid_t> fs, fp;
-      ASSERT_TRUE(sharded_.Forward(name, "events", {r}, &fs).ok());
-      ASSERT_TRUE(plain_.Forward(name, "events", {r}, &fp).ok());
-      EXPECT_EQ(fs, fp) << name << " forward of input " << r;
+      TraceResult fs, fp;
+      ASSERT_TRUE(sharded_.TraceForward(name, "events", {r}, &fs).ok());
+      ASSERT_TRUE(plain_.TraceForward(name, "events", {r}, &fp).ok());
+      EXPECT_EQ(fs.rids, fp.rids) << name << " forward of input " << r;
     }
   }
 
@@ -397,9 +397,11 @@ TEST_F(ShardEngineTest, ShardLifecycleGuards) {
   std::vector<rid_t> all_groups = {0, 1, 2, 3, 4};
   std::vector<rid_t> before;
   ASSERT_TRUE(sharded_.Backward("by_g", "events", all_groups, &before).ok());
-  Table rows_before;
+  TraceResult trace_before;
   ASSERT_TRUE(
-      sharded_.BackwardRows("by_g", "events", all_groups, &rows_before).ok());
+      sharded_.TraceBackward("by_g", "events", all_groups, &trace_before)
+          .ok());
+  const Table& rows_before = trace_before.rows;
 
   // The retained result holds nothing of the ShardMap it executed over:
   // re-sharding with a different spec and unsharding both go ahead, and its
@@ -408,9 +410,10 @@ TEST_F(ShardEngineTest, ShardLifecycleGuards) {
     std::vector<rid_t> rids;
     ASSERT_TRUE(sharded_.Backward("by_g", "events", all_groups, &rids).ok());
     EXPECT_EQ(rids, before) << step;
-    Table rows;
+    TraceResult trace;
     ASSERT_TRUE(
-        sharded_.BackwardRows("by_g", "events", all_groups, &rows).ok());
+        sharded_.TraceBackward("by_g", "events", all_groups, &trace).ok());
+    const Table& rows = trace.rows;
     ASSERT_EQ(rows.num_rows(), rows_before.num_rows()) << step;
     EXPECT_EQ(rows.column(0).ints(), rows_before.column(0).ints()) << step;
     EXPECT_EQ(rows.column(1).ints(), rows_before.column(1).ints()) << step;

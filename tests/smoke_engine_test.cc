@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
 #include "workloads/tpch.h"
 #include "workloads/zipf_table.h"
 
@@ -44,16 +45,17 @@ TEST_F(SmokeEngineTest, BackwardForwardRoundTrip) {
   ASSERT_TRUE(engine_.Backward("v1", "zipf", {0}, &back).ok());
   EXPECT_GT(back.size(), 0u);
   // Every backward rid forward-traces to output 0.
-  std::vector<rid_t> fwd;
-  ASSERT_TRUE(engine_.Forward("v1", "zipf", {back[0]}, &fwd).ok());
-  ASSERT_EQ(fwd.size(), 1u);
-  EXPECT_EQ(fwd[0], 0u);
+  TraceResult fwd;
+  ASSERT_TRUE(engine_.TraceForward("v1", "zipf", {back[0]}, &fwd).ok());
+  ASSERT_EQ(fwd.rids.size(), 1u);
+  EXPECT_EQ(fwd.rids[0], 0u);
 }
 
-TEST_F(SmokeEngineTest, BackwardRowsMaterializes) {
+TEST_F(SmokeEngineTest, TraceBackwardMaterializesRows) {
   ASSERT_TRUE(engine_.ExecuteQuery("v1", query_).ok());
-  Table rows;
-  ASSERT_TRUE(engine_.BackwardRows("v1", "zipf", {1}, &rows).ok());
+  TraceResult trace;
+  ASSERT_TRUE(engine_.TraceBackward("v1", "zipf", {1}, &trace).ok());
+  const Table& rows = trace.rows;
   EXPECT_GT(rows.num_rows(), 0u);
   EXPECT_EQ(rows.num_columns(), zipf_->num_columns());
   // All rows carry the group's key.
@@ -67,7 +69,8 @@ TEST_F(SmokeEngineTest, ErrorsOnOutOfRange) {
   ASSERT_TRUE(engine_.ExecuteQuery("v1", query_).ok());
   std::vector<rid_t> rids;
   EXPECT_FALSE(engine_.Backward("v1", "zipf", {99999}, &rids).ok());
-  EXPECT_FALSE(engine_.Forward("v1", "zipf", {99999999}, &rids).ok());
+  TraceResult tr;
+  EXPECT_FALSE(engine_.TraceForward("v1", "zipf", {99999999}, &tr).ok());
   EXPECT_FALSE(engine_.Backward("v1", "unknown_rel", {0}, &rids).ok());
   EXPECT_FALSE(engine_.Backward("unknown_query", "zipf", {0}, &rids).ok());
 }
@@ -78,7 +81,8 @@ TEST_F(SmokeEngineTest, WorkloadPruningIsEnforced) {
   ASSERT_TRUE(engine_.ExecuteQuery("v1", query_, CaptureMode::kInject, &w).ok());
   std::vector<rid_t> rids;
   EXPECT_TRUE(engine_.Backward("v1", "zipf", {0}, &rids).ok());
-  EXPECT_FALSE(engine_.Forward("v1", "zipf", {0}, &rids).ok());
+  TraceResult tr;
+  EXPECT_FALSE(engine_.TraceForward("v1", "zipf", {0}, &tr).ok());
 }
 
 TEST_F(SmokeEngineTest, PhysicalModesRejected) {
@@ -214,19 +218,23 @@ class LinkedBrushingTest : public ::testing::Test {
 
 TEST_F(LinkedBrushingTest, TraceAcrossMatchesManualComposition) {
   std::vector<rid_t> linked;
-  ASSERT_TRUE(engine_.TraceAcross("v1", {0, 1}, "x", "v2", &linked).ok());
-  std::vector<rid_t> shared;
-  ASSERT_TRUE(engine_.Backward("v1", "x", {0, 1}, &shared).ok());
-  std::vector<rid_t> manual;
-  ASSERT_TRUE(engine_.Forward("v2", "x", shared, &manual).ok());
-  EXPECT_EQ(linked, manual);
-  EXPECT_EQ(linked.size(), shared.size());  // v2 has one bar per input row
+  ASSERT_TRUE(
+      testing::TraceAcross(engine_, "v1", {0, 1}, "x", "v2", &linked).ok());
+  TraceResult shared;
+  ASSERT_TRUE(engine_.TraceBackward("v1", "x", {0, 1}, &shared).ok());
+  TraceResult manual;
+  ASSERT_TRUE(engine_.TraceForward("v2", "x", shared.rids, &manual).ok());
+  EXPECT_EQ(linked, manual.rids);
+  // v2 has one bar per input row.
+  EXPECT_EQ(linked.size(), shared.rids.size());
 }
 
 TEST_F(LinkedBrushingTest, UnknownQueryFails) {
   std::vector<rid_t> linked;
-  EXPECT_FALSE(engine_.TraceAcross("v1", {0}, "x", "nope", &linked).ok());
-  EXPECT_FALSE(engine_.TraceAcross("nope", {0}, "x", "v2", &linked).ok());
+  EXPECT_FALSE(
+      testing::TraceAcross(engine_, "v1", {0}, "x", "nope", &linked).ok());
+  EXPECT_FALSE(
+      testing::TraceAcross(engine_, "nope", {0}, "x", "v2", &linked).ok());
 }
 
 TEST_F(LinkedBrushingTest, BrushAllBarsCoversAllOfV2) {
@@ -235,7 +243,8 @@ TEST_F(LinkedBrushingTest, BrushAllBarsCoversAllOfV2) {
   std::vector<rid_t> all_bars;
   for (rid_t g = 0; g < v1->num_rows(); ++g) all_bars.push_back(g);
   std::vector<rid_t> linked;
-  ASSERT_TRUE(engine_.TraceAcross("v1", all_bars, "x", "v2", &linked).ok());
+  ASSERT_TRUE(
+      testing::TraceAcross(engine_, "v1", all_bars, "x", "v2", &linked).ok());
   EXPECT_EQ(linked.size(), 2000u);
 }
 

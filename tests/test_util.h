@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/smoke_engine.h"
 #include "lineage/query_lineage.h"
 #include "lineage/rid_index.h"
 #include "storage/table.h"
@@ -90,6 +91,24 @@ inline std::map<std::string, std::string> GroupedRows(const Table& t,
     rows[k] = v;
   }
   return rows;
+}
+
+/// Linked brushing between two retained results of `engine`:
+/// Lf(Lb(out_rids ⊆ from, relation), to) as one two-hop trace (both hops
+/// deduplicate).
+inline Status TraceAcross(const SmokeEngine& engine, const std::string& from,
+                          const std::vector<rid_t>& out_rids,
+                          const std::string& relation, const std::string& to,
+                          std::vector<rid_t>* linked) {
+  TraceSource src, dst;
+  SMOKE_RETURN_NOT_OK(engine.MakeTraceSource(from, &src));
+  SMOKE_RETURN_NOT_OK(engine.MakeTraceSource(to, &dst));
+  PlanResult pr;
+  SMOKE_RETURN_NOT_OK(TraceBuilder::Backward(std::move(src), relation, out_rids)
+                          .ThenForward(std::move(dst))
+                          .Execute(CaptureOptions::None(), &pr));
+  Table rows;
+  return SplitTraceRows(pr.output, linked, &rows);
 }
 
 }  // namespace testing
