@@ -150,21 +150,38 @@ void Run(const bench::Options& opts) {
     // predicate is pushed into the Trace node (evaluated during the index
     // scan, dropped rows never materialized); off executes the literal
     // Trace → Select plan. Both rows land in the JSON log so CI diffs the
-    // rewriter's effect on the lineage-query path.
+    // rewriter's effect on the lineage-query path. compile_ms_per_query is
+    // TraceBuilder::Compile, kAuto costing included, which must not grow
+    // with the traced group's size.
     TraceSource src;
     src.lineage = &res.lineage;
     src.output = &res.output;
     src.name = "zipf_view";
     const size_t plan_samples = std::min<size_t>(num_groups, 100);
     for (bool optimize : {true, false}) {
-      std::vector<LineageQuery> queries(plan_samples);
-      for (size_t i = 0; i < plan_samples; ++i) {
-        rid_t g = static_cast<rid_t>(i * (num_groups / plan_samples));
+      auto compile = [&](rid_t g, LineageQuery* q) {
         TraceBuilder tb = TraceBuilder::Backward(src, "zipf", {g});
         tb.Filter(Predicate::Double(zipf_table::kV, CmpOp::kGt, 50.0));
         tb.Optimize(optimize);
-        SMOKE_CHECK(tb.Compile(&queries[i]).ok());
+        SMOKE_CHECK(tb.Compile(q).ok());
+      };
+      std::vector<LineageQuery> queries(plan_samples);
+      timer.Start();
+      for (size_t i = 0; i < plan_samples; ++i) {
+        compile(static_cast<rid_t>(i * (num_groups / plan_samples)),
+                &queries[i]);
       }
+      const double compile_mean =
+          timer.ElapsedMs() / static_cast<double>(plan_samples);
+      // The samples stride over the groups, so at high skew their mean
+      // hides the one huge group; time its compile on its own too.
+      constexpr int kLargestCompiles = 20;
+      timer.Start();
+      for (int i = 0; i < kLargestCompiles; ++i) {
+        LineageQuery q;
+        compile(static_cast<rid_t>(largest), &q);
+      }
+      const double compile_largest = timer.ElapsedMs() / kLargestCompiles;
       timer.Start();
       for (const LineageQuery& q : queries) {
         PlanResult pr;
@@ -177,7 +194,31 @@ void Run(const bench::Options& opts) {
                  "theta=" + bench::F(theta) +
                      ",mode=Smoke-L-plan,optimizer=" +
                      (optimize ? "on" : "off") +
-                     ",mean_ms_per_query=" + bench::F(plan_mean));
+                     ",mean_ms_per_query=" + bench::F(plan_mean) +
+                     ",compile_ms_per_query=" + bench::F(compile_mean) +
+                     ",largest_group_compile_ms=" +
+                     bench::F(compile_largest));
+      if (!optimize) continue;
+
+      // The same traces with their own lineage captured (Execute under
+      // Inject), as a retained trace result keeps it. The traced rids are
+      // duplicate-free, so the forward half is a 1:1 array over the
+      // endpoint. lineage_bytes is the mean per result.
+      double captured_ms = 0;
+      size_t captured_bytes = 0;
+      for (const LineageQuery& q : queries) {
+        PlanResult pr;
+        timer.Start();
+        SMOKE_CHECK(q.Execute(CaptureOptions::Inject(), &pr).ok());
+        captured_ms += timer.ElapsedMs();
+        captured_bytes += pr.lineage.MemoryBytes();
+      }
+      bench::Row("fig09",
+                 "theta=" + bench::F(theta) +
+                     ",mode=Smoke-L-captured,mean_ms_per_query=" +
+                     bench::F(captured_ms / static_cast<double>(plan_samples)) +
+                     ",lineage_bytes=" +
+                     std::to_string(captured_bytes / plan_samples));
     }
     (void)sink;
   }

@@ -70,17 +70,14 @@ inline Status LineageOnT(const PlanResult& pr, const TableLineage** out) {
   return Status::OK();
 }
 
-/// Runs SELECT keys, COUNT(*) FROM T GROUP BY keys as one plan, topped by
-/// GROUP BY keys[0] with COUNT(*) AS nb when `count_over_first` (Q_cd). The
-/// inner COUNT is never read: it keeps the group-by off the kernel's
-/// zero-aggregate path, which indexes an empty aggregate-state vector.
+/// Runs SELECT keys FROM T GROUP BY keys as one plan, topped by
+/// GROUP BY keys[0] with COUNT(*) AS nb when `count_over_first` (Q_cd).
 inline Status RunGroupBy(const Table& table, std::vector<int> keys,
                          bool count_over_first, const CaptureOptions& opts,
                          PlanResult* out) {
   PlanBuilder b;
   GroupBySpec spec;
   spec.keys = std::move(keys);
-  spec.aggs = {AggSpec::Count("n")};
   int root = b.GroupBy(b.Scan(&table, "T"), std::move(spec));
   if (count_over_first) {
     GroupBySpec per_a;
@@ -202,11 +199,9 @@ inline Status ProfileMetanomeUG(const Table& table, const FdSpec& fd,
   PhysMemWriter writer(/*backward=*/true, /*forward=*/false);
   CaptureOptions phys = CaptureOptions::Mode(CaptureMode::kPhysMem);
   phys.writer = &writer;
-  GroupBySpec by_a, by_b;  // COUNT(*) as in RunGroupBy
+  GroupBySpec by_a, by_b;
   by_a.keys = {0};
-  by_a.aggs = {AggSpec::Count("n")};
   by_b.keys = {1};
-  by_b.aggs = {AggSpec::Count("n")};
   GroupByResult qa = GroupByExec(strs, "T", by_a, phys);
   GroupByResult qb = GroupByExec(strs, "T", by_b,
                                  fd_internal::InjectOnly(/*backward=*/false));

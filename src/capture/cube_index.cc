@@ -40,7 +40,7 @@ void CubeIndex::Update(uint32_t g, rid_t rid) {
     cell = it->second;
     if (inserted) {
       states_[g].resize(states_[g].size() + stride_);
-      layout_.Init(&states_[g][cell * stride_]);
+      layout_.Init(states_[g].data() + cell * stride_);
       cell_first_rid_[g].push_back(rid);
     }
   } else {
@@ -50,11 +50,11 @@ void CubeIndex::Update(uint32_t g, rid_t rid) {
     cell = it->second;
     if (inserted) {
       states_[g].resize(states_[g].size() + stride_);
-      layout_.Init(&states_[g][cell * stride_]);
+      layout_.Init(states_[g].data() + cell * stride_);
       cell_first_rid_[g].push_back(rid);
     }
   }
-  layout_.Update(&states_[g][cell * stride_], rid);
+  layout_.Update(states_[g].data() + cell * stride_, rid);
 }
 
 Table CubeIndex::GroupTable(uint32_t g) const {
@@ -77,7 +77,7 @@ Table CubeIndex::GroupTable(uint32_t g) const {
       out.mutable_column(k).AppendFrom(
           fact_->column(static_cast<size_t>(sub_cols_[k])), firsts[cell]);
     }
-    layout_.Finalize(&states_[g][cell * stride_], &agg_cols);
+    layout_.Finalize(states_[g].data() + cell * stride_, &agg_cols);
   }
   return out;
 }

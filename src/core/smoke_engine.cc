@@ -1,5 +1,6 @@
 #include "core/smoke_engine.h"
 
+#include "lineage/compose.h"
 #include "query/lazy.h"
 #include "query/lineage_query.h"
 #include "shard/coordinator.h"
@@ -418,11 +419,7 @@ Status SmokeEngine::TraceBackward(const std::string& query_name,
     pr.output_cardinality = rids.size();
     TableLineage& tl = pr.lineage.AddInput(relation, fact);
     tl.backward = LineageIndex::FromArray(RidArray(rids));
-    RidIndex fw(fact->num_rows());
-    for (size_t i = 0; i < rids.size(); ++i) {
-      fw.Append(rids[i], static_cast<rid_t>(i));
-    }
-    tl.forward = LineageIndex::FromIndex(std::move(fw));
+    tl.forward = InvertTraceRids(rids, fact->num_rows());
     pr.lineage.set_output_cardinality(rids.size());
     out->plan = std::move(pr);
     return Status::OK();

@@ -60,7 +60,7 @@ struct GroupByInternals {
           NewGroup(h, stride, r);
           on_new(slot, r);
         }
-        h->layout_.Update(&h->agg_state_[slot * stride], r);
+        h->layout_.Update(h->agg_state_.data() + slot * stride, r);
         ++h->counts_[slot];
         on_row(slot, r);
       }
@@ -74,7 +74,7 @@ struct GroupByInternals {
           NewGroup(h, stride, r);
           on_new(slot, r);
         }
-        h->layout_.Update(&h->agg_state_[slot * stride], r);
+        h->layout_.Update(h->agg_state_.data() + slot * stride, r);
         ++h->counts_[slot];
         on_row(slot, r);
       }
@@ -83,7 +83,7 @@ struct GroupByInternals {
 
   static void NewGroup(GroupByHandle* h, size_t stride, rid_t r) {
     h->agg_state_.resize(h->agg_state_.size() + stride);
-    h->layout_.Init(&h->agg_state_[h->agg_state_.size() - stride]);
+    h->layout_.Init(h->agg_state_.data() + h->agg_state_.size() - stride);
     h->first_rid_.push_back(r);
     h->counts_.push_back(0);
   }
@@ -136,7 +136,7 @@ struct GroupByInternals {
   }
 
   static double* MutableAggState(GroupByHandle* h, uint32_t slot) {
-    return &h->agg_state_[slot * h->layout_.stride()];
+    return h->agg_state_.data() + slot * h->layout_.stride();
   }
   static void ReinitAggState(GroupByHandle* h, uint32_t slot) {
     h->layout_.Init(MutableAggState(h, slot));
@@ -195,7 +195,7 @@ void EmitGroupByOutput(GroupByResult* result, const Table& input,
           input.column(static_cast<size_t>(spec.keys[k])),
           GroupByInternals::FirstRid(h, g));
     }
-    h->layout().Finalize(&state[g * stride], &agg_cols);
+    h->layout().Finalize(state.data() + g * stride, &agg_cols);
   }
 }
 
@@ -272,12 +272,12 @@ GroupByResult GroupByExecParallel(const Table& input,
       }
       if (created) {
         part.agg_state.resize(part.agg_state.size() + stride);
-        layout.Init(&part.agg_state[part.agg_state.size() - stride]);
+        layout.Init(part.agg_state.data() + part.agg_state.size() - stride);
         part.first_rid.push_back(r);
         part.counts.push_back(0);
         if (want_b) part.i_rids.emplace_back();
       }
-      layout.Update(&part.agg_state[slot * stride], r);
+      layout.Update(part.agg_state.data() + slot * stride, r);
       ++part.counts[slot];
       if (want_b) part.i_rids[slot].PushBack(r);
       if (want_f) part.local_fw[r - span.begin] = slot;
@@ -320,7 +320,8 @@ GroupByResult GroupByExecParallel(const Table& input,
         g_counts.push_back(part.counts[ls]);
         if (want_b) g_lists.push_back(std::move(part.i_rids[ls]));
       } else {
-        layout.Merge(&g_agg[slot * stride], &part.agg_state[ls * stride]);
+        layout.Merge(g_agg.data() + slot * stride,
+                     part.agg_state.data() + ls * stride);
         g_counts[slot] += part.counts[ls];
         if (want_b) {
           g_lists[slot].PushBackAll(part.i_rids[ls].data(),

@@ -204,7 +204,7 @@ SPJAResult SPJAExecFused(const SPJAQuery& q, const CaptureOptions& opts,
   auto new_group = [&](rid_t r, const rid_t* dim_rids) -> uint32_t {
     uint32_t g = static_cast<uint32_t>(counts.size());
     agg_state.resize(agg_state.size() + stride);
-    layout.Init(&agg_state[g * stride]);
+    layout.Init(agg_state.data() + g * stride);
     counts.push_back(0);
     first_fact.push_back(r);
     for (size_t j = 0; j < nd; ++j) first_dim[j].push_back(dim_rids[j]);
@@ -266,7 +266,7 @@ SPJAResult SPJAExecFused(const SPJAQuery& q, const CaptureOptions& opts,
       rid_t rids[kMaxDims + 1];
       rids[0] = r;
       for (size_t j = 0; j < nd; ++j) rids[1 + j] = dim_rids[j];
-      layout.UpdateMulti(&agg_state[g * stride], rids);
+      layout.UpdateMulti(agg_state.data() + g * stride, rids);
       ++counts[g];
       if (want_bw) {
         const bool pass_sel = !use_sel || sel_push.Eval(r);
@@ -295,7 +295,7 @@ SPJAResult SPJAExecFused(const SPJAQuery& q, const CaptureOptions& opts,
       rid_t rids[kMaxDims + 1];
       rids[0] = r;
       for (size_t j = 0; j < nd; ++j) rids[1 + j] = dim_rids[j];
-      layout.UpdateMulti(&agg_state[g * stride], rids);
+      layout.UpdateMulti(agg_state.data() + g * stride, rids);
       ++counts[g];
     });
   }
@@ -334,7 +334,7 @@ SPJAResult SPJAExecFused(const SPJAQuery& q, const CaptureOptions& opts,
         result.output.mutable_column(k).AppendFrom(
             t->column(static_cast<size_t>(ref.col)), rep);
       }
-      layout.Finalize(&agg_state[g * stride], &agg_cols);
+      layout.Finalize(agg_state.data() + g * stride, &agg_cols);
     }
   }
   result.output_cardinality = num_groups;

@@ -123,6 +123,24 @@ void MergeForwardInto(LineageIndex* dst, LineageIndex src) {
   *dst = LineageIndex::FromIndex(std::move(merged));
 }
 
+LineageIndex InvertTraceRids(const std::vector<rid_t>& rids,
+                             size_t num_rows) {
+  RidArray fw(num_rows, kInvalidRid);
+  for (size_t i = 0; i < rids.size(); ++i) {
+    SMOKE_DCHECK(rids[i] < num_rows);
+    if (fw[rids[i]] != kInvalidRid) {
+      // A repeated rid reaches several outputs: 1:N.
+      RidIndex idx(num_rows);
+      for (size_t j = 0; j < rids.size(); ++j) {
+        idx.Append(rids[j], static_cast<rid_t>(j));
+      }
+      return LineageIndex::FromIndex(std::move(idx));
+    }
+    fw[rids[i]] = static_cast<rid_t>(i);
+  }
+  return LineageIndex::FromArray(std::move(fw));
+}
+
 LineageIndex IdentityIndex(size_t n) {
   RidArray ids(n);
   for (size_t i = 0; i < n; ++i) ids[i] = static_cast<rid_t>(i);

@@ -14,6 +14,8 @@
 #ifndef SMOKE_LINEAGE_COMPOSE_H_
 #define SMOKE_LINEAGE_COMPOSE_H_
 
+#include <vector>
+
 #include "lineage/rid_index.h"
 
 namespace smoke {
@@ -42,6 +44,14 @@ void MergeBackwardInto(LineageIndex* dst, LineageIndex src);
 /// Set-unions `src` into `dst` (forward semantics: edges are deduplicated,
 /// lists kept sorted).
 void MergeForwardInto(LineageIndex* dst, LineageIndex src);
+
+/// The forward index of a trace whose output position i is input rid
+/// rids[i] (the inverse of its 1:1 backward array), over `num_rows` input
+/// positions. Duplicate-free rids give a 1:1 RidArray — 4 B per input row,
+/// kInvalidRid where nothing was traced; a repeated rid (a dedup=false
+/// trace through join witnesses) gives a RidIndex. Every rid must already
+/// be validated against `num_rows`.
+LineageIndex InvertTraceRids(const std::vector<rid_t>& rids, size_t num_rows);
 
 /// The identity 1:1 index over `n` positions (position i maps to i). Used to
 /// materialize the lineage of pure pipelined operators (projection) when a

@@ -64,6 +64,14 @@ class PartitionedRidIndex {
 
   bool frozen() const { return frozen_; }
 
+  /// Number of rids in partition (output, code), on either tier — O(1)
+  /// raw, a scan of the partition's encoded words when frozen.
+  size_t PartitionSize(size_t output, uint32_t code) const {
+    SMOKE_DCHECK(code < num_codes_);
+    const size_t i = output * num_codes_ + code;
+    return frozen_ ? encoded_.ListSize(i) : parts_[i].size();
+  }
+
   /// (Re-)encodes every partition under `policy` into the compressed flat
   /// arena and drops the raw RidVec tier. Appends are no longer allowed
   /// afterwards. Freezing an already-frozen index decodes and re-encodes

@@ -100,9 +100,9 @@ bool LazyFeasible(const TraceSource& src, const std::string& relation,
 
 namespace {
 
-/// Prices a probe of `index` with `seeds`. Raw 1:N indexes are priced
-/// exactly (list sizes are O(1)); encoded forms use the average posting
-/// length with a decode penalty.
+/// Prices a probe of `index` with `seeds` from the probed lists alone:
+/// the sum of their sizes (O(1) per raw list, a scan of the list's encoded
+/// words per encoded list), never a pass over the whole index.
 StrategyCost CostIndexProbe(const LineageIndex& index,
                             const std::vector<rid_t>& seeds,
                             const TraceSourceStats& stats) {
@@ -112,20 +112,11 @@ StrategyCost CostIndexProbe(const LineageIndex& index,
   switch (index.kind()) {
     case LineageIndex::Kind::kIndex: {
       size_t edges = 0;
-      const RidVec* probed = nullptr;
       for (rid_t s : seeds) {
-        if (s >= n) continue;
-        const RidVec& l = index.index().list(s);
-        edges += l.size();
-        if (probed == nullptr && l.size() > 0) probed = &l;
+        if (s < n) edges += index.index().list(s).size();
       }
       c.cost = static_cast<double>(edges);
-      c.note = "raw postings, exact";
-      if (probed != nullptr) {
-        RidSetStats rs = RidSetStats::Of(probed->data(), probed->size());
-        c.note += ", first list " + std::to_string(rs.count) + " rids/" +
-                  std::to_string(rs.runs) + " runs";
-      }
+      c.note = "raw postings";
       break;
     }
     case LineageIndex::Kind::kArray:
@@ -137,13 +128,12 @@ StrategyCost CostIndexProbe(const LineageIndex& index,
       c.note = "encoded 1:1";
       break;
     case LineageIndex::Kind::kEncodedIndex: {
-      const double avg =
-          n == 0 ? 0.0
-                 : static_cast<double>(index.TotalEdges()) /
-                       static_cast<double>(n);
-      c.cost = static_cast<double>(seeds.size()) * avg * kDecodePenalty;
-      c.note = "encoded postings, avg " +
-               std::to_string(static_cast<long long>(avg)) + " rids/list";
+      size_t edges = 0;
+      for (rid_t s : seeds) {
+        if (s < n) edges += index.encoded_postings().ListSize(s);
+      }
+      c.cost = static_cast<double>(edges) * kDecodePenalty;
+      c.note = "encoded postings";
       break;
     }
     case LineageIndex::Kind::kNone:
@@ -185,12 +175,13 @@ TraceCostReport CostTraceStrategies(const TraceSource& src,
   // ---- skipping: scan one partition per seed ----
   if (ResolveSkipCode(src, relation, filters, &r.skip_code)) {
     const PartitionedRidIndex& pidx = src.artifacts->skip_index;
-    const double parts = static_cast<double>(pidx.num_outputs()) *
-                         static_cast<double>(pidx.num_codes());
-    const double avg =
-        parts == 0 ? 0.0 : static_cast<double>(pidx.TotalEdges()) / parts;
+    const size_t outputs = pidx.num_outputs();
+    size_t edges = 0;
+    for (rid_t s : seeds) {
+      if (s < outputs) edges += pidx.PartitionSize(s, r.skip_code);
+    }
     r.skipping.feasible = true;
-    r.skipping.cost = static_cast<double>(seeds.size()) * avg;
+    r.skipping.cost = static_cast<double>(edges);
     r.skipping.note =
         std::to_string(pidx.num_codes()) + " partitions/output, code " +
         std::to_string(r.skip_code);

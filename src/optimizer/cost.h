@@ -1,13 +1,16 @@
 // Cost-based trace-strategy selection (the kAuto resolution in
 // TraceBuilder::ResolveStrategy).
 //
-// The model prices each physical strategy from the retained query's capture
-// artifacts and store statistics — posting-list cardinalities (RidIndex /
-// RidSetStats), partition fan-out (PartitionedRidIndex), codec and eviction
-// state (LineageStoreStats via TraceSource::stats) — against the seed-set
-// cardinality of the trace at hand, then picks the cheapest *semantically
-// transparent* candidate:
-//  - kIndexed and kSkipping compete on estimated rids touched;
+// The model prices each physical strategy from the probed seeds alone: the
+// size of each seed's posting list (raw or encoded LineageIndex) and of each
+// seed's (seed, code) partition (PartitionedRidIndex::PartitionSize), plus
+// the store's codec and eviction state (TraceSource::stats). Pricing costs
+// O(seeds) list-size lookups — never a pass over a whole index or list
+// contents — and then picks the cheapest *semantically transparent*
+// candidate:
+//  - kIndexed and kSkipping compete on rids touched (encoded lists carry a
+//    decode penalty). A skip partition is a subset of its seed's list, so
+//    skipping wins whenever it is feasible;
 //  - kLazy is the evicted-index fallback only: it changes the compiled
 //    plan's output shape (a relation scan carries no rid column), and a
 //    pruned or push-down-replaced index must error rather than silently
@@ -26,7 +29,7 @@
 
 namespace smoke {
 
-/// One candidate strategy's feasibility and estimated cost (rids touched).
+/// One candidate strategy's feasibility and cost (rids touched).
 struct StrategyCost {
   bool feasible = false;
   double cost = 0;

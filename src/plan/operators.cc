@@ -506,7 +506,7 @@ class TraceOperator : public Operator {
       // Multi-hop: seed from the child trace's rid column; the hop's
       // fragment records which child rows reach each traced output.
       const Table& child = *inputs[0].table;
-      int rid_col = child.ColumnIndex(kTraceRidColumn);
+      int rid_col = TraceRidColumnOf(child);
       if (rid_col < 0) {
         return Status::InvalidArgument(
             "chained trace child carries no rid column");
@@ -543,21 +543,19 @@ class TraceOperator : public Operator {
                      : ForwardRidsChecked(lin, s.relation, s.seeds, s.dedup,
                                           &rids));
       }
+    }
+    // Each stage's rids are validated against its endpoint as soon as they
+    // exist: fragments and every later stage index by them. The literal
+    // chain materializes each intermediate endpoint; keep its bounds check
+    // (and error text).
+    SMOKE_RETURN_NOT_OK(CheckEndpointRids(endpoint, rids));
+    if (!s.seeds_from_child) {
       // Single hop: output row i is child row rids[i].
       if (want_b) stages[0].bw = LineageIndex::FromArray(RidArray(rids));
-      if (want_f) {
-        RidIndex fw(inputs[0].table->num_rows());
-        for (size_t i = 0; i < rids.size(); ++i) {
-          fw.Append(rids[i], static_cast<rid_t>(i));
-        }
-        stages[0].fw = LineageIndex::FromIndex(std::move(fw));
-      }
+      if (want_f) stages[0].fw = InvertTraceRids(rids, endpoint->num_rows());
     }
 
     for (const TraceHopSpec& hop : s.fused_hops) {
-      // The literal chain materializes the previous stage's endpoint
-      // before this hop probes; keep its bounds check (and error text).
-      SMOKE_RETURN_NOT_OK(CheckEndpointRids(endpoint, rids));
       const std::vector<rid_t> seeds_in = std::move(rids);
       rids.clear();
       StageFrag sf;
@@ -567,10 +565,8 @@ class TraceOperator : public Operator {
           want_b, want_f, &rids, &sf));
       stages.push_back(std::move(sf));
       endpoint = hop.endpoint;
+      SMOKE_RETURN_NOT_OK(CheckEndpointRids(endpoint, rids));
     }
-
-    // Every later stage reads endpoint rows: validate the rids once.
-    SMOKE_RETURN_NOT_OK(CheckEndpointRids(endpoint, rids));
 
     if (!s.filters.empty()) {
       // Evaluate against the endpoint rows the literal select would have
@@ -692,6 +688,10 @@ class TraceOperator : public Operator {
       for (rid_t t : targets) {
         uint32_t p;
         if (dedup) {
+          if (t >= universe) {
+            return Status::InvalidArgument("traced rid " + std::to_string(t) +
+                                           " out of range for endpoint");
+          }
           if (pos[t] == UINT32_MAX) {
             pos[t] = static_cast<uint32_t>(rids->size());
             rids->push_back(t);

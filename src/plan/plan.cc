@@ -6,6 +6,13 @@ namespace smoke {
 
 const char kTraceRidColumn[] = "__trace_rid";
 
+int TraceRidColumnOf(const Table& t) {
+  for (size_t c = t.num_columns(); c-- > 0;) {
+    if (t.schema().field(c).name == kTraceRidColumn) return static_cast<int>(c);
+  }
+  return -1;
+}
+
 const char* PlanOpKindName(PlanOpKind k) {
   switch (k) {
     case PlanOpKind::kScan:      return "scan";

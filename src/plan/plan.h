@@ -62,6 +62,11 @@ enum class TraceDirection : uint8_t { kBackward, kForward };
 /// TraceResult::rids.
 extern const char kTraceRidColumn[];
 
+/// Index of the trailing kTraceRidColumn of a trace output, or -1. A trace
+/// over a trace result's rows also carries that result's own rid column,
+/// which comes first.
+int TraceRidColumnOf(const Table& t);
+
 /// \brief One drill-down hop folded into a Trace node by the optimizer's
 /// trace-hop fusion rule (Trace∘Trace collapsed into one node). Hops apply
 /// in order after the node's own trace: the previous hop's traced rids seed

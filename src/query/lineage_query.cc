@@ -5,13 +5,17 @@ namespace smoke {
 namespace {
 
 /// Probes `index` for every rid in `from` (all already validated against
-/// `index.size()`), deduplicating targets over `universe` when asked.
-std::vector<rid_t> Trace(const LineageIndex& index, size_t universe,
-                         const std::vector<rid_t>& from, bool dedup) {
-  std::vector<rid_t> out;
+/// `index.size()`) into `*out`, deduplicating targets over `universe` when
+/// asked. A target outside the universe fails before it is marked, and
+/// leaves `*out` as it was.
+Status Trace(const LineageIndex& index, size_t universe,
+             const std::vector<rid_t>& from, bool dedup,
+             std::vector<rid_t>* out) {
+  std::vector<rid_t> traced;
   if (!dedup) {
-    for (rid_t f : from) index.TraceInto(f, &out);
-    return out;
+    for (rid_t f : from) index.TraceInto(f, &traced);
+    *out = std::move(traced);
+    return Status::OK();
   }
   std::vector<uint8_t> seen(universe, 0);
   std::vector<rid_t> raw;
@@ -19,13 +23,19 @@ std::vector<rid_t> Trace(const LineageIndex& index, size_t universe,
     raw.clear();
     index.TraceInto(f, &raw);
     for (rid_t r : raw) {
+      if (r >= universe) {
+        return Status::InvalidArgument(
+            "traced rid " + std::to_string(r) + " out of range [0, " +
+            std::to_string(universe) + ")");
+      }
       if (!seen[r]) {
         seen[r] = 1;
-        out.push_back(r);
+        traced.push_back(r);
       }
     }
   }
-  return out;
+  *out = std::move(traced);
+  return Status::OK();
 }
 
 Status ValidateRids(const std::vector<rid_t>& rids, size_t universe,
@@ -70,8 +80,7 @@ Status BackwardRidsChecked(const QueryLineage& lineage,
     return Status::InvalidArgument("relation table not available");
   }
   size_t universe = tl.table != nullptr ? tl.table->num_rows() : 0;
-  *out = Trace(tl.backward, universe, out_rids, dedup);
-  return Status::OK();
+  return Trace(tl.backward, universe, out_rids, dedup, out);
 }
 
 Status ForwardRidsChecked(const QueryLineage& lineage,
@@ -95,8 +104,7 @@ Status ForwardRidsChecked(const QueryLineage& lineage,
                                    "' was not captured");
   }
   SMOKE_RETURN_NOT_OK(ValidateRids(in_rids, tl.forward.size(), "input"));
-  *out = Trace(tl.forward, lineage.output_cardinality(), in_rids, dedup);
-  return Status::OK();
+  return Trace(tl.forward, lineage.output_cardinality(), in_rids, dedup, out);
 }
 
 Status MaterializeRowsChecked(const Table& table,

@@ -22,7 +22,7 @@ const char* TraceStrategyName(TraceStrategy s) {
 
 Status SplitTraceRows(const Table& output, std::vector<rid_t>* rids,
                       Table* rows) {
-  int rid_col = output.ColumnIndex(kTraceRidColumn);
+  int rid_col = TraceRidColumnOf(output);
   if (rid_col < 0) {
     return Status::InvalidArgument("trace plan output carries no rid column");
   }

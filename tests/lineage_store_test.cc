@@ -479,6 +479,21 @@ TEST(LineageStoreTest, BudgetEvictionFallsBackToLazyRescan) {
     ASSERT_EQ(mgot.plan.lineage.num_inputs(), 1u);
     EXPECT_TRUE(testing::AreInverse(mgot.plan.lineage.input(0).backward,
                                     mgot.plan.lineage.input(0).forward));
+    // Distinct groups trace disjoint rids: the forward half is 1:1. A seed
+    // traced twice without dedup repeats its rids: 1:N.
+    EXPECT_EQ(mgot.plan.lineage.input(0).forward.kind(),
+              LineageIndex::Kind::kArray);
+    TraceResult one, dup;
+    ASSERT_TRUE(budgeted.TraceBackward(name, "zipf", {1}, &one).ok());
+    ASSERT_TRUE(budgeted
+                    .TraceBackward(name, "zipf", {1, 1}, &dup,
+                                   /*dedup=*/false)
+                    .ok());
+    ASSERT_EQ(dup.rids.size(), 2 * one.rids.size());
+    EXPECT_EQ(dup.plan.lineage.input(0).forward.kind(),
+              LineageIndex::Kind::kIndex);
+    EXPECT_TRUE(testing::AreInverse(dup.plan.lineage.input(0).backward,
+                                    dup.plan.lineage.input(0).forward));
 
     TraceResult rwant, rgot;
     ASSERT_TRUE(unbounded.TraceBackward(name, "zipf", {1}, &rwant).ok());

@@ -13,7 +13,9 @@
 
 #include "engine/spja.h"
 #include "lineage/store/lineage_store.h"
+#include "optimizer/cost.h"
 #include "plan/executor.h"
+#include "query/lineage_query.h"
 #include "query/trace_builder.h"
 #include "test_util.h"
 #include "workloads/tpch.h"
@@ -519,6 +521,73 @@ TEST_F(OptimizerTraceTest, AutoFallsBackToIndexedWhenSkipIndexNotResident) {
   EXPECT_EQ(q.strategy(), TraceStrategy::kIndexed);
   EXPECT_NE(q.explain().strategy_detail.find("skipping: infeasible"),
             std::string::npos);
+}
+
+// The cost model prices each strategy from the probed seeds alone: raw
+// postings at their list sizes, encoded postings at their list sizes times
+// the decode penalty, skipping at the size of each seed's partition.
+TEST_F(OptimizerTraceTest, CostTraceStrategiesPricesTheProbedSeedsExactly) {
+  const std::vector<rid_t> seeds = {0, 2};
+  ASSERT_GT(base_->output.num_rows(), 2u);
+  const auto& mode = db_->lineitem.column(tpch::kLShipmode).strings();
+  const auto& instr = db_->lineitem.column(tpch::kLShipinstruct).strings();
+  size_t rows = 0, mail_none = 0;
+  for (rid_t seed : seeds) {
+    std::vector<rid_t> rids;
+    ASSERT_TRUE(
+        BackwardRidsChecked(base_->lineage, "lineitem", {seed}, false, &rids)
+            .ok());
+    rows += rids.size();
+    for (rid_t r : rids) {
+      mail_none += mode[r] == "MAIL" && instr[r] == "NONE";
+    }
+  }
+  ASSERT_GT(mail_none, 0u);
+
+  // Raw postings.
+  const int li = base_->lineage.FindInput("lineitem");
+  ASSERT_GE(li, 0);
+  ASSERT_EQ(base_->lineage.input(static_cast<size_t>(li)).backward.kind(),
+            LineageIndex::Kind::kIndex);
+  TraceCostReport raw =
+      CostTraceStrategies(BaseSource(), "lineitem", seeds, {});
+  ASSERT_TRUE(raw.indexed.feasible);
+  EXPECT_EQ(raw.indexed.cost, static_cast<double>(rows));
+  EXPECT_EQ(raw.chosen, TraceStrategy::kIndexed);
+
+  // Adaptive-encoded postings.
+  SPJAResult encoded = SPJAExec(*q1_, CaptureOptions::Inject());
+  EncodeQueryLineage(&encoded.lineage, LineageCodec::kAdaptive);
+  ASSERT_EQ(encoded.lineage.input(static_cast<size_t>(li)).backward.kind(),
+            LineageIndex::Kind::kEncodedIndex);
+  TraceCostReport enc = CostTraceStrategies(
+      TraceSource::FromPlan(encoded, "q1enc"), "lineitem", seeds, {});
+  ASSERT_TRUE(enc.indexed.feasible);
+  EXPECT_DOUBLE_EQ(enc.indexed.cost, 1.25 * static_cast<double>(rows));
+  EXPECT_EQ(enc.chosen, TraceStrategy::kIndexed);
+
+  // Skip-partitioned, on the raw tier and frozen.
+  const std::vector<Predicate> filters = {
+      Predicate::Str(tpch::kLShipmode, CmpOp::kEq, "MAIL"),
+      Predicate::Str(tpch::kLShipinstruct, CmpOp::kEq, "NONE")};
+  for (bool frozen : {false, true}) {
+    SCOPED_TRACE(frozen ? "frozen" : "raw");
+    SPJAPushdown push;
+    push.skip_cols = {tpch::kLShipmode, tpch::kLShipinstruct};
+    SPJAResult skip = SPJAExec(*q1_, CaptureOptions::Inject(), &push);
+    if (frozen) skip.skip_index.Freeze(LineageCodec::kAdaptive);
+    TraceCostReport r = CostTraceStrategies(
+        TraceSource::FromPlan(skip, "q1skip"), "lineitem", seeds, filters);
+    ASSERT_TRUE(r.skipping.feasible);
+    EXPECT_EQ(r.skipping.cost, static_cast<double>(mail_none));
+    EXPECT_EQ(r.chosen, TraceStrategy::kSkipping);
+  }
+
+  // Out-of-range seeds touch nothing.
+  const rid_t past = static_cast<rid_t>(base_->output.num_rows());
+  EXPECT_EQ(CostTraceStrategies(BaseSource(), "lineitem", {past}, {})
+                .indexed.cost,
+            0.0);
 }
 
 TEST_F(OptimizerTraceTest, AutoPicksLazyOnEvictedSource) {

@@ -266,5 +266,29 @@ TEST(SpjaMicroTest, NoDimsMatchesGroupByExec) {
             Edges(gb.lineage.input(0).backward));
 }
 
+// A block without aggregates (zero-width aggregate state) groups the same
+// rows as the group-by kernel, with capture on and off.
+TEST(SpjaMicroTest, ZeroAggregatesMatchGroupByExec) {
+  Table t = MakeZipfTable(2000, 16, 1.0);
+  SPJAQuery q;
+  q.fact = &t;
+  q.fact_name = "zipf";
+  q.group_by = {ColRef::Fact(zipf_table::kZ)};
+  GroupBySpec spec;
+  spec.keys = {zipf_table::kZ};
+  for (bool capture : {false, true}) {
+    const CaptureOptions opts =
+        capture ? CaptureOptions::Inject() : CaptureOptions::None();
+    auto res = SPJAExec(q, opts);
+    auto gb = GroupByExec(t, "zipf", spec, opts);
+    ASSERT_EQ(res.output.num_columns(), 1u);
+    EXPECT_EQ(res.output.column(0).ints(), gb.output.column(0).ints());
+    if (capture) {
+      EXPECT_EQ(Edges(res.lineage.input(0).backward),
+                Edges(gb.lineage.input(0).backward));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace smoke

@@ -11,6 +11,7 @@
 
 #include "core/smoke_engine.h"
 #include "query/lineage_query.h"
+#include "storage/dictionary.h"
 #include "test_util.h"
 #include "workloads/ontime.h"
 #include "workloads/tpch.h"
@@ -779,6 +780,160 @@ TEST(LineageBoundsTest, CheckedQueriesRejectOutOfRangeRids) {
   EXPECT_FALSE(TraceBuilder::Backward(TraceSource::FromPlan(base), "t", {99})
                    .Execute(CaptureOptions::Inject(), &pr)
                    .ok());
+}
+
+// Lineage that names a rid outside its relation (corrupt or hand-built)
+// fails the trace with InvalidArgument under every capture mode, dedup
+// setting and strategy — before anything indexes by that rid, including the
+// captured trace's forward fragment.
+TEST(LineageBoundsTest, OutOfRangeLineageRidIsAStatusUnderCapture) {
+  Schema s;
+  s.AddField("k", DataType::kInt64);
+  Table t(s);
+  for (int64_t i = 0; i < 3; ++i) t.AppendRow({i});
+  PlanResult src;
+  src.output = Table(s);
+  src.output.AppendRow({int64_t{0}});
+  TableLineage& tl = src.lineage.AddInput("t", &t);
+  RidIndex bw(1);
+  bw.Append(0, 1);
+  bw.Append(0, 100000);
+  tl.backward = LineageIndex::FromIndex(std::move(bw));
+  src.lineage.set_output_cardinality(1);
+  // A skip index over k with the same bad rid in the k = 1 partition.
+  src.skip_dict = BuildDictionary(t, {0});
+  src.applied_pushdown.skip_cols = {0};
+  src.skip_index.Reset(1, src.skip_dict.num_codes);
+  const uint32_t code = src.skip_dict.CodeForString("1");
+  ASSERT_NE(code, UINT32_MAX);
+  src.skip_index.Append(0, code, 1);
+  src.skip_index.Append(0, code, 100000);
+
+  for (const CaptureOptions& opts :
+       {CaptureOptions::None(), CaptureOptions::Inject()}) {
+    SCOPED_TRACE(opts.mode == CaptureMode::kNone ? "none" : "inject");
+    for (bool dedup : {false, true}) {
+      PlanResult pr;
+      const Status st =
+          TraceBuilder::Backward(TraceSource::FromPlan(src), "t", {0})
+              .Strategy(TraceStrategy::kIndexed)
+              .Dedup(dedup)
+              .Execute(opts, &pr);
+      EXPECT_EQ(st.code(), Status::Code::kInvalidArgument) << st.ToString();
+    }
+    PlanResult pr;
+    TraceBuilder skip =
+        TraceBuilder::Backward(TraceSource::FromPlan(src), "t", {0});
+    skip.Filter(Predicate::Int(0, CmpOp::kEq, 1))
+        .Strategy(TraceStrategy::kSkipping);
+    const Status st = skip.Execute(opts, &pr);
+    EXPECT_EQ(st.code(), Status::Code::kInvalidArgument) << st.ToString();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The captured trace's forward fragment: 1:1 (a RidArray) when the traced
+// rids are duplicate-free, 1:N (a RidIndex) when a rid repeats. Both forms
+// answer forward traces and ThenForward chains like a brute-force scan.
+// ---------------------------------------------------------------------------
+
+TEST(TraceFragmentTest, ForwardFragmentIsOneToOneUnlessARidRepeats) {
+  Schema fs;
+  fs.AddField("id", DataType::kInt64);
+  fs.AddField("k", DataType::kInt64);
+  fs.AddField("b", DataType::kInt64);
+  Table fact(fs);
+  for (int64_t i = 0; i < 300; ++i) fact.AppendRow({i, (i * 7) % 6, i % 5});
+  Schema ds;
+  ds.AddField("d_k", DataType::kInt64);
+  ds.AddField("d_c", DataType::kInt64);
+  Table dim(ds);
+  for (int64_t k = 0; k < 6; ++k) {
+    dim.AppendRow({k, int64_t{0}});
+    dim.AppendRow({k, int64_t{1}});
+  }
+
+  // by_k: dim ⋈ fact on d_k = k, GROUP BY k — every fact row joins two dim
+  // rows, so a non-deduplicating backward trace repeats each rid.
+  PlanResult by_k;
+  {
+    PlanBuilder b;
+    JoinSpec join;
+    join.left_key_name = "d_k";
+    join.right_key_name = "k";
+    int node = b.HashJoin(b.Scan(&dim, "dim"), b.Scan(&fact, "fact"), join);
+    GroupBySpec spec;
+    spec.key_names = {"k"};
+    spec.aggs = {AggSpec::Count("n")};
+    LogicalPlan plan;
+    ASSERT_TRUE(b.Build(b.GroupBy(node, spec), &plan).ok());
+    ASSERT_TRUE(ExecutePlan(plan, CaptureOptions::Inject(), &by_k).ok());
+  }
+  // by_b: fact GROUP BY b, the source of the forward probes.
+  PlanResult by_b;
+  {
+    PlanBuilder b;
+    GroupBySpec spec;
+    spec.key_names = {"b"};
+    spec.aggs = {AggSpec::Count("n")};
+    LogicalPlan plan;
+    ASSERT_TRUE(b.Build(b.GroupBy(b.Scan(&fact, "fact"), spec), &plan).ok());
+    ASSERT_TRUE(ExecutePlan(plan, CaptureOptions::Inject(), &by_b).ok());
+  }
+  const auto& fact_b = fact.column(2).ints();
+
+  for (bool dedup : {true, false}) {
+    SCOPED_TRACE(dedup ? "dedup" : "witnesses");
+    PlanResult tr;
+    ASSERT_TRUE(TraceBuilder::Backward(TraceSource::FromPlan(by_k), "fact",
+                                       {0, 2})
+                    .Dedup(dedup)
+                    .Execute(CaptureOptions::Inject(), &tr)
+                    .ok());
+    std::vector<rid_t> rids;
+    Table rows;
+    ASSERT_TRUE(SplitTraceRows(tr.output, &rids, &rows).ok());
+    ASSERT_FALSE(rids.empty());
+    const int fi = tr.lineage.FindInput("fact");
+    ASSERT_GE(fi, 0);
+    const LineageIndex& fw = tr.lineage.input(static_cast<size_t>(fi)).forward;
+    EXPECT_EQ(fw.kind(), dedup ? LineageIndex::Kind::kArray
+                               : LineageIndex::Kind::kIndex);
+    EXPECT_EQ(fw.size(), fact.num_rows());
+    EXPECT_TRUE(testing::AreInverse(
+        tr.lineage.input(static_cast<size_t>(fi)).backward, fw));
+
+    const TraceSource traced = TraceSource::FromPlan(tr, "traced");
+    const auto& b_keys = by_b.output.column(0).ints();
+    for (rid_t j = 0; j < b_keys.size(); ++j) {
+      // Brute force: the trace's output positions whose fact row has b_j.
+      std::vector<rid_t> want;
+      for (rid_t i = 0; i < rids.size(); ++i) {
+        if (fact_b[rids[i]] == b_keys[j]) want.push_back(i);
+      }
+      std::vector<rid_t> probe;
+      for (rid_t r = 0; r < fact.num_rows(); ++r) {
+        if (fact_b[r] == b_keys[j]) probe.push_back(r);
+      }
+      PlanResult fwd;
+      ASSERT_TRUE(TraceBuilder::Forward(traced, "fact", probe)
+                      .Dedup(true)
+                      .Execute(CaptureOptions::None(), &fwd)
+                      .ok());
+      std::vector<rid_t> got;
+      ASSERT_TRUE(SplitTraceRows(fwd.output, &got, &rows).ok());
+      EXPECT_EQ(Sorted(got), want) << "forward from b group " << j;
+
+      PlanResult chain;
+      ASSERT_TRUE(TraceBuilder::Backward(TraceSource::FromPlan(by_b), "fact",
+                                         {j})
+                      .ThenForward(traced)
+                      .Execute(CaptureOptions::None(), &chain)
+                      .ok());
+      ASSERT_TRUE(SplitTraceRows(chain.output, &got, &rows).ok());
+      EXPECT_EQ(Sorted(got), want) << "chain from b group " << j;
+    }
+  }
 }
 
 }  // namespace
