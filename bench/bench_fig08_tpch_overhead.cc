@@ -11,7 +11,9 @@ namespace smoke {
 namespace {
 
 void Run(const bench::Options& opts) {
-  const double sf = opts.scale > 0 ? opts.scale : (opts.full ? 1.0 : 0.1);
+  const double sf = opts.scale > 0
+                        ? opts.scale
+                        : (opts.full ? 1.0 : (opts.smoke ? 0.01 : 0.1));
   bench::Banner("Figure 8",
                 "TPC-H lineage capture relative overhead (Smoke-I vs "
                 "Logic-Idx; Smoke-D included)");
@@ -31,8 +33,11 @@ void Run(const bench::Options& opts) {
     double baseline_ms = 0;
     for (CaptureMode m : {CaptureMode::kNone, CaptureMode::kInject,
                           CaptureMode::kDefer, CaptureMode::kLogicIdx}) {
-      RunStats s = bench::Measure(
-          opts, [&] { SPJAExec(nq.query, CaptureOptions::Mode(m)); });
+      size_t lineage_bytes = 0;  // the retained indexes of the last run
+      RunStats s = bench::Measure(opts, [&] {
+        lineage_bytes =
+            SPJAExec(nq.query, CaptureOptions::Mode(m)).lineage.MemoryBytes();
+      });
       if (m == CaptureMode::kNone) baseline_ms = s.mean_ms;
       double overhead_pct =
           baseline_ms > 0 ? 100.0 * (s.mean_ms - baseline_ms) / baseline_ms
@@ -40,7 +45,8 @@ void Run(const bench::Options& opts) {
       bench::Row("fig08", std::string("query=") + nq.name + ",mode=" +
                               CaptureModeName(m) + ",ms=" +
                               bench::F(s.mean_ms) + ",overhead_pct=" +
-                              bench::F(overhead_pct));
+                              bench::F(overhead_pct) + ",lineage_bytes=" +
+                              std::to_string(lineage_bytes));
     }
   }
 }

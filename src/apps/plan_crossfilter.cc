@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <utility>
 
 #include "query/lineage_query.h"
@@ -58,12 +57,12 @@ const PlanCrossfilter::View* PlanCrossfilter::Find(
 
 namespace {
 
-/// Forward-counts `bar` (relation rows, largest `max_rid`) into target
+/// Forward-counts `bar` (n relation rows, largest `max_rid`) into target
 /// `to`: every forward edge bumps the counter of the target row it
 /// reaches, and a row joins `out->rids` when its counter first leaves zero
 /// (first-seen order).
 Status CountLinked(const PlanResult& to, const std::string& relation,
-                   const std::vector<rid_t>& bar, rid_t max_rid,
+                   const rid_t* bar, size_t n, rid_t max_rid,
                    LinkedBrush* out) {
   int idx = to.lineage.FindInput(relation);
   if (idx < 0) {
@@ -77,7 +76,7 @@ Status CountLinked(const PlanResult& to, const std::string& relation,
         (to.lineage.evicted() ? "evicted under the lineage memory budget"
                               : "not captured"));
   }
-  if (!bar.empty() && max_rid >= fw.size()) {
+  if (n > 0 && max_rid >= fw.size()) {
     return Status::InvalidArgument("chained trace seed rid " +
                                    std::to_string(max_rid) + " out of range");
   }
@@ -89,14 +88,22 @@ Status CountLinked(const PlanResult& to, const std::string& relation,
   rids.resize(num_rows);
   size_t linked = 0;
   rid_t bad = kInvalidRid;
-  for (rid_t b : bar) {
-    fw.ForEachRelated(b, [&](rid_t t) {
-      if (t >= num_rows) {
-        bad = t;
-      } else if (count[t]++ == 0) {
-        rids[linked++] = t;
-      }
-    });
+  auto visit = [&](rid_t t) {
+    if (t >= num_rows) {
+      bad = t;
+    } else if (count[t]++ == 0) {
+      rids[linked++] = t;
+    }
+  };
+  if (fw.kind() == LineageIndex::Kind::kArray) {
+    // A histogram's raw 1:1 forward: one load per relation row.
+    const rid_t* to_row = fw.array().data();
+    for (size_t i = 0; i < n; ++i) {
+      const rid_t t = to_row[bar[i]];
+      if (t != kInvalidRid) visit(t);
+    }
+  } else {
+    for (size_t i = 0; i < n; ++i) fw.ForEachRelated(bar[i], visit);
   }
   if (bad != kInvalidRid) {
     return Status::InvalidArgument("traced rid " + std::to_string(bad) +
@@ -115,30 +122,51 @@ Status BrushLinkedPlans(const PlanResult& from, rid_t out_rid,
                         const std::vector<BrushTarget>& targets,
                         std::map<std::string, LinkedBrush>* out) {
   out->clear();
-  // The brushed row's relation rows, traced once for every target.
-  std::vector<rid_t> bar;
-  SMOKE_RETURN_NOT_OK(BackwardRidsChecked(from.lineage, relation, {out_rid},
-                                          /*dedup=*/false, &bar));
-  const rid_t max_rid =
-      bar.empty() ? 0 : *std::max_element(bar.begin(), bar.end());
+  // The brushed row's relation rows, traced once for every target: read in
+  // place from a raw posting list, else copied out by the checked trace
+  // (which also reports every missing-index and range error).
+  const int idx = from.lineage.FindInput(relation);
+  const LineageIndex* bw =
+      idx >= 0 ? &from.lineage.input(static_cast<size_t>(idx)).backward
+               : nullptr;
+  std::vector<rid_t> copy;
+  const rid_t* bar = nullptr;
+  size_t n = 0;
+  if (bw != nullptr && bw->kind() == LineageIndex::Kind::kIndex &&
+      out_rid < bw->size()) {
+    const RidVec& list = bw->index().list(out_rid);
+    bar = list.data();
+    n = list.size();
+  } else {
+    SMOKE_RETURN_NOT_OK(BackwardRidsChecked(from.lineage, relation, {out_rid},
+                                            /*dedup=*/false, &copy));
+    bar = copy.data();
+    n = copy.size();
+  }
   // A strictly ascending list (a group-by's input order) holds no
-  // duplicates; any other is deduplicated in place, in first-seen order.
-  if (std::adjacent_find(bar.begin(), bar.end(),
-                         std::greater_equal<rid_t>()) != bar.end()) {
+  // duplicates and ends at its largest rid; any other is deduplicated into
+  // a copy, in first-seen order.
+  size_t i = 1;
+  while (i < n && bar[i - 1] < bar[i]) ++i;
+  rid_t max_rid = n == 0 ? 0 : bar[n - 1];
+  if (i < n) {
+    max_rid = *std::max_element(bar, bar + n);
     std::vector<bool> seen(static_cast<size_t>(max_rid) + 1, false);
-    size_t kept = 0;
-    for (rid_t r : bar) {
-      if (!seen[r]) {
-        seen[r] = true;
-        bar[kept++] = r;
+    std::vector<rid_t> unique;
+    for (size_t k = 0; k < n; ++k) {
+      if (!seen[bar[k]]) {
+        seen[bar[k]] = true;
+        unique.push_back(bar[k]);
       }
     }
-    bar.resize(kept);
+    copy = std::move(unique);
+    bar = copy.data();
+    n = copy.size();
   }
   for (const BrushTarget& t : targets) {
     LinkedBrush linked;
     SMOKE_RETURN_NOT_OK(
-        CountLinked(*t.result, relation, bar, max_rid, &linked));
+        CountLinked(*t.result, relation, bar, n, max_rid, &linked));
     (*out)[t.name] = std::move(linked);
   }
   return Status::OK();

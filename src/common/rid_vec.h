@@ -2,6 +2,7 @@
 #ifndef SMOKE_COMMON_RID_VEC_H_
 #define SMOKE_COMMON_RID_VEC_H_
 
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -18,7 +19,9 @@ namespace smoke {
 /// statistics (Smoke-I+TC / +EC) and benches can ablate the growth policy.
 ///
 /// Intentionally minimal: no iterators-invalidation guarantees beyond
-/// vector-like behavior, trivially relocatable payload (rid_t).
+/// vector-like behavior, trivially relocatable payload (rid_t). Size and
+/// capacity are 32-bit like rid_t itself, so one list header is 24 bytes
+/// (a 1:N index holds one per source row).
 class RidVec {
  public:
   static constexpr size_t kInitialCapacity = 10;
@@ -75,7 +78,7 @@ class RidVec {
     if (n == 0) return;
     Reserve(size_ + n);
     std::memcpy(data_ + size_, src, n * sizeof(rid_t));
-    size_ += n;
+    size_ += static_cast<uint32_t>(n);
   }
 
   /// Ensures room for at least `capacity` elements (exact allocation; no
@@ -83,6 +86,20 @@ class RidVec {
   void Reserve(size_t capacity) {
     if (capacity <= capacity_) return;
     Reallocate(capacity);
+  }
+
+  /// Drops growth slack: reallocates to exactly size() (frees an empty
+  /// list's buffer). A list that is already exact is left untouched, so
+  /// its realloc_count() stays what capture made it.
+  void ShrinkToFit() {
+    if (capacity_ == size_) return;
+    if (size_ == 0) {
+      std::free(data_);
+      data_ = nullptr;
+      capacity_ = 0;
+      return;
+    }
+    Reallocate(size_);
   }
 
   void Clear() { size_ = 0; }
@@ -114,23 +131,28 @@ class RidVec {
   void Grow() {
     size_t next = capacity_ == 0
                       ? kInitialCapacity
-                      : capacity_ + (capacity_ >> 1) + 1;  // 1.5x growth
+                      : size_t{capacity_} + (capacity_ >> 1) + 1;  // 1.5x
     Reallocate(next);
   }
 
   void Reallocate(size_t capacity) {
-    data_ = static_cast<rid_t*>(
-        std::realloc(data_, capacity * sizeof(rid_t)));
-    SMOKE_CHECK(data_ != nullptr);
-    capacity_ = capacity;
+    // A list never holds more rids than a 32-bit rid space has values.
+    void* p = capacity <= UINT32_MAX
+                  ? std::realloc(data_, capacity * sizeof(rid_t))
+                  : nullptr;
+    SMOKE_CHECK(p != nullptr);
+    data_ = static_cast<rid_t*>(p);
+    capacity_ = static_cast<uint32_t>(capacity);
     ++realloc_count_;
   }
 
   rid_t* data_ = nullptr;
-  size_t size_ = 0;
-  size_t capacity_ = 0;
+  uint32_t size_ = 0;
+  uint32_t capacity_ = 0;
   uint32_t realloc_count_ = 0;
 };
+
+static_assert(sizeof(RidVec) == 24, "one 1:N list header is 24 bytes");
 
 }  // namespace smoke
 

@@ -12,7 +12,7 @@ namespace smoke {
 
 namespace {
 
-constexpr size_t kMaxDims = 8;
+constexpr size_t kMaxDims = SPJAQuery::kMaxDims;
 
 /// Bound accessor for one dimension's fk source column.
 struct FkRef {
@@ -95,7 +95,9 @@ namespace internal {
 SPJAResult SPJAExecFused(const SPJAQuery& q, const CaptureOptions& opts,
                          const SPJAPushdown* push) {
   SMOKE_CHECK(q.fact != nullptr);
-  SMOKE_CHECK(q.dims.size() <= kMaxDims);
+  // Plan validation (optimizer/schema_infer.cc) rejects more dimensions,
+  // fks that reference a later dimension, and non-int64 pk / fk columns.
+  SMOKE_DCHECK(q.dims.size() <= kMaxDims);
   const Table& fact = *q.fact;
   const size_t n = fact.num_rows();
   const size_t nd = q.dims.size();
@@ -128,7 +130,7 @@ SPJAResult SPJAExecFused(const SPJAQuery& q, const CaptureOptions& opts,
         dim.fk.table == ColRef::kFact
             ? q.fact
             : q.dims[static_cast<size_t>(dim.fk.table)].table;
-    SMOKE_CHECK(dim.fk.table < static_cast<int>(j));  // joined in order
+    SMOKE_DCHECK(dim.fk.table < static_cast<int>(j));  // joined in order
     fks[j].col =
         src_table->column(static_cast<size_t>(dim.fk.col)).ints().data();
     fks[j].src = dim.fk.table;
@@ -171,11 +173,15 @@ SPJAResult SPJAExecFused(const SPJAQuery& q, const CaptureOptions& opts,
 
   std::vector<std::vector<RidVec>> bw(nt);  // [table][group] rid lists
   RidArray fact_fw;
-  std::vector<RidIndex> dim_fw(nd);
+  // Dimension forwards stay 1:1 arrays until a dimension row reaches a
+  // second group (Q3/Q10's orders never do).
+  std::vector<ForwardIndexBuilder> dim_fw(nd);
   if (inject && want_fw) {
     if (want_tbl[0]) fact_fw.assign(n, kInvalidRid);
     for (size_t j = 0; j < nd; ++j) {
-      if (want_tbl[1 + j]) dim_fw[j].Resize(q.dims[j].table->num_rows());
+      if (want_tbl[1 + j]) {
+        dim_fw[j] = ForwardIndexBuilder(q.dims[j].table->num_rows());
+      }
     }
   }
 
@@ -282,8 +288,7 @@ SPJAResult SPJAExecFused(const SPJAQuery& q, const CaptureOptions& opts,
         if (want_tbl[0]) fact_fw[r] = g;
         for (size_t j = 0; j < nd; ++j) {
           if (!want_tbl[1 + j]) continue;
-          RidVec& l = dim_fw[j].list(dim_rids[j]);
-          if (l.empty() || l[l.size() - 1] != g) l.PushBack(g);
+          dim_fw[j].Add(dim_rids[j], g);
         }
       }
       if (use_cube) result.cube.Update(g, r);
@@ -352,7 +357,9 @@ SPJAResult SPJAExecFused(const SPJAQuery& q, const CaptureOptions& opts,
     if (want_fw) {
       if (want_tbl[0]) fact_fw.assign(n, kInvalidRid);
       for (size_t j = 0; j < nd; ++j) {
-        if (want_tbl[1 + j]) dim_fw[j].Resize(q.dims[j].table->num_rows());
+        if (want_tbl[1 + j]) {
+          dim_fw[j] = ForwardIndexBuilder(q.dims[j].table->num_rows());
+        }
       }
     }
     for_each_passing([&](rid_t r, const rid_t* dim_rids) {
@@ -368,8 +375,7 @@ SPJAResult SPJAExecFused(const SPJAQuery& q, const CaptureOptions& opts,
         if (want_tbl[0]) fact_fw[r] = g;
         for (size_t j = 0; j < nd; ++j) {
           if (!want_tbl[1 + j]) continue;
-          RidVec& l = dim_fw[j].list(dim_rids[j]);
-          if (l.empty() || l[l.size() - 1] != g) l.PushBack(g);
+          dim_fw[j].Add(dim_rids[j], g);
         }
       }
     });
@@ -420,7 +426,7 @@ SPJAResult SPJAExecFused(const SPJAQuery& q, const CaptureOptions& opts,
       if (want_fw) {
         fact_fw.assign(n, kInvalidRid);
         for (size_t j = 0; j < nd; ++j) {
-          dim_fw[j].Resize(q.dims[j].table->num_rows());
+          dim_fw[j] = ForwardIndexBuilder(q.dims[j].table->num_rows());
         }
       }
       const size_t rows = annotated.num_rows();
@@ -442,8 +448,7 @@ SPJAResult SPJAExecFused(const SPJAQuery& q, const CaptureOptions& opts,
         if (want_fw) {
           fact_fw[r] = g;
           for (size_t j = 0; j < nd; ++j) {
-            RidVec& l = dim_fw[j].list(dim_rids[j]);
-            if (l.empty() || l[l.size() - 1] != g) l.PushBack(g);
+            dim_fw[j].Add(dim_rids[j], g);
           }
         }
       }
@@ -456,21 +461,19 @@ SPJAResult SPJAExecFused(const SPJAQuery& q, const CaptureOptions& opts,
     TableLineage& lf = result.lineage.AddInput(q.fact_name, q.fact);
     result.lineage.set_output_cardinality(num_groups);
     const bool built = inject || defer || mode == CaptureMode::kLogicIdx;
+    auto backward_of = [&bw](size_t t) {
+      return LineageIndex::FromIndex(RidIndex::FromLists(std::move(bw[t])));
+    };
     if (built && want_tbl[0]) {
-      if (want_bw && !use_skip) {
-        lf.backward = LineageIndex::FromIndex(RidIndex::FromLists(std::move(bw[0])));
-      }
+      if (want_bw && !use_skip) lf.backward = backward_of(0);
       if (want_fw) lf.forward = LineageIndex::FromArray(std::move(fact_fw));
     }
     for (size_t j = 0; j < nd; ++j) {
       TableLineage& ld = result.lineage.AddInput(q.dims[j].name,
                                                  q.dims[j].table);
       if (built && want_tbl[1 + j]) {
-        if (want_bw) {
-          ld.backward =
-              LineageIndex::FromIndex(RidIndex::FromLists(std::move(bw[1 + j])));
-        }
-        if (want_fw) ld.forward = LineageIndex::FromIndex(std::move(dim_fw[j]));
+        if (want_bw) ld.backward = backward_of(1 + j);
+        if (want_fw) ld.forward = dim_fw[j].Finish();
       }
     }
   }

@@ -15,7 +15,8 @@
 // rid list per table, aligned position-by-position (position j of every
 // list is the same join witness — this alignment is what Appendix E uses to
 // recover why-/how-provenance). Forward: the fact side is a 1:1 rid array;
-// dimension sides are rid indexes (consecutive duplicates collapsed).
+// a dimension side is a 1:1 array too unless one of its rows reaches two
+// groups, and then a rid index (consecutive duplicates collapsed).
 #ifndef SMOKE_ENGINE_SPJA_H_
 #define SMOKE_ENGINE_SPJA_H_
 
@@ -62,6 +63,9 @@ struct SPJADim {
 /// src 0 reads fact columns, src 1 + i reads dimension i (TPC-H Q12's CASE
 /// aggregates read o_orderpriority from the orders dimension).
 struct SPJAQuery {
+  /// Most dimensions one block joins (plan validation rejects more).
+  static constexpr size_t kMaxDims = 8;
+
   const Table* fact = nullptr;
   std::string fact_name;
   std::vector<Predicate> fact_filters;

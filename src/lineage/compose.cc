@@ -16,13 +16,14 @@ inline void AppendInner(const LineageIndex& inner, rid_t mid, RidVec* list) {
   inner.ForEachRelated(mid, [list](rid_t r) { list->PushBack(r); });
 }
 
-/// Sorts and deduplicates `scratch` into `list` (forward set semantics).
-inline void SortedUniqueInto(std::vector<rid_t>* scratch, RidVec* list) {
+/// Sorts and deduplicates `scratch` (forward set semantics) and records it
+/// as input `i`'s output list.
+inline void SortedUniqueInto(std::vector<rid_t>* scratch, rid_t i,
+                             ForwardIndexBuilder* out) {
   std::sort(scratch->begin(), scratch->end());
   scratch->erase(std::unique(scratch->begin(), scratch->end()),
                  scratch->end());
-  list->Reserve(scratch->size());
-  for (rid_t r : *scratch) list->PushBack(r);
+  out->SetList(i, scratch->data(), scratch->size());
 }
 
 }  // namespace
@@ -65,16 +66,17 @@ LineageIndex ComposeForward(const LineageIndex& inner,
     return LineageIndex::FromArray(std::move(out));
   }
 
-  RidIndex out(n);
+  // 1:1 unless some input reaches two distinct outputs.
+  ForwardIndexBuilder out(n);
   std::vector<rid_t> scratch;
   for (size_t i = 0; i < n; ++i) {
     scratch.clear();
     inner.ForEachRelated(static_cast<rid_t>(i), [&outer, &scratch](rid_t mid) {
       outer.TraceInto(mid, &scratch);
     });
-    SortedUniqueInto(&scratch, &out.list(i));
+    SortedUniqueInto(&scratch, static_cast<rid_t>(i), &out);
   }
-  return LineageIndex::FromIndex(std::move(out));
+  return out.Finish();
 }
 
 void MergeBackwardInto(LineageIndex* dst, LineageIndex src) {
@@ -112,33 +114,39 @@ void MergeForwardInto(LineageIndex* dst, LineageIndex src) {
   }
   SMOKE_CHECK(dst->size() == src.size());
   const size_t n = dst->size();
-  RidIndex merged(n);
+  ForwardIndexBuilder merged(n);
   std::vector<rid_t> scratch;
   for (size_t i = 0; i < n; ++i) {
     scratch.clear();
     dst->TraceInto(static_cast<rid_t>(i), &scratch);
     src.TraceInto(static_cast<rid_t>(i), &scratch);
-    SortedUniqueInto(&scratch, &merged.list(i));
+    SortedUniqueInto(&scratch, static_cast<rid_t>(i), &merged);
   }
-  *dst = LineageIndex::FromIndex(std::move(merged));
+  *dst = merged.Finish();
 }
 
 LineageIndex InvertTraceRids(const std::vector<rid_t>& rids,
                              size_t num_rows) {
-  RidArray fw(num_rows, kInvalidRid);
+  // Output positions ascend, so a repeated rid's list keeps them in order.
+  ForwardIndexBuilder fw(num_rows);
   for (size_t i = 0; i < rids.size(); ++i) {
     SMOKE_DCHECK(rids[i] < num_rows);
-    if (fw[rids[i]] != kInvalidRid) {
-      // A repeated rid reaches several outputs: 1:N.
-      RidIndex idx(num_rows);
-      for (size_t j = 0; j < rids.size(); ++j) {
-        idx.Append(rids[j], static_cast<rid_t>(j));
-      }
-      return LineageIndex::FromIndex(std::move(idx));
-    }
-    fw[rids[i]] = static_cast<rid_t>(i);
+    fw.Add(rids[i], static_cast<rid_t>(i));
   }
-  return LineageIndex::FromArray(std::move(fw));
+  return fw.Finish();
+}
+
+LineageIndex NarrowForward(LineageIndex forward) {
+  if (forward.kind() != LineageIndex::Kind::kIndex) return forward;
+  const RidIndex& index = forward.index();
+  for (size_t i = 0; i < index.size(); ++i) {
+    if (index.list(i).size() > 1) return forward;
+  }
+  RidArray array(index.size(), kInvalidRid);
+  for (size_t i = 0; i < index.size(); ++i) {
+    if (!index.list(i).empty()) array[i] = index.list(i)[0];
+  }
+  return LineageIndex::FromArray(std::move(array));
 }
 
 LineageIndex IdentityIndex(size_t n) {

@@ -6,6 +6,8 @@
 // Composition is defined over the two physical index forms:
 //   RidArray ∘ RidArray  -> RidArray   (1:1 through 1:1 stays 1:1)
 //   RidArray ∘ RidIndex, RidIndex ∘ RidArray, RidIndex ∘ RidIndex -> RidIndex
+// except that a composed or merged forward index whose deduplicated lists
+// all hold at most one rid is stored as a RidArray (ForwardIndexBuilder).
 //
 // Backward composition preserves duplicates (witness multiplicity — the
 // same property the monolithic SPJA block maintains); forward composition
@@ -31,7 +33,8 @@ LineageIndex ComposeBackward(const LineageIndex& outer,
 /// Composes forward indexes of two adjacent operators.
 /// `inner` maps input positions to intermediate positions; `outer` maps
 /// intermediate positions to final-output positions. The result maps input
-/// positions to final-output positions, deduplicated per input.
+/// positions to final-output positions, deduplicated per input: a RidArray
+/// when no input reaches two outputs, else a RidIndex.
 LineageIndex ComposeForward(const LineageIndex& inner,
                             const LineageIndex& outer);
 
@@ -42,7 +45,7 @@ LineageIndex ComposeForward(const LineageIndex& inner,
 void MergeBackwardInto(LineageIndex* dst, LineageIndex src);
 
 /// Set-unions `src` into `dst` (forward semantics: edges are deduplicated,
-/// lists kept sorted).
+/// lists kept sorted; 1:1 when no input reaches two outputs).
 void MergeForwardInto(LineageIndex* dst, LineageIndex src);
 
 /// The forward index of a trace whose output position i is input rid
@@ -52,6 +55,11 @@ void MergeForwardInto(LineageIndex* dst, LineageIndex src);
 /// trace through join witnesses) gives a RidIndex. Every rid must already
 /// be validated against `num_rows`.
 LineageIndex InvertTraceRids(const std::vector<rid_t>& rids, size_t num_rows);
+
+/// `forward` in the 1:1 form when it is a raw RidIndex whose every list
+/// holds at most one rid (a kernel-built forward that no composition
+/// narrowed, e.g. a join's build side at the plan root); else unchanged.
+LineageIndex NarrowForward(LineageIndex forward);
 
 /// The identity 1:1 index over `n` positions (position i maps to i). Used to
 /// materialize the lineage of pure pipelined operators (projection) when a

@@ -99,17 +99,40 @@ void AppendArrayValue(LineageIndex* idx, rid_t v) {
   }
 }
 
+namespace {
+
+/// Promotes a 1:1 form to its 1:N counterpart in place (kArray -> kIndex,
+/// kEncodedArray -> kEncodedIndex under `codec`; a kInvalidRid entry
+/// becomes an empty list). The 1:N forms are left as they are.
+void PromoteToOneToN(LineageIndex* idx, LineageCodec codec) {
+  if (idx->kind() == LineageIndex::Kind::kArray) {
+    *idx = LineageIndex::FromIndex(PromoteToIndex(idx->array()));
+  } else if (idx->kind() == LineageIndex::Kind::kEncodedArray) {
+    PostingsBuilder b(codec);
+    idx->encoded_array().ForEach([&b](size_t, rid_t r) {
+      b.AddList(&r, r == kInvalidRid ? 0 : 1);
+    });
+    *idx = LineageIndex::FromEncodedPostings(b.Finish());
+  }
+}
+
+}  // namespace
+
 void AppendIndexList(LineageIndex* idx, const rid_t* d, size_t n,
                      LineageCodec codec) {
+  if (idx->IsOneToOne()) {
+    if (n <= 1) {
+      AppendArrayValue(idx, n == 0 ? kInvalidRid : d[0]);
+      return;
+    }
+    PromoteToOneToN(idx, codec);
+  }
   switch (idx->kind()) {
     case LineageIndex::Kind::kIndex: {
       RidIndex& index = idx->mutable_index();
       const size_t i = index.size();
       index.Resize(i + 1);
-      if (n > 0) {
-        index.list(i).Reserve(n);
-        index.list(i).PushBackAll(d, n);
-      }
+      index.list(i).PushBackAll(d, n);
       break;
     }
     case LineageIndex::Kind::kEncodedIndex:
@@ -120,23 +143,15 @@ void AppendIndexList(LineageIndex* idx, const rid_t* d, size_t n,
   }
 }
 
-void AppendEmptyIndexLists(LineageIndex* idx, size_t count,
-                           LineageCodec codec) {
-  switch (idx->kind()) {
-    case LineageIndex::Kind::kIndex:
-      idx->mutable_index().Resize(idx->mutable_index().size() + count);
-      break;
-    case LineageIndex::Kind::kEncodedIndex:
-      for (size_t k = 0; k < count; ++k) {
-        idx->mutable_encoded_postings().AppendNewList(nullptr, 0, codec);
-      }
-      break;
-    default:
-      SMOKE_DCHECK(false);
+void ExtendIndexList(LineageIndex* idx, size_t i, const rid_t* d, size_t n,
+                     LineageCodec codec) {
+  if (n == 0) return;
+  if (idx->kind() == LineageIndex::Kind::kArray && n == 1 &&
+      idx->array()[i] == kInvalidRid) {
+    idx->mutable_array()[i] = d[0];  // the position's first rid
+    return;
   }
-}
-
-void ExtendIndexList(LineageIndex* idx, size_t i, const rid_t* d, size_t n) {
+  PromoteToOneToN(idx, codec);
   switch (idx->kind()) {
     case LineageIndex::Kind::kIndex:
       idx->mutable_index().list(i).PushBackAll(d, n);
@@ -149,7 +164,17 @@ void ExtendIndexList(LineageIndex* idx, size_t i, const rid_t* d, size_t n) {
   }
 }
 
-void InsertSortedIntoIndexList(LineageIndex* idx, size_t i, rid_t v) {
+void InsertSortedIntoIndexList(LineageIndex* idx, size_t i, rid_t v,
+                               LineageCodec codec) {
+  if (idx->IsOneToOne()) {
+    const rid_t cur = idx->ValueAt(static_cast<rid_t>(i));
+    if (cur == v) return;  // already present
+    if (cur == kInvalidRid && idx->kind() == LineageIndex::Kind::kArray) {
+      idx->mutable_array()[i] = v;
+      return;
+    }
+    PromoteToOneToN(idx, codec);
+  }
   switch (idx->kind()) {
     case LineageIndex::Kind::kIndex: {
       RidVec& list = idx->mutable_index().list(i);

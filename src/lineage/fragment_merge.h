@@ -62,26 +62,29 @@ RidIndex InvertBackwardArray(const RidArray& backward, size_t num_inputs);
 // group-by root). Each builder dispatches over the raw and encoded forms
 // of LineageIndex, so refresh works directly on store-encoded retained
 // indexes (encoded appends route through the PostingsBuilder encode path).
+//
+// The list builders also take the 1:1 forms a forward index is narrowed
+// to (ForwardIndexBuilder): a position that gains its first rid stays 1:1,
+// and the first position to reach a second rid promotes the whole index to
+// its 1:N counterpart (raw to kIndex, encoded to kEncodedIndex under
+// `codec`) before the edge is added.
 
 /// Appends one trailing position to a 1:1 array (raw or encoded).
 void AppendArrayValue(LineageIndex* idx, rid_t v);
 
-/// Appends a new source position holding `n` rids to a 1:N index. Encoded
-/// indexes encode the new list under `codec`.
+/// Appends a new source position holding `n` rids. Encoded indexes encode
+/// the new list under `codec`.
 void AppendIndexList(LineageIndex* idx, const rid_t* d, size_t n,
                      LineageCodec codec);
 
-/// Appends `count` empty source positions to a 1:N index (input rows with
-/// no outputs yet).
-void AppendEmptyIndexLists(LineageIndex* idx, size_t count,
-                           LineageCodec codec);
-
 /// Appends `n` rids at the tail of existing list `i`, preserving order.
-void ExtendIndexList(LineageIndex* idx, size_t i, const rid_t* d, size_t n);
+void ExtendIndexList(LineageIndex* idx, size_t i, const rid_t* d, size_t n,
+                     LineageCodec codec);
 
 /// Inserts `v` into ascending duplicate-free list `i` (no-op when already
 /// present).
-void InsertSortedIntoIndexList(LineageIndex* idx, size_t i, rid_t v);
+void InsertSortedIntoIndexList(LineageIndex* idx, size_t i, rid_t v,
+                               LineageCodec codec);
 
 }  // namespace smoke
 

@@ -61,6 +61,15 @@ class QueryLineage {
     return -1;
   }
 
+  /// Freezes every raw index at exact size (a retained result keeps no
+  /// capture growth slack).
+  void ShrinkToFit() {
+    for (auto& in : inputs_) {
+      in.backward.ShrinkToFit();
+      in.forward.ShrinkToFit();
+    }
+  }
+
   /// Total bytes held by all indexes (storage-overhead reporting).
   size_t MemoryBytes() const {
     size_t b = 0;

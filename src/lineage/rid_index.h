@@ -6,6 +6,13 @@
 //  - RidIndex: 1-to-N relationships (e.g., group-by backward, join forward).
 //    Entry i points to an rid array of related rids. Arrays start at
 //    capacity 10 and grow 1.5x (RidVec).
+//
+// A retained forward index takes the 1:1 form whenever no input reaches
+// two outputs: 4 bytes per input row instead of a 24-byte list header plus
+// its rids. ForwardIndexBuilder applies the rule while an index is built
+// (the SPJA block's dimension forwards, composed and merged plan forwards,
+// trace fragments); NarrowForward (lineage/compose.h) applies it to a root
+// kernel's forward when the plan's lineage is frozen.
 #ifndef SMOKE_LINEAGE_RID_INDEX_H_
 #define SMOKE_LINEAGE_RID_INDEX_H_
 
@@ -58,6 +65,13 @@ class RidIndex {
     return n;
   }
 
+  /// Trims the list vector and every list to exact size (freezing a
+  /// captured index into a retained result). Exact lists are untouched.
+  void ShrinkToFit() {
+    lists_.shrink_to_fit();
+    for (auto& l : lists_) l.ShrinkToFit();
+  }
+
   size_t MemoryBytes() const {
     size_t b = lists_.capacity() * sizeof(RidVec);
     for (const auto& l : lists_) b += l.MemoryBytes();
@@ -74,6 +88,18 @@ class RidIndex {
  private:
   std::vector<RidVec> lists_;
 };
+
+/// The 1:N form of a 1:1 array: one exactly-sized single-rid list per
+/// valid entry, an empty list per kInvalidRid.
+inline RidIndex PromoteToIndex(const RidArray& array) {
+  RidIndex index(array.size());
+  for (size_t i = 0; i < array.size(); ++i) {
+    if (array[i] == kInvalidRid) continue;
+    index.list(i).Reserve(1);
+    index.list(i).PushBack(array[i]);
+  }
+  return index;
+}
 
 /// \brief Tagged union over the physical lineage forms, with a uniform
 /// trace interface. Direction and endpoint metadata live in QueryLineage.
@@ -232,6 +258,13 @@ class LineageIndex {
     return 0;
   }
 
+  /// Trims the raw forms to exact size (no-op for the encoded forms, which
+  /// are built exact).
+  void ShrinkToFit() {
+    if (kind_ == Kind::kArray) array_.shrink_to_fit();
+    if (kind_ == Kind::kIndex) index_.ShrinkToFit();
+  }
+
   size_t MemoryBytes() const {
     switch (kind_) {
       case Kind::kArray:        return array_.capacity() * sizeof(rid_t);
@@ -249,6 +282,62 @@ class LineageIndex {
   RidIndex index_;
   EncodedRidArray earray_;
   EncodedPostings epostings_;
+};
+
+/// \brief Builds a forward index (input rid -> output rids) in the
+/// narrowest form that holds it: a 1:1 RidArray while every input reaches
+/// at most one output, promoted once to a RidIndex at the first input that
+/// reaches a second. Promotion keeps each input's rids in insertion order,
+/// so the result equals what appending straight into a RidIndex gives.
+class ForwardIndexBuilder {
+ public:
+  ForwardIndexBuilder() = default;
+  explicit ForwardIndexBuilder(size_t num_inputs)
+      : array_(num_inputs, kInvalidRid) {}
+
+  /// Records edge in -> out, unless `out` is the last output recorded for
+  /// `in` (consecutive repeats collapse, as capture's forward lists do).
+  void Add(rid_t in, rid_t out) {
+    if (!promoted_) {
+      rid_t& cur = array_[in];
+      if (cur == kInvalidRid || cur == out) {
+        cur = out;
+        return;
+      }
+      Promote();
+    }
+    RidVec& l = index_.list(in);
+    if (l.empty() || l[l.size() - 1] != out) l.PushBack(out);
+  }
+
+  /// Records the whole output list of `in`, whose outputs must not have
+  /// been recorded yet.
+  void SetList(rid_t in, const rid_t* d, size_t n) {
+    if (!promoted_) {
+      if (n <= 1) {
+        array_[in] = n == 0 ? kInvalidRid : d[0];
+        return;
+      }
+      Promote();
+    }
+    index_.list(in).PushBackAll(d, n);
+  }
+
+  LineageIndex Finish() {
+    return promoted_ ? LineageIndex::FromIndex(std::move(index_))
+                     : LineageIndex::FromArray(std::move(array_));
+  }
+
+ private:
+  void Promote() {
+    index_ = PromoteToIndex(array_);
+    RidArray().swap(array_);
+    promoted_ = true;
+  }
+
+  RidArray array_;
+  RidIndex index_;
+  bool promoted_ = false;
 };
 
 }  // namespace smoke

@@ -247,6 +247,22 @@ Status Inference::InferNode(const PlanNode& n, Schema* out) {
       for (const Predicate& p : n.spja.fact_filters) {
         SMOKE_RETURN_NOT_OK(ValidatePredicate(fact, p, n.label));
       }
+      if (n.spja.dims.size() > SPJAQuery::kMaxDims) {
+        return Status::InvalidArgument(
+            "SPJA block joins " + std::to_string(n.spja.dims.size()) +
+            " dimensions, more than " + std::to_string(SPJAQuery::kMaxDims) +
+            " (node '" + n.label + "')");
+      }
+      // The fused kernel hashes pk and fk values as int64.
+      auto require_int = [&n](const Schema& ts, int col, const char* what) {
+        if (ts.field(static_cast<size_t>(col)).type == DataType::kInt64) {
+          return Status::OK();
+        }
+        return Status::InvalidArgument(std::string(what) + " column " +
+                                       std::to_string(col) +
+                                       " is not int64 (node '" + n.label +
+                                       "')");
+      };
       for (size_t j = 0; j < n.spja.dims.size(); ++j) {
         const SPJADim& d = n.spja.dims[j];
         const Schema& ds = child_schema(1 + j);
@@ -254,6 +270,7 @@ Status Inference::InferNode(const PlanNode& n, Schema* out) {
             static_cast<size_t>(d.pk_col) >= ds.num_fields()) {
           return OutOfRange("dimension pk", d.pk_col, n.label);
         }
+        SMOKE_RETURN_NOT_OK(require_int(ds, d.pk_col, "dimension pk"));
         if (d.fk.table < ColRef::kFact ||
             d.fk.table >= static_cast<int>(j)) {
           return Status::InvalidArgument(
@@ -264,6 +281,7 @@ Status Inference::InferNode(const PlanNode& n, Schema* out) {
         if (d.fk.col < 0 || static_cast<size_t>(d.fk.col) >= fs.num_fields()) {
           return OutOfRange("dimension fk", d.fk.col, n.label);
         }
+        SMOKE_RETURN_NOT_OK(require_int(fs, d.fk.col, "dimension fk"));
         for (const Predicate& p : d.filters) {
           SMOKE_RETURN_NOT_OK(ValidatePredicate(ds, p, n.label));
         }
@@ -313,8 +331,7 @@ Status Inference::InferNode(const PlanNode& n, Schema* out) {
         SMOKE_RETURN_NOT_OK(ValidatePredicate(s, p, n.label));
       }
       if (!n.trace.aggregate) {
-        s.AddField(kTraceRidColumn, DataType::kInt64);
-        *out = std::move(s);
+        *out = TraceOutputSchema(s);
         return Status::OK();
       }
       // Fused aggregate: keys and aggregates read the endpoint columns.

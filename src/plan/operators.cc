@@ -599,9 +599,7 @@ class TraceOperator : public Operator {
     } else {
       // Materialize the endpoint rows (the secondary index scan) with the
       // traced rid as the trailing column.
-      Schema schema = endpoint->schema();
-      schema.AddField(kTraceRidColumn, DataType::kInt64);
-      Table output(schema);
+      Table output(TraceOutputSchema(endpoint->schema()));
       output.Reserve(rids.size());
       Column& rid_out = output.mutable_column(endpoint->num_columns());
       for (rid_t r : rids) {

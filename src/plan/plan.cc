@@ -6,11 +6,22 @@ namespace smoke {
 
 const char kTraceRidColumn[] = "__trace_rid";
 
-int TraceRidColumnOf(const Table& t) {
-  for (size_t c = t.num_columns(); c-- > 0;) {
-    if (t.schema().field(c).name == kTraceRidColumn) return static_cast<int>(c);
+int TraceRidColumnOf(const Table& t) { return t.ColumnIndex(kTraceRidColumn); }
+
+Schema TraceOutputSchema(const Schema& endpoint) {
+  std::vector<Field> fields = endpoint.fields();
+  for (Field& f : fields) {
+    if (f.name != kTraceRidColumn) continue;
+    for (int k = 1;; ++k) {
+      std::string name = std::string(kTraceRidColumn) + "_" + std::to_string(k);
+      if (endpoint.IndexOf(name) < 0) {
+        f.name = std::move(name);
+        break;
+      }
+    }
   }
-  return -1;
+  fields.push_back({kTraceRidColumn, DataType::kInt64});
+  return Schema(std::move(fields));
 }
 
 const char* PlanOpKindName(PlanOpKind k) {

@@ -62,10 +62,14 @@ enum class TraceDirection : uint8_t { kBackward, kForward };
 /// TraceResult::rids.
 extern const char kTraceRidColumn[];
 
-/// Index of the trailing kTraceRidColumn of a trace output, or -1. A trace
-/// over a trace result's rows also carries that result's own rid column,
-/// which comes first.
+/// Index of the kTraceRidColumn of a trace output, or -1.
 int TraceRidColumnOf(const Table& t);
+
+/// The output schema of a non-aggregating trace over `endpoint`: its
+/// columns, then kTraceRidColumn. An endpoint that is itself a trace result
+/// keeps its own rid column renamed to "__trace_rid_<k>" (k the first free
+/// suffix), so the output has exactly one column named kTraceRidColumn.
+Schema TraceOutputSchema(const Schema& endpoint);
 
 /// \brief One drill-down hop folded into a Trace node by the optimizer's
 /// trace-hop fusion rule (Trace∘Trace collapsed into one node). Hops apply

@@ -80,6 +80,25 @@ Status BuildJoinCache(const LogicalPlan& plan, int join_id, size_t build_rows,
   return Status::OK();
 }
 
+/// Calls f(key, values, n) once per distinct key of `pairs`, in ascending
+/// key order, with that key's values in their order in `pairs`.
+template <typename F>
+void ForEachKeyRun(std::vector<std::pair<rid_t, rid_t>>* pairs, F&& f) {
+  std::stable_sort(pairs->begin(), pairs->end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  std::vector<rid_t> values;
+  for (size_t b = 0; b < pairs->size();) {
+    const rid_t key = (*pairs)[b].first;
+    values.clear();
+    for (; b < pairs->size() && (*pairs)[b].first == key; ++b) {
+      values.push_back((*pairs)[b].second);
+    }
+    f(key, values.data(), values.size());
+  }
+}
+
 /// Deep copy of one lineage index (all four physical forms are value types;
 /// RidIndex needs an explicit per-list copy only because RidVec copies are
 /// exact-capacity).
@@ -408,6 +427,11 @@ Status RefreshPlanAppend(PlanResult* pr, RefreshStats* stats) {
   // ---- composed-index maintenance ----
   size_t edges = 0;
   const size_t dn = wits[0].rids.size();  // delta rows at the root's input
+  // The output rid delta row j reaches: its group, or its new output row.
+  auto out_of = [&](size_t j) {
+    return group_root ? static_cast<rid_t>(gdelta.slots[j])
+                      : static_cast<rid_t>(out_old + j);
+  };
   for (size_t i = 0; i < pr->lineage.num_inputs(); ++i) {
     TableLineage& tl = pr->lineage.mutable_input(i);
     const Witness* wit = nullptr;
@@ -418,95 +442,72 @@ Status RefreshPlanAppend(PlanResult* pr, RefreshStats* stats) {
       }
     }
     SMOKE_CHECK(wit != nullptr);  // chain shape: every scan is on the path
-    const bool is_delta_rel = wit->scan == cache.delta_scan;
+    edges += dn;  // backward: one edge per delta row
 
     if (!group_root) {
       // Backward is 1:1 per relation: one new entry per delta output row.
       for (size_t j = 0; j < dn; ++j) {
         AppendArrayValue(&tl.backward, wit->rids[j]);
       }
-      edges += dn;
-      if (is_delta_rel) {
-        // New source positions for the appended base rows.
-        if (tl.forward.IsOneToOne()) {
-          std::vector<rid_t> inv(new_n - old_n, kInvalidRid);
-          for (size_t j = 0; j < dn; ++j) {
-            SMOKE_DCHECK(inv[wit->rids[j] - old_n] == kInvalidRid);
-            inv[wit->rids[j] - old_n] = static_cast<rid_t>(out_old + j);
-          }
-          for (rid_t v : inv) AppendArrayValue(&tl.forward, v);
-          edges += inv.size();
-        } else {
-          std::vector<std::vector<rid_t>> lists(new_n - old_n);
-          for (size_t j = 0; j < dn; ++j) {
-            lists[wit->rids[j] - old_n].push_back(
-                static_cast<rid_t>(out_old + j));
-          }
-          for (const auto& l : lists) {
-            AppendIndexList(&tl.forward, l.data(), l.size(), codec);
-            edges += l.size();
-          }
-        }
-      } else {
-        // Static build relation: new output rids extend existing lists at
-        // the tail (output rids are ascending, lists stay sorted-deduped).
-        for (size_t j = 0; j < dn; ++j) {
-          const rid_t o = static_cast<rid_t>(out_old + j);
-          ExtendIndexList(&tl.forward, wit->rids[j], &o, 1);
-        }
-        edges += dn;
-      }
     } else {
+      // Backward: existing groups extend their lists once per batch, in
+      // delta encounter order (== full re-execution's input scan order);
+      // new groups append whole lists in slot order.
       const size_t old_ng = gdelta.old_num_groups;
-      // Backward: existing groups extend their lists in delta encounter
-      // order (== full re-execution's input scan order); new groups append
-      // whole lists in slot order.
-      std::vector<std::vector<rid_t>> fresh(
-          pr->output.num_rows() - old_ng);
+      std::vector<std::pair<rid_t, rid_t>> extend;  // (slot, rid)
+      std::vector<std::vector<rid_t>> fresh(pr->output.num_rows() - old_ng);
       for (size_t j = 0; j < dn; ++j) {
         const uint32_t slot = gdelta.slots[j];
         if (slot >= old_ng) {
           fresh[slot - old_ng].push_back(wit->rids[j]);
         } else {
-          ExtendIndexList(&tl.backward, slot, &wit->rids[j], 1);
+          extend.emplace_back(slot, wit->rids[j]);
         }
       }
+      ForEachKeyRun(&extend, [&](rid_t slot, const rid_t* d, size_t n) {
+        ExtendIndexList(&tl.backward, slot, d, n, codec);
+      });
       for (const auto& l : fresh) {
         AppendIndexList(&tl.backward, l.data(), l.size(), codec);
       }
-      edges += dn;
-      if (is_delta_rel) {
-        if (tl.forward.IsOneToOne()) {
-          std::vector<rid_t> inv(new_n - old_n, kInvalidRid);
-          for (size_t j = 0; j < dn; ++j) {
-            SMOKE_DCHECK(inv[wit->rids[j] - old_n] == kInvalidRid);
-            inv[wit->rids[j] - old_n] = gdelta.slots[j];
-          }
-          for (rid_t v : inv) AppendArrayValue(&tl.forward, v);
-          edges += inv.size();
-        } else {
-          std::vector<std::vector<rid_t>> lists(new_n - old_n);
-          for (size_t j = 0; j < dn; ++j) {
-            lists[wit->rids[j] - old_n].push_back(gdelta.slots[j]);
-          }
-          for (auto& l : lists) {
-            std::sort(l.begin(), l.end());
-            l.erase(std::unique(l.begin(), l.end()), l.end());
-            AppendIndexList(&tl.forward, l.data(), l.size(), codec);
-            edges += l.size();
-          }
-        }
-      } else {
-        // Static relation under a group root: a build row may gain a group
-        // it already fed (no-op), an existing group it never fed (sorted
-        // mid-list insert), or a new group (tail append) — the one
-        // maintenance case that is not purely append-shaped.
-        for (size_t j = 0; j < dn; ++j) {
-          InsertSortedIntoIndexList(&tl.forward, wit->rids[j],
-                                    gdelta.slots[j]);
-        }
-        edges += dn;
+    }
+
+    if (wit->scan == cache.delta_scan) {
+      // New source positions for the appended base rows, each holding the
+      // outputs it reaches (deduplicated: under a group root several join
+      // matches of one row can feed the same group).
+      std::vector<std::vector<rid_t>> lists(new_n - old_n);
+      for (size_t j = 0; j < dn; ++j) {
+        lists[wit->rids[j] - old_n].push_back(out_of(j));
       }
+      for (auto& l : lists) {
+        std::sort(l.begin(), l.end());
+        l.erase(std::unique(l.begin(), l.end()), l.end());
+        AppendIndexList(&tl.forward, l.data(), l.size(), codec);
+        edges += l.size();
+      }
+    } else if (!group_root) {
+      // Static build relation: new output rids extend existing lists at
+      // the tail, once per build row (output rids ascend, lists stay
+      // sorted-deduped).
+      std::vector<std::pair<rid_t, rid_t>> extend;  // (build rid, output)
+      for (size_t j = 0; j < dn; ++j) {
+        extend.emplace_back(wit->rids[j], out_of(j));
+      }
+      ForEachKeyRun(&extend, [&](rid_t row, const rid_t* d, size_t n) {
+        ExtendIndexList(&tl.forward, row, d, n, codec);
+      });
+      edges += dn;
+    } else {
+      // Static relation under a group root: a build row may gain a group
+      // it already fed (no-op), an existing group it never fed (sorted
+      // mid-list insert), or a new group (tail append) — the one
+      // maintenance case that is not purely append-shaped.
+      for (size_t j = 0; j < dn; ++j) {
+        InsertSortedIntoIndexList(&tl.forward, wit->rids[j],
+                                  gdelta.slots[j], codec);
+      }
+      edges += dn;
     }
   }
   stats->index_bytes_appended = edges * sizeof(rid_t);

@@ -12,6 +12,7 @@
 
 #include "engine/group_by.h"
 #include "engine/select.h"
+#include "lineage/fragment_merge.h"
 #include "plan/executor.h"
 #include "plan/plan.h"
 #include "test_util.h"
@@ -177,6 +178,123 @@ TEST(ComposeTest, MergePreservesBackwardMultiplicity) {
 // composed indexes equal the brute-force join of independently captured
 // per-operator fragments.
 // ---------------------------------------------------------------------------
+
+TEST(ComposeTest, ForwardIsOneToOneUnlessAnInputReachesTwoOutputs) {
+  // inner: input -> two intermediates; outer: both reach output 3.
+  RidIndex inner(2);
+  inner.Append(0, 0);
+  inner.Append(0, 1);
+  inner.Append(1, 2);
+  RidArray same = {3, 3, 4};
+  LineageIndex narrow = ComposeForward(LineageIndex::FromIndex(inner),
+                                       LineageIndex::FromArray(same));
+  ASSERT_EQ(narrow.kind(), LineageIndex::Kind::kArray);  // deduplicated
+  EXPECT_EQ(narrow.array(), (RidArray{3, 4}));
+  RidArray split = {3, 5, 4};
+  LineageIndex wide = ComposeForward(LineageIndex::FromIndex(inner),
+                                     LineageIndex::FromArray(split));
+  ASSERT_EQ(wide.kind(), LineageIndex::Kind::kIndex);
+  EXPECT_EQ(testing::Edges(wide),
+            (std::vector<std::pair<rid_t, rid_t>>{{0, 3}, {0, 5}, {1, 4}}));
+
+  // A forward merge stays 1:1 while both sides agree.
+  LineageIndex dst = LineageIndex::FromArray({1, kInvalidRid});
+  MergeForwardInto(&dst, LineageIndex::FromArray({1, 2}));
+  ASSERT_EQ(dst.kind(), LineageIndex::Kind::kArray);
+  EXPECT_EQ(dst.array(), (RidArray{1, 2}));
+  MergeForwardInto(&dst, LineageIndex::FromArray({0, 2}));
+  ASSERT_EQ(dst.kind(), LineageIndex::Kind::kIndex);
+  EXPECT_EQ(testing::Edges(dst),
+            (std::vector<std::pair<rid_t, rid_t>>{{0, 0}, {0, 1}, {1, 2}}));
+}
+
+// A plan-root kernel's forward is narrowed at finalize too: a join's build
+// side whose rows each reach one output is 1:1, one whose rows reach two
+// stays 1:N. Both trace like the kernel's own index.
+TEST(ComposeTest, RootKernelForwardIsNarrowedAtFinalize) {
+  Schema s;
+  s.AddField("k", DataType::kInt64);
+  Table dim(s), fact(s), fact2(s);
+  for (int64_t k = 0; k < 50; ++k) {
+    dim.AppendRow({k});
+    fact.AppendRow({k});
+    fact2.AppendRow({k / 2});  // two fact rows per dim row below 25
+  }
+  for (const Table* probe : {&fact, &fact2}) {
+    PlanBuilder b;
+    JoinSpec js;
+    js.left_key = 0;
+    js.right_key = 0;
+    js.pk_build = true;
+    LogicalPlan plan;
+    ASSERT_TRUE(
+        b.Build(b.HashJoin(b.Scan(&dim, "dim"), b.Scan(probe, "fact"), js),
+                &plan)
+            .ok());
+    PlanResult pr;
+    ASSERT_TRUE(ExecutePlan(plan, CaptureOptions::Inject(), &pr).ok());
+    const int di = pr.lineage.FindInput("dim");
+    ASSERT_GE(di, 0);
+    const TableLineage& tl = pr.lineage.input(static_cast<size_t>(di));
+    EXPECT_EQ(tl.forward.kind(), probe == &fact ? LineageIndex::Kind::kArray
+                                                : LineageIndex::Kind::kIndex);
+    EXPECT_TRUE(testing::AreInverse(tl.backward, tl.forward));
+  }
+}
+
+// The refresh builders take a narrowed 1:1 forward: a position's first rid
+// keeps it 1:1 (raw), a second one promotes the whole index — raw to
+// kIndex, encoded to kEncodedIndex — without losing an edge.
+TEST(ComposeTest, RefreshBuildersPromoteOneToOneForms) {
+  for (bool encoded : {false, true}) {
+    SCOPED_TRACE(encoded ? "encoded" : "raw");
+    auto make = [encoded](RidArray a) {
+      return encoded ? LineageIndex::FromEncodedArray(EncodedRidArray::Encode(
+                           std::move(a), LineageCodec::kAdaptive))
+                     : LineageIndex::FromArray(std::move(a));
+    };
+    const LineageCodec codec = LineageCodec::kAdaptive;
+    // AppendIndexList: lists of 0 or 1 rids stay 1:1; 2 rids promote.
+    LineageIndex app = make({1, kInvalidRid});
+    const rid_t d[] = {7, 9};
+    AppendIndexList(&app, d, 1, codec);
+    AppendIndexList(&app, nullptr, 0, codec);
+    EXPECT_TRUE(app.IsOneToOne());
+    AppendIndexList(&app, d, 2, codec);
+    EXPECT_FALSE(app.IsOneToOne());
+    EXPECT_EQ(testing::Edges(app), (std::vector<std::pair<rid_t, rid_t>>{
+                                       {0, 1}, {2, 7}, {4, 7}, {4, 9}}));
+
+    // ExtendIndexList: the first rid of an empty position stays 1:1 raw;
+    // a second rid promotes.
+    LineageIndex ext = make({1, kInvalidRid, 2});
+    ExtendIndexList(&ext, 1, d, 1, codec);
+    if (!encoded) {
+      EXPECT_EQ(ext.kind(), LineageIndex::Kind::kArray);
+    }
+    ExtendIndexList(&ext, 0, d + 1, 1, codec);
+    EXPECT_FALSE(ext.IsOneToOne());
+    EXPECT_EQ(testing::Edges(ext), (std::vector<std::pair<rid_t, rid_t>>{
+                                       {0, 1}, {0, 9}, {1, 7}, {2, 2}}));
+
+    // InsertSortedIntoIndexList: a present rid is a no-op, a new one
+    // promotes and lands in order.
+    LineageIndex ins = make({5, kInvalidRid});
+    InsertSortedIntoIndexList(&ins, 0, 5, codec);
+    EXPECT_TRUE(ins.IsOneToOne());
+    InsertSortedIntoIndexList(&ins, 1, 3, codec);
+    if (!encoded) {
+      EXPECT_EQ(ins.kind(), LineageIndex::Kind::kArray);
+    }
+    InsertSortedIntoIndexList(&ins, 0, 2, codec);
+    EXPECT_FALSE(ins.IsOneToOne());
+    std::vector<rid_t> list0;
+    ins.TraceInto(0, &list0);
+    EXPECT_EQ(list0, (std::vector<rid_t>{2, 5}));
+    EXPECT_EQ(testing::Edges(ins), (std::vector<std::pair<rid_t, rid_t>>{
+                                       {0, 2}, {0, 5}, {1, 3}}));
+  }
+}
 
 TEST(ComposeChainTest, ThreeOperatorChainMatchesPerOperatorJoin) {
   Schema s;

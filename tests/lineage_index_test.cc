@@ -48,6 +48,65 @@ TEST(LineageIndexTest, EmptyKind) {
   EXPECT_EQ(idx.TotalEdges(), 0u);
 }
 
+// The builder stays 1:1 until an input reaches a second output, and its
+// promoted index equals appending straight into a RidIndex (consecutive
+// repeats collapsed, as capture's forward lists are).
+TEST(ForwardIndexBuilderTest, PromotesAtTheFirstSecondOutput) {
+  const std::vector<std::pair<rid_t, rid_t>> one_to_one = {
+      {0, 5}, {2, 7}, {0, 5}, {3, 1}};
+  ForwardIndexBuilder narrow(4);
+  for (auto [in, out] : one_to_one) narrow.Add(in, out);
+  LineageIndex a = narrow.Finish();
+  ASSERT_EQ(a.kind(), LineageIndex::Kind::kArray);
+  EXPECT_EQ(a.array(), (RidArray{5, kInvalidRid, 7, 1}));
+
+  const std::vector<std::pair<rid_t, rid_t>> edges = {
+      {0, 5}, {2, 7}, {0, 5}, {0, 6}, {2, 7}, {0, 5}, {3, 1}};
+  ForwardIndexBuilder wide(4);
+  RidIndex want(4);
+  for (auto [in, out] : edges) {
+    wide.Add(in, out);
+    RidVec& l = want.list(in);
+    if (l.empty() || l[l.size() - 1] != out) l.PushBack(out);
+  }
+  LineageIndex b = wide.Finish();
+  ASSERT_EQ(b.kind(), LineageIndex::Kind::kIndex);
+  for (rid_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(std::vector<rid_t>(b.index().list(i).begin(),
+                                 b.index().list(i).end()),
+              std::vector<rid_t>(want.list(i).begin(), want.list(i).end()))
+        << i;
+  }
+
+  ForwardIndexBuilder lists(3);
+  const rid_t two[] = {4, 8};
+  lists.SetList(0, two, 1);
+  lists.SetList(1, nullptr, 0);
+  EXPECT_EQ(lists.Finish().kind(), LineageIndex::Kind::kArray);
+  ForwardIndexBuilder promoted(3);
+  promoted.SetList(0, two, 1);
+  promoted.SetList(2, two, 2);
+  LineageIndex c = promoted.Finish();
+  ASSERT_EQ(c.kind(), LineageIndex::Kind::kIndex);
+  EXPECT_EQ(c.index().list(0).size(), 1u);
+  EXPECT_EQ(c.index().list(1).size(), 0u);
+  EXPECT_EQ(c.index().list(2).size(), 2u);
+}
+
+TEST(LineageIndexTest, ShrinkToFitFreezesRawFormsExactly) {
+  RidIndex idx(3);
+  for (rid_t r = 0; r < 11; ++r) idx.Append(0, r);
+  idx.Append(2, 4);
+  LineageIndex li = LineageIndex::FromIndex(std::move(idx));
+  li.ShrinkToFit();
+  EXPECT_EQ(li.MemoryBytes(), 3 * sizeof(RidVec) + 12 * sizeof(rid_t));
+  RidArray arr = {1, 2};
+  arr.reserve(64);
+  LineageIndex la = LineageIndex::FromArray(std::move(arr));
+  la.ShrinkToFit();
+  EXPECT_EQ(la.MemoryBytes(), 2 * sizeof(rid_t));
+}
+
 TEST(PartitionedRidIndexTest, AppendAndPartitionTrace) {
   PartitionedRidIndex idx(2, 3);
   idx.Append(0, 0, 10);

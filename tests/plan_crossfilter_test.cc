@@ -332,6 +332,50 @@ TEST_F(PlanCrossfilterTest, BrushEqualsBruteForceAndTraceChain) {
   EXPECT_GT(brushes, 0u);
 }
 
+// The brush reads a raw posting list in place and counts through a raw 1:1
+// forward with its own loop; the encoded forms take the generic path. Both
+// give the same LinkedBrush: one brush sends every bar into a raw target
+// and its adaptive-encoded twin side by side, from a raw and from an
+// encoded source.
+TEST_F(PlanCrossfilterTest, EncodedAndRawForwardTargetsBrushIdentically) {
+  auto forward_kind = [](const PlanResult& r) {
+    return r.lineage.input(static_cast<size_t>(r.lineage.FindInput("base")))
+        .forward.kind();
+  };
+  EXPECT_EQ(forward_kind(raw_.at("vc")), LineageIndex::Kind::kArray);
+  EXPECT_EQ(forward_kind(adaptive_.at("vc")),
+            LineageIndex::Kind::kEncodedArray);
+  for (const char* from : kViews) {
+    std::vector<BrushTarget> targets;
+    for (const char* to : kViews) {
+      if (std::strcmp(from, to) == 0) continue;
+      targets.push_back({std::string("raw_") + to, &raw_.at(to)});
+      targets.push_back({std::string("enc_") + to, &adaptive_.at(to)});
+    }
+    for (rid_t bar = 0; bar < raw_.at(from).output.num_rows(); ++bar) {
+      std::map<std::string, LinkedBrush> in_place, copied;
+      ASSERT_TRUE(
+          BrushLinkedPlans(raw_.at(from), bar, "base", targets, &in_place)
+              .ok());
+      ASSERT_TRUE(
+          BrushLinkedPlans(adaptive_.at(from), bar, "base", targets, &copied)
+              .ok());
+      for (const char* to : kViews) {
+        if (std::strcmp(from, to) == 0) continue;
+        const std::string what =
+            std::string(from) + "[" + std::to_string(bar) + "] -> " + to;
+        const LinkedBrush& want = in_place.at(std::string("raw_") + to);
+        ExpectSameBrush(in_place.at(std::string("enc_") + to), want,
+                        what + " encoded target");
+        ExpectSameBrush(copied.at(std::string("raw_") + to), want,
+                        what + " encoded source");
+        ExpectSameBrush(copied.at(std::string("enc_") + to), want,
+                        what + " encoded source and target");
+      }
+    }
+  }
+}
+
 TEST_F(PlanCrossfilterTest, GroupByViewsMatchBruteForceCounts) {
   // Histogram views against a count over the base table: va's bins in
   // first-encounter order, and each va bar's rows counted per b bin.

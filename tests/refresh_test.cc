@@ -309,6 +309,107 @@ TEST(RefreshPlanTest, EncodedIndexesAppendThroughBuilders) {
   EXPECT_EQ(testing::Sorted(rids), want_rids);
 }
 
+/// fact(k, g): join key into dim(id, w), then a group key.
+Table KeyGroupTable(std::initializer_list<std::pair<int64_t, int64_t>> rows) {
+  Schema s;
+  s.AddField("k", DataType::kInt64);
+  s.AddField("g", DataType::kInt64);
+  Table t(s);
+  for (const auto& [k, g] : rows) t.AppendRow({k, g});
+  return t;
+}
+
+/// dim ⋈ fact on dim.id = fact.k; the join output is (id, w, k, g).
+int DimFactJoin(PlanBuilder* b, const Table* fact, const Table* dim) {
+  JoinSpec js;
+  js.left_key = 0;
+  js.right_key = 0;
+  js.pk_build = true;
+  return b->HashJoin(b->Scan(dim, "dim"), b->Scan(fact, "fact"), js);
+}
+
+/// Groups by the fact's g: a dim row reaches one group per distinct g.
+LogicalPlan JoinGroupByFactPlan(const Table* fact, const Table* dim) {
+  PlanBuilder b;
+  GroupBySpec spec;
+  spec.keys = {3};
+  spec.aggs = {AggSpec::Count("cnt")};
+  LogicalPlan plan;
+  SMOKE_CHECK(
+      b.Build(b.GroupBy(DimFactJoin(&b, fact, dim), spec), &plan).ok());
+  return plan;
+}
+
+/// A select over the join: a dim row reaches one output per fact match.
+LogicalPlan JoinSelectPlan(const Table* fact, const Table* dim) {
+  PlanBuilder b;
+  LogicalPlan plan;
+  SMOKE_CHECK(b.Build(b.Select(DimFactJoin(&b, fact, dim),
+                               {Predicate::Int(3, CmpOp::kGe, 0)}),
+                      &plan)
+                  .ok());
+  return plan;
+}
+
+// The static dim's composed forward is narrowed to 1:1 (no dim row reaches
+// two outputs yet). A delta that gives a dim row its first output keeps it
+// 1:1 (raw); one that gives a dim row a second output promotes it — through
+// the sorted insert under a group root and the tail extension under a
+// select — and the promoted index equals a full re-execution.
+TEST(RefreshPlanTest, NarrowedStaticForwardPromotesOnASecondOutput) {
+  for (LineageCodec codec : {LineageCodec::kRaw, LineageCodec::kAdaptive}) {
+    for (auto maker : {JoinGroupByFactPlan, JoinSelectPlan}) {
+      SmokeEngine engine;
+      Table dim_rows(KeyGroupTable({{1, 10}, {2, 20}, {3, 30}}));
+      ASSERT_TRUE(engine.CreateTable("dim", dim_rows).ok());
+      ASSERT_TRUE(
+          engine.CreateTable("fact", KeyGroupTable({{1, 10}, {2, 20}})).ok());
+      const Table* fact = nullptr;
+      const Table* dim = nullptr;
+      ASSERT_TRUE(engine.GetTable("fact", &fact).ok());
+      ASSERT_TRUE(engine.GetTable("dim", &dim).ok());
+      ASSERT_TRUE(
+          engine.ExecutePlan("v", maker(fact, dim), RetainOpts(codec)).ok());
+      const PlanResult* pr = nullptr;
+      ASSERT_TRUE(engine.GetPlanResult("v", &pr).ok());
+      ASSERT_TRUE(pr->refreshable()) << pr->refresh->fallback_reason;
+      const int di = pr->lineage.FindInput("dim");
+      ASSERT_GE(di, 0);
+      const LineageIndex& dim_fw =
+          pr->lineage.input(static_cast<size_t>(di)).forward;
+      EXPECT_TRUE(dim_fw.IsOneToOne());
+
+      Table full_fact = *fact;
+      for (const auto& delta : {KeyGroupTable({{3, 30}}),
+                                KeyGroupTable({{1, 20}, {2, 20}})}) {
+        for (size_t r = 0; r < delta.num_rows(); ++r) {
+          full_fact.AppendRowFrom(delta, static_cast<rid_t>(r));
+        }
+        std::vector<RefreshStats> stats;
+        ASSERT_TRUE(engine.AppendRows("fact", delta, &stats).ok());
+        ASSERT_EQ(stats.size(), 1u);
+        ASSERT_TRUE(stats[0].incremental) << stats[0].fallback_reason;
+
+        PlanResult want;
+        ASSERT_TRUE(ExecutePlan(maker(&full_fact, &dim_rows),
+                                CaptureOptions::Inject(), &want)
+                        .ok());
+        EXPECT_EQ(RowSet(pr->output), RowSet(want.output));
+        ExpectSameLineage(*pr, want);
+        const bool second_output = full_fact.num_rows() > 3;
+        EXPECT_EQ(want.lineage.input(static_cast<size_t>(di)).forward.kind(),
+                  second_output ? LineageIndex::Kind::kIndex
+                                : LineageIndex::Kind::kArray);
+        if (second_output) {
+          EXPECT_FALSE(dim_fw.IsOneToOne());  // promoted in place
+        } else if (codec == LineageCodec::kRaw) {
+          EXPECT_EQ(dim_fw.kind(), LineageIndex::Kind::kArray);
+        }
+      }
+    }
+  }
+}
+
 TEST(RefreshPlanTest, AppendRefusedWhileUnmaintainableBorrowerLive) {
   SmokeEngine engine;
   ASSERT_TRUE(engine.CreateTable("zipf", MakeZipfTable(200, 4, 1.0, 61)).ok());

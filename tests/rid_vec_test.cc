@@ -113,6 +113,33 @@ TEST(RidVecTest, MemoryBytesTracksCapacity) {
   EXPECT_EQ(v.MemoryBytes(), 64 * sizeof(rid_t));
 }
 
+TEST(RidVecTest, HeaderIs24Bytes) { EXPECT_EQ(sizeof(RidVec), 24u); }
+
+TEST(RidVecTest, ShrinkToFitDropsSlackAndSkipsExactLists) {
+  RidVec v;
+  for (rid_t i = 0; i < 11; ++i) v.PushBack(i);
+  ASSERT_EQ(v.capacity(), 16u);
+  const uint32_t grown = v.realloc_count();
+  v.ShrinkToFit();
+  EXPECT_EQ(v.capacity(), 11u);
+  EXPECT_EQ(v.realloc_count(), grown + 1);
+  for (rid_t i = 0; i < 11; ++i) EXPECT_EQ(v[i], i);
+  v.ShrinkToFit();  // already exact: untouched
+  EXPECT_EQ(v.realloc_count(), grown + 1);
+
+  RidVec exact(3);  // a cardinality-hinted list filled to its hint
+  for (rid_t i = 0; i < 3; ++i) exact.PushBack(i);
+  exact.ShrinkToFit();
+  EXPECT_EQ(exact.realloc_count(), 1u);
+
+  RidVec cleared;
+  cleared.PushBack(1);
+  cleared.Clear();
+  cleared.ShrinkToFit();
+  EXPECT_EQ(cleared.capacity(), 0u);
+  EXPECT_EQ(cleared.MemoryBytes(), 0u);
+}
+
 class RidVecGrowthSweep : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(RidVecGrowthSweep, SizeAlwaysLeCapacityAndContentStable) {

@@ -123,6 +123,58 @@ TEST_F(SmokeEngineTest, ConsumingQueryAndChain) {
             static_cast<size_t>(drill->column(1).ints()[0]));
 }
 
+// SPJA blocks the fused kernel cannot run are plan errors, not aborts: more
+// than SPJAQuery::kMaxDims dimensions, or a pk / fk column that is not
+// int64.
+TEST_F(SmokeEngineTest, SpjaBlockValidationRejectsUnrunnableJoins) {
+  Schema ds;
+  ds.AddField("pk", DataType::kInt64);
+  ds.AddField("name", DataType::kString);
+  ds.AddField("w", DataType::kFloat64);
+  Table dim(ds);
+  for (int64_t k = 1; k <= 10; ++k) {
+    dim.AppendRow({k, "d" + std::to_string(k), static_cast<double>(k)});
+  }
+  auto with_dims = [&](size_t count, int pk_col, ColRef fk) {
+    SPJAQuery q = query_;
+    for (size_t j = 0; j < count; ++j) {
+      SPJADim d;
+      d.table = &dim;
+      d.name = "dim" + std::to_string(j);
+      d.pk_col = pk_col;
+      d.fk = fk;
+      q.dims.push_back(d);
+    }
+    return q;
+  };
+  const ColRef fact_z = ColRef::Fact(zipf_table::kZ);
+  auto expect_invalid = [&](const SPJAQuery& q, const std::string& name,
+                            const std::string& says) {
+    Status st = engine_.ExecuteQuery(name, q, CaptureOptions::Inject());
+    ASSERT_FALSE(st.ok()) << name;
+    EXPECT_EQ(st.code(), Status::Code::kInvalidArgument) << st.ToString();
+    EXPECT_NE(st.message().find(says), std::string::npos) << st.ToString();
+  };
+
+  // kMaxDims dimensions run; one more is rejected.
+  ASSERT_TRUE(engine_
+                  .ExecuteQuery("max_dims",
+                                with_dims(SPJAQuery::kMaxDims, 0, fact_z),
+                                CaptureOptions::Inject())
+                  .ok());
+  expect_invalid(with_dims(SPJAQuery::kMaxDims + 1, 0, fact_z), "too_many",
+                 "more than 8");
+  // A string pk, a float64 fk (from the fact and from a joined dimension).
+  expect_invalid(with_dims(1, 1, fact_z), "string_pk", "dimension pk");
+  expect_invalid(with_dims(1, 0, ColRef::Fact(zipf_table::kV)), "double_fk",
+                 "dimension fk");
+  SPJAQuery chained = with_dims(2, 0, fact_z);
+  chained.dims[1].fk = ColRef::Dim(0, 2);
+  expect_invalid(chained, "double_dim_fk", "dimension fk");
+  const Table* out = nullptr;
+  EXPECT_FALSE(engine_.GetResult("too_many", &out).ok());  // nothing retained
+}
+
 TEST_F(SmokeEngineTest, DropResult) {
   ASSERT_TRUE(engine_.ExecuteQuery("v1", query_).ok());
   EXPECT_EQ(engine_.QueryNames().size(), 1u);

@@ -936,5 +936,92 @@ TEST(TraceFragmentTest, ForwardFragmentIsOneToOneUnlessARidRepeats) {
   }
 }
 
+// A trace over a trace result's rows carries exactly one __trace_rid, its
+// own; the result's rid column is renamed __trace_rid_1. Name-based clauses
+// on __trace_rid bind the new column (output positions of the result), not
+// the result's fact rids.
+TEST(TraceFragmentTest, TraceOverATraceResultHasOneTraceRidColumn) {
+  Schema fs;
+  fs.AddField("id", DataType::kInt64);
+  fs.AddField("b", DataType::kInt64);
+  Table fact(fs);
+  for (int64_t i = 0; i < 60; ++i) fact.AppendRow({i, i % 4});
+  auto group_by_b = [&fact](PlanResult* out) {
+    PlanBuilder b;
+    GroupBySpec spec;
+    spec.key_names = {"b"};
+    spec.aggs = {AggSpec::Count("n")};
+    LogicalPlan plan;
+    ASSERT_TRUE(b.Build(b.GroupBy(b.Scan(&fact, "fact"), spec), &plan).ok());
+    ASSERT_TRUE(ExecutePlan(plan, CaptureOptions::Inject(), out).ok());
+  };
+  PlanResult by_b;
+  group_by_b(&by_b);
+  // The traced result: the fact rows of b groups 1 and 3, in trace order.
+  PlanResult tr;
+  ASSERT_TRUE(TraceBuilder::Backward(TraceSource::FromPlan(by_b), "fact",
+                                     {1, 3})
+                  .Execute(CaptureOptions::Inject(), &tr)
+                  .ok());
+  std::vector<rid_t> tr_rids;
+  Table tr_rows;
+  ASSERT_TRUE(SplitTraceRows(tr.output, &tr_rids, &tr_rows).ok());
+  const TraceSource traced = TraceSource::FromPlan(tr, "traced");
+  const auto& fact_b = fact.column(1).ints();
+  const auto& b_keys = by_b.output.column(0).ints();
+
+  for (rid_t j = 0; j < b_keys.size(); ++j) {
+    SCOPED_TRACE("b group " + std::to_string(j));
+    // Positions of the traced result holding a row of b group j, and the
+    // ones a filter __trace_rid < 20 keeps.
+    std::vector<rid_t> want, kept;
+    for (rid_t i = 0; i < tr_rids.size(); ++i) {
+      if (fact_b[tr_rids[i]] != b_keys[j]) continue;
+      want.push_back(i);
+      if (i < 20) kept.push_back(i);
+    }
+
+    PlanResult chain;
+    ASSERT_TRUE(TraceBuilder::Backward(TraceSource::FromPlan(by_b), "fact",
+                                       {j})
+                    .ThenForward(traced)
+                    .Execute(CaptureOptions::None(), &chain)
+                    .ok());
+    const Schema& s = chain.output.schema();
+    int named = 0;
+    for (const Field& f : s.fields()) named += f.name == kTraceRidColumn;
+    EXPECT_EQ(named, 1);
+    EXPECT_EQ(s.IndexOf(kTraceRidColumn),
+              static_cast<int>(s.num_fields()) - 1);
+    ASSERT_EQ(s.IndexOf("__trace_rid_1"),
+              static_cast<int>(s.num_fields()) - 2);
+    EXPECT_EQ(Sorted(chain.output.column(kTraceRidColumn).ints()), want);
+    // The renamed column still holds the result's own (fact) rids.
+    for (size_t r = 0; r < chain.output.num_rows(); ++r) {
+      EXPECT_EQ(chain.output.column("__trace_rid_1").ints()[r],
+                tr_rids[chain.output.column(kTraceRidColumn).ints()[r]]);
+    }
+
+    PlanResult filtered;
+    ASSERT_TRUE(TraceBuilder::Backward(TraceSource::FromPlan(by_b), "fact",
+                                       {j})
+                    .ThenForward(traced)
+                    .Filter(Predicate::Int(kTraceRidColumn, CmpOp::kLt, 20))
+                    .Execute(CaptureOptions::None(), &filtered)
+                    .ok());
+    EXPECT_EQ(Sorted(filtered.output.column(kTraceRidColumn).ints()), kept);
+
+    PlanResult grouped;
+    ASSERT_TRUE(TraceBuilder::Backward(TraceSource::FromPlan(by_b), "fact",
+                                       {j})
+                    .ThenForward(traced)
+                    .GroupBy(GroupExpr::Raw(kTraceRidColumn, "pos"))
+                    .Agg(AggSpec::Count("n"))
+                    .Execute(CaptureOptions::None(), &grouped)
+                    .ok());
+    EXPECT_EQ(Sorted(grouped.output.column("pos").ints()), want);
+  }
+}
+
 }  // namespace
 }  // namespace smoke
