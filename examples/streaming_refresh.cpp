@@ -33,7 +33,12 @@ int main() {
   for (rid_t r = 0; r < batch.num_rows(); ++r) events.AppendRowFrom(batch, r);
 
   timer.Start();
-  auto changed = RefreshAppend(&view, events, first_new);
+  std::vector<rid_t> changed;
+  Status st = RefreshAppend(&view, events, first_new, &changed);
+  if (!st.ok()) {
+    std::fprintf(stderr, "RefreshAppend: %s\n", st.ToString().c_str());
+    return 1;
+  }
   std::printf("RefreshAppend of %zu rows: %zu groups updated in %.2f ms "
               "(now %zu groups)\n",
               batch.num_rows(), changed.size(), timer.ElapsedMs(),
@@ -45,7 +50,12 @@ int main() {
     events.mutable_column(zipf_table::kV).mutable_doubles()[r] = 0.0;
   }
   timer.Start();
-  auto affected = ForwardPropagate(&view, events, corrected);
+  std::vector<rid_t> affected;
+  st = ForwardPropagate(&view, events, corrected, &affected);
+  if (!st.ok()) {
+    std::fprintf(stderr, "ForwardPropagate: %s\n", st.ToString().c_str());
+    return 1;
+  }
   std::printf("ForwardPropagate of 3 corrections: %zu groups recomputed via "
               "their backward lineage in %.2f ms\n",
               affected.size(), timer.ElapsedMs());

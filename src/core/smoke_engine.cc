@@ -534,9 +534,6 @@ void SmokeEngine::SetLineageBudget(size_t bytes) {
 void SmokeEngine::Retain(const std::string& query_name,
                          std::unique_ptr<RetainedPlan> retained,
                          const CaptureOptions& opts) {
-  if (opts.lineage_budget_bytes > 0) {
-    tracker_.SetBudget(opts.lineage_budget_bytes);
-  }
   PlanResult& result = retained->result;
   retained->codec = opts.lineage_codec;
   // Deferred plans have no composed lineage yet; FinalizePlan encodes and

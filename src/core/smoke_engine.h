@@ -148,9 +148,9 @@ class SmokeEngine {
                       const Workload* workload = nullptr);
 
   /// Full-options variant: `opts` additionally carries the parallel-capture
-  /// knobs and the lineage-store knobs (lineage_codec — how the retained
-  /// indexes are encoded at finalize; lineage_budget_bytes — engine-wide
-  /// memory budget). Results and traces are bit-identical across codecs.
+  /// knobs and the lineage codec (how the retained indexes are encoded at
+  /// finalize; the memory budget is SetLineageBudget's). Results and traces
+  /// are bit-identical across codecs.
   Status ExecuteQuery(const std::string& query_name, const SPJAQuery& query,
                       const CaptureOptions& opts,
                       const Workload* workload = nullptr);
@@ -271,8 +271,8 @@ class SmokeEngine {
                        const RetainedPlan& rp) const;
 
   /// Retains a freshly executed result: encodes its lineage per
-  /// `opts.lineage_codec`, registers it with the tracker, applies
-  /// `opts.lineage_budget_bytes`, and enforces the budget.
+  /// `opts.lineage_codec`, registers it with the tracker, and enforces the
+  /// budget.
   void Retain(const std::string& query_name,
               std::unique_ptr<RetainedPlan> retained,
               const CaptureOptions& opts);

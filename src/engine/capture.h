@@ -156,7 +156,7 @@ struct CaptureOptions {
 
   /// Retain the operator-level state incremental refresh needs (src/
   /// refresh/): the optimized plan, per-node intermediate outputs, group-by
-  /// hash handles and join build maps. Costs memory proportional to the
+  /// hash handles and join build tables. Costs memory proportional to the
   /// intermediates, so it is opt-in; SmokeEngine::AppendRows and
   /// ServeCore's incremental snapshot path turn it on for retained views.
   /// Incompatible with defer_plan_finalize (refresh needs composed indexes
@@ -169,13 +169,6 @@ struct CaptureOptions {
   /// over encoded indexes are evaluated in-situ and return bit-identical
   /// results for every codec. kRaw keeps today's representation.
   LineageCodec lineage_codec = LineageCodec::kRaw;
-
-  /// Engine-wide lineage memory budget in bytes (0 = leave unchanged).
-  /// When retained lineage exceeds the budget, the engine re-encodes the
-  /// coldest indexes adaptively, then evicts cold queries entirely —
-  /// evicted queries transparently answer backward traces via the
-  /// lazy-rescan strategy. Equivalent to SmokeEngine::SetLineageBudget.
-  size_t lineage_budget_bytes = 0;
 
   /// Run the rule-based plan rewriter (src/optimizer/) before executing a
   /// LogicalPlan. Rewrites preserve results and lineage bit-identically;

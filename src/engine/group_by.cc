@@ -2,6 +2,8 @@
 
 #include <cstring>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "common/macros.h"
 #include "engine/key_encode.h"
@@ -608,8 +610,8 @@ void FinalizeDeferredGroupBy(GroupByResult* result, const Table& input,
 namespace {
 
 /// Rewrites the finalized aggregate values of output row `g` in place.
-void RewriteOutputRowIn(Table* output, GroupByHandle* h, uint32_t g,
-                        size_t num_keys) {
+void RewriteOutputRow(Table* output, GroupByHandle* h, uint32_t g,
+                      size_t num_keys) {
   const AggLayout& layout = h->layout();
   const double* state = GroupByInternals::MutableAggState(h, g);
   for (size_t i = 0; i < layout.num_aggs(); ++i) {
@@ -623,13 +625,9 @@ void RewriteOutputRowIn(Table* output, GroupByHandle* h, uint32_t g,
   }
 }
 
-void RewriteOutputRow(GroupByResult* result, uint32_t g, size_t num_keys) {
-  RewriteOutputRowIn(&result->output, result->handle.get(), g, num_keys);
-}
-
 /// Appends a fresh output row for a newly created group.
-void AppendOutputRowTo(Table* output, GroupByHandle* h, const Table& input,
-                       uint32_t g, const std::vector<int>& key_cols) {
+void AppendOutputRow(Table* output, GroupByHandle* h, const Table& input,
+                     uint32_t g, const std::vector<int>& key_cols) {
   rid_t rep = GroupByInternals::FirstRid(h, g);
   for (size_t k = 0; k < key_cols.size(); ++k) {
     output->mutable_column(k).AppendFrom(
@@ -643,10 +641,17 @@ void AppendOutputRowTo(Table* output, GroupByHandle* h, const Table& input,
   layout.Finalize(GroupByInternals::MutableAggState(h, g), &agg_cols);
 }
 
-void AppendOutputRow(GroupByResult* result, const Table& input, uint32_t g,
-                     const std::vector<int>& key_cols) {
-  AppendOutputRowTo(&result->output, result->handle.get(), input, g,
-                    key_cols);
+/// What single-kernel refresh maintains: the γht handle and the raw
+/// Inject-captured lineage (backward rid index, forward rid array).
+Status CheckInjectGroupBy(const GroupByResult& result) {
+  if (result.handle == nullptr || result.lineage.num_inputs() != 1 ||
+      result.lineage.input(0).backward.kind() != LineageIndex::Kind::kIndex ||
+      result.lineage.input(0).forward.kind() != LineageIndex::Kind::kArray) {
+    return Status::InvalidArgument(
+        "group-by refresh needs the γht handle and raw Inject-captured "
+        "lineage");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -670,7 +675,7 @@ GroupByDelta GroupByDeltaAppend(GroupByHandle* h, const Table& input,
     ++GroupByInternals::counts(h)[g];
     if (created) {
       seen.push_back(0);
-      AppendOutputRowTo(output, h, input, g, key_cols);
+      AppendOutputRow(output, h, input, g, key_cols);
     }
     d.slots.push_back(g);
     if (!seen[g]) {
@@ -679,86 +684,74 @@ GroupByDelta GroupByDeltaAppend(GroupByHandle* h, const Table& input,
     }
   }
   for (uint32_t g : d.touched) {
-    RewriteOutputRowIn(output, h, g, key_cols.size());
+    RewriteOutputRow(output, h, g, key_cols.size());
   }
   return d;
 }
 
-std::vector<rid_t> RefreshAppend(GroupByResult* result, const Table& input,
-                                 rid_t first_new_rid) {
-  GroupByHandle* h = result->handle.get();
-  SMOKE_CHECK(h != nullptr);
-  SMOKE_CHECK(result->lineage.num_inputs() == 1);
+Status RefreshAppend(GroupByResult* result, const Table& input,
+                     rid_t first_new_rid, std::vector<rid_t>* changed) {
+  SMOKE_RETURN_NOT_OK(CheckInjectGroupBy(*result));
   TableLineage& lin = result->lineage.mutable_input(0);
-  SMOKE_CHECK(lin.backward.kind() == LineageIndex::Kind::kIndex);
-  SMOKE_CHECK(lin.forward.kind() == LineageIndex::Kind::kArray);
-  RidIndex& bw = lin.backward.mutable_index();
   RidArray& fw = lin.forward.mutable_array();
-  // Appends may have reallocated the column payloads the compiled
-  // aggregate expressions point into.
-  GroupByInternals::RebindLayout(h, input);
-  const size_t n = input.num_rows();
-  const size_t num_keys = result->output.num_columns() -
-                          h->layout().num_aggs();
-  const std::vector<int>& key_cols = GroupByInternals::KeyCols(h);
-
-  std::vector<rid_t> affected;
-  std::vector<uint8_t> seen(h->num_groups(), 0);
-  fw.resize(n, kInvalidRid);
-  for (rid_t r = first_new_rid; r < n; ++r) {
-    bool created = false;
-    uint32_t g = GroupByInternals::FindOrCreate(h, input, r, &created);
-    h->layout().Update(GroupByInternals::MutableAggState(h, g), r);
-    ++GroupByInternals::counts(h)[g];
-    if (created) {
-      bw.Resize(h->num_groups());
-      seen.push_back(0);
-      AppendOutputRow(result, input, g, key_cols);
-    }
-    bw.Append(g, r);
-    fw[r] = g;
-    if (!seen[g]) {
-      seen[g] = 1;
-      affected.push_back(g);
-    }
+  if (first_new_rid != fw.size() || first_new_rid > input.num_rows()) {
+    return Status::InvalidArgument(
+        "first_new_rid " + std::to_string(first_new_rid) +
+        " is not the end of the " + std::to_string(fw.size()) +
+        " rows already folded");
   }
-  for (rid_t g : affected) RewriteOutputRow(result, g, num_keys);
-  result->lineage.set_output_cardinality(h->num_groups());
-  return affected;
+  GroupByDelta d = GroupByDeltaAppend(result->handle.get(), input,
+                                      first_new_rid, &result->output);
+  RidIndex& bw = lin.backward.mutable_index();
+  bw.Resize(result->handle->num_groups());
+  fw.resize(input.num_rows(), kInvalidRid);
+  for (size_t j = 0; j < d.slots.size(); ++j) {
+    const rid_t r = first_new_rid + static_cast<rid_t>(j);
+    bw.Append(d.slots[j], r);
+    fw[r] = d.slots[j];
+  }
+  result->lineage.set_output_cardinality(result->handle->num_groups());
+  *changed = std::move(d.touched);
+  return Status::OK();
 }
 
-std::vector<rid_t> ForwardPropagate(GroupByResult* result, const Table& input,
-                                    const std::vector<rid_t>& updated_rids) {
+Status ForwardPropagate(GroupByResult* result, const Table& input,
+                        const std::vector<rid_t>& updated_rids,
+                        std::vector<rid_t>* affected) {
+  SMOKE_RETURN_NOT_OK(CheckInjectGroupBy(*result));
   GroupByHandle* h = result->handle.get();
-  SMOKE_CHECK(h != nullptr);
-  TableLineage& lin = result->lineage.mutable_input(0);
-  SMOKE_CHECK(lin.forward.kind() == LineageIndex::Kind::kArray);
-  SMOKE_CHECK(lin.backward.kind() == LineageIndex::Kind::kIndex);
+  const TableLineage& lin = result->lineage.input(0);
   const RidArray& fw = lin.forward.array();
   const RidIndex& bw = lin.backward.index();
+  for (rid_t r : updated_rids) {
+    if (r >= fw.size()) {
+      return Status::InvalidArgument("updated rid " + std::to_string(r) +
+                                     " out of range");
+    }
+  }
   GroupByInternals::RebindLayout(h, input);
   const size_t num_keys = result->output.num_columns() -
                           h->layout().num_aggs();
 
   // Forward-trace the updated rows to the affected groups.
   std::vector<uint8_t> seen(h->num_groups(), 0);
-  std::vector<rid_t> affected;
+  affected->clear();
   for (rid_t r : updated_rids) {
     rid_t g = fw[r];
     if (g == kInvalidRid || seen[g]) continue;
     seen[g] = 1;
-    affected.push_back(g);
+    affected->push_back(g);
   }
 
   // Recompute each affected group from its backward lineage (secondary
   // index scan — the affected subset, not the whole relation).
-  for (rid_t g : affected) {
+  for (rid_t g : *affected) {
     GroupByInternals::ReinitAggState(h, g);
     double* state = GroupByInternals::MutableAggState(h, g);
     for (rid_t r : bw.list(g)) h->layout().Update(state, r);
-    RewriteOutputRow(result, g, num_keys);
+    RewriteOutputRow(&result->output, h, g, num_keys);
   }
-  return affected;
+  return Status::OK();
 }
 
 }  // namespace smoke

@@ -1,6 +1,8 @@
 #include "engine/hash_join.h"
 
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "common/macros.h"
 #include "lineage/fragment_merge.h"
@@ -26,18 +28,6 @@ Schema OutputSchema(const Table& left, const Table& right,
   }
   return s;
 }
-
-struct JoinHashTable {
-  IntKeyMap map;
-  // M:N: i_rids[slot] holds the A rids for the entry's key.
-  std::vector<RidVec> i_rids;
-  // Pk build: exactly one A rid per entry.
-  std::vector<rid_t> single_rid;
-  // Defer: first output rid of each B-match run for the entry.
-  std::vector<RidVec> o_rids;
-
-  explicit JoinHashTable(size_t expected) : map(expected) {}
-};
 
 /// Morsel-driven parallel ⋈'probe (kNone, kInject, and pk-fk kDefer — the
 /// modes whose probe loop is stateless given the read-only build table).
@@ -109,17 +99,8 @@ JoinResult HashJoinProbeParallel(const Table& left,
     for (rid_t b = span.begin; b < span.end; ++b) {
       uint32_t slot = ht.map.Find(rkeys[b]);
       if (slot == IntKeyMap::kNotFound) continue;
-      const rid_t* match_begin;
-      size_t match_count;
-      rid_t single;
-      if (pk) {
-        single = ht.single_rid[slot];
-        match_begin = &single;
-        match_count = 1;
-      } else {
-        match_begin = ht.i_rids[slot].data();
-        match_count = ht.i_rids[slot].size();
-      }
+      const rid_t* match_begin = ht.rids(slot);
+      const size_t match_count = ht.count(slot);
       for (size_t i = 0; i < match_count; ++i) {
         rid_t a = match_begin[i];
         if (spec.materialize_output) {
@@ -194,26 +175,37 @@ JoinResult HashJoinProbeParallel(const Table& left,
 JoinResult HashJoinExec(const Table& left, const std::string& left_name,
                         const Table& right, const std::string& right_name,
                         const JoinSpec& spec, const CaptureOptions& opts) {
+  auto fail = [](std::string why) {
+    JoinResult r;
+    r.status = Status::InvalidArgument(std::move(why));
+    return r;
+  };
   if (!spec.left_key_name.empty() || !spec.right_key_name.empty()) {
     // Name forms reaching the kernel directly (no PlanBuilder::Build pass)
-    // resolve here; unknown names abort like Table::column(name).
+    // resolve here.
     JoinSpec resolved = spec;
     if (!resolved.left_key_name.empty()) {
       resolved.left_key = left.ColumnIndex(resolved.left_key_name);
-      SMOKE_CHECK(resolved.left_key >= 0);
       resolved.left_key_name.clear();
     }
     if (!resolved.right_key_name.empty()) {
       resolved.right_key = right.ColumnIndex(resolved.right_key_name);
-      SMOKE_CHECK(resolved.right_key >= 0);
       resolved.right_key_name.clear();
     }
     return HashJoinExec(left, left_name, right, right_name, resolved, opts);
   }
-  SMOKE_CHECK(left.column(static_cast<size_t>(spec.left_key)).type() ==
-              DataType::kInt64);
-  SMOKE_CHECK(right.column(static_cast<size_t>(spec.right_key)).type() ==
-              DataType::kInt64);
+  if (spec.left_key < 0 ||
+      static_cast<size_t>(spec.left_key) >= left.num_columns() ||
+      spec.right_key < 0 ||
+      static_cast<size_t>(spec.right_key) >= right.num_columns()) {
+    return fail("hash-join key column out of range");
+  }
+  if (left.column(static_cast<size_t>(spec.left_key)).type() !=
+          DataType::kInt64 ||
+      right.column(static_cast<size_t>(spec.right_key)).type() !=
+          DataType::kInt64) {
+    return fail("hash-join keys must be int64 columns");
+  }
 
   const size_t na = left.num_rows();
   const size_t nb = right.num_rows();
@@ -248,6 +240,7 @@ JoinResult HashJoinExec(const Table& left, const std::string& left_name,
 
   // ---- ⋈'ht: build phase on A ----
   JoinHashTable ht(na);
+  ht.pk = pk;
   const CardinalityHints* hints = opts.hints;
   const bool tc = hints != nullptr && hints->have_per_key_counts;
 
@@ -268,8 +261,8 @@ JoinResult HashJoinExec(const Table& left, const std::string& left_name,
         ht.i_rids.emplace_back();
       }
       if (defer) ht.o_rids.emplace_back();
-    } else {
-      SMOKE_DCHECK(!pk);  // duplicate key on a pk build side
+    } else if (pk) {
+      return fail("pk_build join has duplicate build keys");
     }
     if (!pk) ht.i_rids[slot].PushBack(a);
     // Smoke-I+TC: pre-size this A row's forward list with the known number
@@ -280,14 +273,25 @@ JoinResult HashJoinExec(const Table& left, const std::string& left_name,
     }
   }
 
-  if (parallel) {
-    if (opts.scheduler != nullptr) {
-      return HashJoinProbeParallel(left, left_name, right, right_name, spec,
-                                   opts, ht, opts.scheduler);
+  // Refresh probes appended rows against the table this kernel built.
+  auto retain = [&opts, &ht](JoinResult* r) {
+    if (opts.retain_refresh_state) {
+      r->build_table = std::make_shared<const JoinHashTable>(std::move(ht));
     }
-    MorselScheduler local(opts.num_threads);
-    return HashJoinProbeParallel(left, left_name, right, right_name, spec,
-                                 opts, ht, &local);
+  };
+
+  if (parallel) {
+    JoinResult result;
+    if (opts.scheduler != nullptr) {
+      result = HashJoinProbeParallel(left, left_name, right, right_name, spec,
+                                     opts, ht, opts.scheduler);
+    } else {
+      MorselScheduler local(opts.num_threads);
+      result = HashJoinProbeParallel(left, left_name, right, right_name,
+                                     spec, opts, ht, &local);
+    }
+    retain(&result);
+    return result;
   }
 
   // ---- ⋈'probe: probe phase with B ----
@@ -326,17 +330,8 @@ JoinResult HashJoinExec(const Table& left, const std::string& left_name,
   for (rid_t b = 0; b < nb; ++b) {
     uint32_t slot = ht.map.Find(rkeys[b]);
     if (slot == IntKeyMap::kNotFound) continue;
-    const rid_t* match_begin;
-    size_t match_count;
-    rid_t single;
-    if (pk) {
-      single = ht.single_rid[slot];
-      match_begin = &single;
-      match_count = 1;
-    } else {
-      match_begin = ht.i_rids[slot].data();
-      match_count = ht.i_rids[slot].size();
-    }
+    const rid_t* match_begin = ht.rids(slot);
+    const size_t match_count = ht.count(slot);
     if (defer) ht.o_rids[slot].PushBack(o);  // first output rid of this run
     for (size_t m = 0; m < match_count; ++m) {
       rid_t a = match_begin[m];
@@ -441,7 +436,7 @@ JoinResult HashJoinExec(const Table& left, const std::string& left_name,
       lb.forward = LineageIndex::FromIndex(std::move(b2_fw));
     }
   }
-
+  retain(&result);
   return result;
 }
 

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "common/status.h"
 #include "engine/capture.h"
 #include "lineage/query_lineage.h"
 #include "storage/table.h"
@@ -70,10 +71,39 @@ struct JoinSpec {
   LineageWriter* writer_right = nullptr;
 };
 
+/// The ⋈ht build table over the left relation A: key -> dense slot, with
+/// each slot's A rids in scan order (the probe's match order). Built once
+/// per execution; under CaptureOptions::retain_refresh_state it outlives
+/// the kernel so incremental refresh (src/refresh/) probes appended probe
+/// rows against it instead of building a second map (paper P4).
+struct JoinHashTable {
+  IntKeyMap map;
+  bool pk = false;  ///< JoinSpec::pk_build: one A rid per slot
+  /// M:N: i_rids[slot] holds the A rids for the entry's key.
+  std::vector<RidVec> i_rids;
+  /// Pk build: exactly one A rid per entry.
+  std::vector<rid_t> single_rid;
+  /// Defer: first output rid of each B-match run for the entry.
+  std::vector<RidVec> o_rids;
+
+  explicit JoinHashTable(size_t expected) : map(expected) {}
+
+  /// The A rids of `slot` (from map.Find), in scan order.
+  const rid_t* rids(uint32_t slot) const {
+    return pk ? &single_rid[slot] : i_rids[slot].data();
+  }
+  size_t count(uint32_t slot) const { return pk ? 1 : i_rids[slot].size(); }
+};
+
 struct JoinResult {
   Table output;           ///< left columns ++ right columns (+ annotations)
   QueryLineage lineage;   ///< input 0 = left (A), input 1 = right (B)
   size_t output_cardinality = 0;  ///< valid even when not materialized
+  /// The build table, kept only under CaptureOptions::retain_refresh_state.
+  std::shared_ptr<const JoinHashTable> build_table;
+  /// InvalidArgument (and an otherwise empty result) on an unknown key
+  /// name, a non-int64 key, or a duplicate key on a pk_build side.
+  Status status;
 };
 
 /// Executes A ⋈ B with the capture technique in `opts`.

@@ -9,8 +9,8 @@
 //
 // The store also owns the lineage memory budget: a LineageMemoryTracker
 // accounts bytes per retained query (surfaced as
-// SmokeEngine::LineageMemoryStats()), and when
-// CaptureOptions::lineage_budget_bytes is exceeded the engine first
+// SmokeEngine::LineageMemoryStats()), and when the budget set by
+// SmokeEngine::SetLineageBudget is exceeded the engine first
 // re-encodes cold indexes adaptively and ultimately evicts them — evicted
 // queries transparently fall back to the lazy-rescan trace strategy.
 #ifndef SMOKE_LINEAGE_STORE_LINEAGE_STORE_H_

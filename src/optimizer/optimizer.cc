@@ -99,7 +99,11 @@ Status WorkPlan::Freeze(LogicalPlan* out) const {
 }  // namespace optimizer
 
 Status OptimizePlan(const LogicalPlan& plan, LogicalPlan* out,
-                    PlanExplain* explain, const OptimizerOptions& options) {
+                    PlanExplain* explain) {
+  // Fixed-point bounds: no rule set needs more than a few passes; the
+  // application cap is a runaway-rule backstop.
+  constexpr int kMaxPasses = 10;
+  constexpr int kMaxApplications = 200;
   optimizer::WorkPlan wp;
   // Refresh doubles as plan validation: malformed plans (bad column refs,
   // type mismatches, unbindable expressions) are rejected here with a clear
@@ -108,9 +112,9 @@ Status OptimizePlan(const LogicalPlan& plan, LogicalPlan* out,
   if (!st.ok()) return st;
 
   std::vector<std::unique_ptr<optimizer::Rule>> rules =
-      optimizer::MakeRules(options);
+      optimizer::MakeRules();
   int applications = 0;
-  for (int pass = 0; pass < options.max_passes; ++pass) {
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
     bool changed = false;
     for (const std::unique_ptr<optimizer::Rule>& rule : rules) {
       // Scan bottom-up (ascending id ≈ children first) and restart after
@@ -134,14 +138,14 @@ Status OptimizePlan(const LogicalPlan& plan, LogicalPlan* out,
           }
           applied = true;
           changed = true;
-          if (++applications >= options.max_applications) {
+          if (++applications >= kMaxApplications) {
             applied = false;
             changed = false;
           }
           break;
         }
       }
-      if (applications >= options.max_applications) break;
+      if (applications >= kMaxApplications) break;
     }
     if (!changed) break;
   }

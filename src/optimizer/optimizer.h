@@ -38,15 +38,6 @@
 
 namespace smoke {
 
-struct OptimizerOptions {
-  bool constant_folding = true;
-  bool predicate_pushdown = true;  ///< incl. push into kTrace
-  bool trace_fusion = true;        ///< trace hops and trace aggregates
-  bool elision = true;             ///< select-true, identity project
-  int max_passes = 10;
-  int max_applications = 200;      ///< runaway-rule backstop
-};
-
 namespace optimizer {
 
 /// \brief Mutable rewrite workspace. Node ids stay stable while rules
@@ -104,8 +95,8 @@ class Rule {
   virtual bool Apply(WorkPlan* wp, int id, std::string* detail) const = 0;
 };
 
-/// The rule set `options` enables, in application order.
-std::vector<std::unique_ptr<Rule>> MakeRules(const OptimizerOptions& options);
+/// The shipping rule set, in application order.
+std::vector<std::unique_ptr<Rule>> MakeRules();
 
 }  // namespace optimizer
 
@@ -114,8 +105,7 @@ std::vector<std::unique_ptr<Rule>> MakeRules(const OptimizerOptions& options);
 /// is rebuilt through PlanBuilder and re-validated. Optimized plans
 /// produce bit-identical results and lineage to the input plan.
 Status OptimizePlan(const LogicalPlan& plan, LogicalPlan* out,
-                    PlanExplain* explain,
-                    const OptimizerOptions& options = OptimizerOptions{});
+                    PlanExplain* explain);
 
 }  // namespace smoke
 

@@ -346,15 +346,15 @@ bool ExprReadsBelow(const ScalarExpr& e, int width) {
 /// through the same AggLayout arithmetic, and the operator composes the
 /// group-by fragment through the same lineage/compose calls the executor
 /// would make, so results and lineage are bit-identical. Keys or
-/// aggregates that read the rid column, non-int64 raw keys, and group-bys
-/// with capture push-downs are left alone.
+/// aggregates that read the rid column and non-int64 raw keys are left
+/// alone.
 class FuseTraceAggregateRule : public Rule {
  public:
   const char* name() const override { return "fuse_trace_aggregate"; }
 
   bool Apply(WorkPlan* wp, int id, std::string* detail) const override {
     const PlanNode& n = wp->node(id);
-    if (n.kind != PlanOpKind::kGroupBy || !n.pushdown.empty()) return false;
+    if (n.kind != PlanOpKind::kGroupBy) return false;
     int cid = n.children[0];
     if (!wp->SingleParent(cid)) return false;
     const PlanNode* derive = nullptr;
@@ -508,27 +508,19 @@ class ElideEmptySelectRule : public Rule {
 
 }  // namespace
 
-std::vector<std::unique_ptr<Rule>> MakeRules(const OptimizerOptions& options) {
+std::vector<std::unique_ptr<Rule>> MakeRules() {
   std::vector<std::unique_ptr<Rule>> rules;
-  if (options.constant_folding) {
-    rules.push_back(std::make_unique<FoldConstantsRule>());
-  }
-  if (options.predicate_pushdown) {
-    rules.push_back(std::make_unique<MergeSelectsRule>());
-    rules.push_back(std::make_unique<PushSelectThroughProjectRule>());
-    rules.push_back(std::make_unique<PushSelectThroughDeriveRule>());
-    rules.push_back(std::make_unique<PushSelectThroughSetOpRule>());
-    rules.push_back(std::make_unique<PushSelectIntoTraceRule>());
-  }
-  if (options.trace_fusion) {
-    rules.push_back(std::make_unique<FuseTraceHopsRule>());
-    rules.push_back(std::make_unique<FuseTraceAggregateRule>());
-  }
-  if (options.elision) {
-    rules.push_back(std::make_unique<ElideIdentityProjectRule>());
-    rules.push_back(std::make_unique<MergeProjectsRule>());
-    rules.push_back(std::make_unique<ElideEmptySelectRule>());
-  }
+  rules.push_back(std::make_unique<FoldConstantsRule>());
+  rules.push_back(std::make_unique<MergeSelectsRule>());
+  rules.push_back(std::make_unique<PushSelectThroughProjectRule>());
+  rules.push_back(std::make_unique<PushSelectThroughDeriveRule>());
+  rules.push_back(std::make_unique<PushSelectThroughSetOpRule>());
+  rules.push_back(std::make_unique<PushSelectIntoTraceRule>());
+  rules.push_back(std::make_unique<FuseTraceHopsRule>());
+  rules.push_back(std::make_unique<FuseTraceAggregateRule>());
+  rules.push_back(std::make_unique<ElideIdentityProjectRule>());
+  rules.push_back(std::make_unique<MergeProjectsRule>());
+  rules.push_back(std::make_unique<ElideEmptySelectRule>());
   return rules;
 }
 

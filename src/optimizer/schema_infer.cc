@@ -184,16 +184,6 @@ Status Inference::InferNode(const PlanNode& n, Schema* out) {
         Field f = AggOutputField(a);
         s.AddField(f.name, f.type);
       }
-      if (!n.pushdown.empty()) {
-        for (const Predicate& p : n.pushdown.sel_fact) {
-          SMOKE_RETURN_NOT_OK(ValidatePredicate(in, p, n.label));
-        }
-        for (int c : n.pushdown.skip_cols) {
-          if (c < 0 || static_cast<size_t>(c) >= in.num_fields()) {
-            return OutOfRange("skip push-down", c, n.label);
-          }
-        }
-      }
       *out = std::move(s);
       return Status::OK();
     }
@@ -246,6 +236,21 @@ Status Inference::InferNode(const PlanNode& n, Schema* out) {
       };
       for (const Predicate& p : n.spja.fact_filters) {
         SMOKE_RETURN_NOT_OK(ValidatePredicate(fact, p, n.label));
+      }
+      // Push-downs read fact columns only.
+      for (const Predicate& p : n.pushdown.sel_fact) {
+        SMOKE_RETURN_NOT_OK(ValidatePredicate(fact, p, n.label));
+      }
+      for (const std::vector<int>* cols :
+           {&n.pushdown.skip_cols, &n.pushdown.cube_cols}) {
+        for (int c : *cols) {
+          if (c < 0 || static_cast<size_t>(c) >= fact.num_fields()) {
+            return OutOfRange("push-down", c, n.label);
+          }
+        }
+      }
+      for (const AggSpec& a : n.pushdown.cube_aggs) {
+        SMOKE_RETURN_NOT_OK(ValidateScalarExpr(fact, a.expr, n.label));
       }
       if (n.spja.dims.size() > SPJAQuery::kMaxDims) {
         return Status::InvalidArgument(

@@ -33,9 +33,9 @@ struct PlanDeferredState {
 };
 
 /// Per-plan cache the refresh subsystem (src/refresh/) attaches to retained
-/// state: analysis of the delta path plus rebuilt operator scratch (join
-/// build maps). Defined in refresh/refresh.h — the plan layer only carries
-/// the pointer, keeping the dependency one-directional.
+/// state: the analyzed delta path and base-row watermarks. Defined in
+/// refresh/refresh.h — the plan layer only carries the pointer, keeping the
+/// dependency one-directional.
 struct RefreshPlanCache;
 
 /// Execution state retained when CaptureOptions::retain_refresh_state is on:
@@ -43,8 +43,8 @@ struct RefreshPlanCache;
 /// an appended batch and extend the composed indexes in place — the
 /// optimized plan actually executed, the capture options, and the
 /// per-operator results (intermediate outputs kept alive, group-by hash
-/// handles retained; the root output and the lineage fragments have been
-/// moved out into the PlanResult).
+/// handles and join build tables retained; the root output and the lineage
+/// fragments have been moved out into the PlanResult).
 struct PlanRefreshState {
   LogicalPlan plan;  ///< the optimized DAG that ran (borrows base tables)
   CaptureOptions opts;
@@ -66,9 +66,9 @@ struct PlanRefreshState {
 /// dimensions in join order). Base tables are borrowed and must outlive the
 /// result for lineage queries to dereference rows.
 ///
-/// A plan result is-a SPJAResult: when the root is an SPJA block (or a
-/// group-by with capture push-downs) the inherited SPJAArtifacts fields hold
-/// the block-level artifacts; otherwise they stay empty.
+/// A plan result is-a SPJAResult: when the root is an SPJA block the
+/// inherited SPJAArtifacts fields hold the block-level artifacts (the
+/// push-down skip index and cube among them); otherwise they stay empty.
 struct PlanResult : SPJAResult {
   /// EXPLAIN record of the optimizer run (empty when opts.optimize was off).
   PlanExplain explain;

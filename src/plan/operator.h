@@ -35,6 +35,7 @@
 #include "common/status.h"
 #include "engine/capture.h"
 #include "engine/group_by.h"
+#include "engine/hash_join.h"
 #include "lineage/rid_index.h"
 #include "plan/plan.h"
 #include "plan/scheduler.h"
@@ -90,9 +91,9 @@ struct OperatorResult {
   /// Parallel to the inputs. Individual fragment indexes are empty when the
   /// mode captures nothing (kNone) or the input was pruned.
   std::vector<LineageFragment> fragments;
-  /// SPJA block (or push-down group-by) only: the block-level artifacts
-  /// (annotated relation, group counts, push-down skip index / cube) that
-  /// the plan result carries when this operator is the root.
+  /// SPJA block only: the block-level artifacts (annotated relation, group
+  /// counts, push-down skip index / cube) that the plan result carries when
+  /// this operator is the root.
   std::shared_ptr<SPJAArtifacts> spja_artifacts;
   /// Group-by under plan-level defer scheduling (CaptureOptions::
   /// defer_plan_finalize): the kernel result whose lineage is still pending
@@ -103,6 +104,9 @@ struct OperatorResult {
   /// kernel's γht handle, kept alive so delta batches can probe and extend
   /// the aggregate state in place (src/refresh/).
   std::shared_ptr<GroupByHandle> group_by;
+  /// Hash join under CaptureOptions::retain_refresh_state: the kernel's
+  /// ⋈ht build table, which delta batches probe (src/refresh/).
+  std::shared_ptr<const JoinHashTable> join_build;
 };
 
 /// \brief A physical operator bound to a plan node.

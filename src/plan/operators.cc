@@ -16,7 +16,6 @@
 #include "engine/spja.h"
 #include "lineage/compose.h"
 #include "query/lineage_query.h"
-#include "storage/dictionary.h"
 
 namespace smoke {
 
@@ -143,28 +142,15 @@ class HashJoinOperator : public Operator {
   Status Execute(const std::vector<OperatorInput>& inputs,
                  const CaptureOptions& opts, OperatorResult* out) const override {
     SMOKE_RETURN_NOT_OK(RequireFullRange(inputs, name()));
-    if (node_.join.left_key < 0 ||
-        static_cast<size_t>(node_.join.left_key) >=
-            inputs[0].table->num_columns() ||
-        node_.join.right_key < 0 ||
-        static_cast<size_t>(node_.join.right_key) >=
-            inputs[1].table->num_columns()) {
-      return Status::InvalidArgument("hash-join key column out of range");
-    }
-    const Column& lk =
-        inputs[0].table->column(static_cast<size_t>(node_.join.left_key));
-    const Column& rk =
-        inputs[1].table->column(static_cast<size_t>(node_.join.right_key));
-    if (lk.type() != DataType::kInt64 || rk.type() != DataType::kInt64) {
-      return Status::InvalidArgument("hash-join keys must be int64 columns");
-    }
     JoinResult r =
         HashJoinExec(*inputs[0].table, inputs[0].name, *inputs[1].table,
                      inputs[1].name, node_.join, opts);
+    SMOKE_RETURN_NOT_OK(r.status);
     out->output = std::move(r.output);
     out->output_cardinality = r.output_cardinality;
     out->fragments.push_back(TakeFragment(&r.lineage, 0));
     out->fragments.push_back(TakeFragment(&r.lineage, 1));
+    out->join_build = std::move(r.build_table);
     return Status::OK();
   }
 
@@ -189,7 +175,7 @@ class GroupByOperator : public Operator {
     }
     GroupByResult r = GroupByExec(in, inputs[0].name, node_.group_by, opts);
     if (opts.mode == CaptureMode::kDefer) {
-      if (opts.defer_plan_finalize && node_.pushdown.empty()) {
+      if (opts.defer_plan_finalize) {
         // Plan-level defer scheduling: keep the kernel result (with its
         // retained γht hash table) unfinalized; PlanResult::
         // FinalizeDeferred() completes capture at think-time.
@@ -205,51 +191,7 @@ class GroupByOperator : public Operator {
     out->output = std::move(r.output);
     out->output_cardinality = out->output.num_rows();
     if (opts.retain_refresh_state) out->group_by = r.handle;
-    LineageFragment frag = TakeFragment(&r.lineage, 0);
-
-    // Capture push-downs lifted from the SPJA block (selection / data
-    // skipping over the captured backward lists — SPJAPushdown semantics):
-    // sel_fact gates which input rids enter backward lineage, skip_cols
-    // replaces the plain backward index with a partitioned one. Applied to
-    // the finalized lists, preserving in-list scan order, so the artifacts
-    // match what the fused block builds in its hot loop.
-    if (!node_.pushdown.empty() && !frag.backward.empty()) {
-      const SPJAPushdown& push = node_.pushdown;
-      auto artifacts = std::make_shared<SPJAArtifacts>();
-      artifacts->applied_pushdown = push;
-      PredicateList sel(in, push.sel_fact);
-      const size_t ng = out->output.num_rows();
-      if (!push.skip_cols.empty()) {
-        artifacts->skip_dict = BuildDictionary(in, push.skip_cols);
-        artifacts->skip_index.SetNumCodes(artifacts->skip_dict.num_codes);
-        const uint32_t* codes = artifacts->skip_dict.codes.data();
-        for (size_t g = 0; g < ng; ++g) {
-          artifacts->skip_index.AddOutput();
-          frag.backward.ForEachRelated(
-              static_cast<rid_t>(g), [&](rid_t r) {
-                if (sel.Eval(r)) {
-                  artifacts->skip_index.Append(static_cast<uint32_t>(g),
-                                               codes[r], r);
-                }
-              });
-        }
-        // The partitioned index *replaces* the plain backward index, as in
-        // the fused block: a plain backward trace over this group-by must
-        // error rather than silently bypass the push-down.
-        frag.backward = LineageIndex();
-      } else if (!push.sel_fact.empty()) {
-        RidIndex filtered(ng);
-        for (size_t g = 0; g < ng; ++g) {
-          RidVec& list = filtered.list(g);
-          frag.backward.ForEachRelated(static_cast<rid_t>(g), [&](rid_t r) {
-            if (sel.Eval(r)) list.PushBack(r);
-          });
-        }
-        frag.backward = LineageIndex::FromIndex(std::move(filtered));
-      }
-      out->spja_artifacts = std::move(artifacts);
-    }
-    out->fragments.push_back(std::move(frag));
+    out->fragments.push_back(TakeFragment(&r.lineage, 0));
     return Status::OK();
   }
 

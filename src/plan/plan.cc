@@ -119,15 +119,6 @@ int PlanBuilder::GroupBy(int child, GroupBySpec spec) {
   return Add(std::move(n));
 }
 
-int PlanBuilder::GroupBy(int child, GroupBySpec spec, SPJAPushdown push) {
-  PlanNode n;
-  n.kind = PlanOpKind::kGroupBy;
-  n.children = {child};
-  n.group_by = std::move(spec);
-  n.pushdown = std::move(push);
-  return Add(std::move(n));
-}
-
 int PlanBuilder::SetOp(SetOpKind kind, int left, int right,
                        std::vector<int> cols) {
   PlanNode n;
@@ -310,8 +301,7 @@ Status PlanBuilder::ResolveNames() {
           agg_names |= ExprHasNames(a.expr);
         }
         if (n.children.size() != 1 ||
-            (n.group_by.key_names.empty() && !agg_names &&
-             !AnyPredicateNames(n.pushdown.sel_fact))) {
+            (n.group_by.key_names.empty() && !agg_names)) {
           break;
         }
         SMOKE_RETURN_NOT_OK(schema_of(n.children[0], &all, &schema));
@@ -323,9 +313,6 @@ Status PlanBuilder::ResolveNames() {
         n.group_by.key_names.clear();
         for (AggSpec& a : n.group_by.aggs) {
           SMOKE_RETURN_NOT_OK(ResolveExpr(*schema, n.label, &a.expr));
-        }
-        for (Predicate& p : n.pushdown.sel_fact) {
-          SMOKE_RETURN_NOT_OK(ResolvePredicate(*schema, n.label, &p));
         }
         break;
       }
@@ -468,19 +455,10 @@ Status PlanBuilder::Build(int root, LogicalPlan* out) {
         }
       }
     }
-    if (n.kind == PlanOpKind::kGroupBy && !n.pushdown.empty()) {
-      if (!n.pushdown.cube_cols.empty()) {
-        return Status::InvalidArgument(
-            "group-by push-down supports selection and skipping only; cube "
-            "push-down stays on SPJA blocks (node '" + n.label + "')");
-      }
-      const PlanNode& child = nodes_[static_cast<size_t>(n.children[0])];
-      if (child.kind != PlanOpKind::kScan) {
-        return Status::InvalidArgument(
-            "group-by push-down requires a base-table scan input — the "
-            "partitioned rids must be relation rids (node '" + n.label +
-            "')");
-      }
+    if (n.kind != PlanOpKind::kSpjaBlock && !n.pushdown.empty()) {
+      return Status::InvalidArgument(
+          "capture push-downs attach to SPJA blocks only (node '" + n.label +
+          "')");
     }
     if (n.kind == PlanOpKind::kDerive && n.derives.empty()) {
       return Status::InvalidArgument("derive '" + n.label +

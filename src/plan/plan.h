@@ -168,7 +168,7 @@ struct PlanNode {
   std::vector<std::string> set_col_names;
   SPJAQuery spja;                       // kSpjaBlock (table pointers are
                                         // rebound from the scan children)
-  SPJAPushdown pushdown;                // kSpjaBlock, kGroupBy (sel/skip)
+  SPJAPushdown pushdown;                // kSpjaBlock only
   TraceSpec trace;                      // kTrace
   std::vector<GroupExpr> derives;       // kDerive
 };
@@ -224,14 +224,6 @@ class PlanBuilder {
 
   int GroupBy(int child, GroupBySpec spec);
 
-  /// Group-by with capture push-downs attached directly to the node (the
-  /// SpjaBlock-only attachment, lifted): `push.sel_fact` restricts the
-  /// captured backward lists to qualifying input rows, `push.skip_cols`
-  /// replaces the plain backward index with a partitioned (data-skipping)
-  /// one. The child must be a base-table scan (push-down rids are relation
-  /// rids); cube push-down stays SpjaBlock-only.
-  int GroupBy(int child, GroupBySpec spec, SPJAPushdown push);
-
   /// Binary set/bag operator over `cols` (same positions in both children;
   /// ignored for bag union). Set difference captures lineage for the left
   /// child only (paper Appendix F.5).
@@ -243,7 +235,9 @@ class PlanBuilder {
             std::vector<std::string> cols);
 
   /// The fused SPJA block as a single node. Scan children for the fact and
-  /// dimension tables are added automatically from `query`.
+  /// dimension tables are added automatically from `query`. The block is
+  /// the one host of capture push-downs; a group-by over one table that
+  /// wants them is a block with no dimensions.
   int SpjaBlock(SPJAQuery query, SPJAPushdown pushdown = SPJAPushdown{});
 
   /// Lineage query as a plan node. `child` is the trace's endpoint scan, or

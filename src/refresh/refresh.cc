@@ -7,6 +7,7 @@
 
 #include "common/macros.h"
 #include "engine/group_expr.h"
+#include "engine/hash_join.h"
 #include "engine/select.h"
 #include "lineage/fragment_merge.h"
 #include "lineage/store/lineage_store.h"
@@ -43,41 +44,6 @@ void RemapWitnesses(const std::vector<size_t>& pick,
     for (size_t i : pick) next.push_back(w.rids[i]);
     w.rids = std::move(next);
   }
-}
-
-Status BuildJoinCache(const LogicalPlan& plan, int join_id, size_t build_rows,
-                      RefreshPlanCache::JoinBuild* jb) {
-  const PlanNode& node = plan.node(join_id);
-  const PlanNode& build = plan.node(node.children[0]);
-  SMOKE_CHECK(build.kind == PlanOpKind::kScan);
-  const int key = node.join.left_key;
-  if (key < 0 || static_cast<size_t>(key) >= build.table->num_columns()) {
-    return Status::InvalidArgument("join build key column out of range");
-  }
-  const std::vector<int64_t>& keys = build.table->column(
-      static_cast<size_t>(key)).ints();
-  jb->pk = node.join.pk_build;
-  for (size_t a = 0; a < build_rows; ++a) {
-    const int64_t k = keys[a];
-    if (jb->pk) {
-      const uint32_t slot = static_cast<uint32_t>(jb->single.size());
-      uint32_t prev = jb->map.FindOrInsert(k, slot);
-      if (prev != IntKeyMap::kNotFound) {
-        return Status::InvalidArgument(
-            "pk_build join has duplicate build keys");
-      }
-      jb->single.push_back(static_cast<rid_t>(a));
-    } else {
-      uint32_t slot = jb->map.FindOrInsert(
-          k, static_cast<uint32_t>(jb->lists.size()));
-      if (slot == IntKeyMap::kNotFound) {
-        jb->lists.emplace_back();
-        slot = static_cast<uint32_t>(jb->lists.size() - 1);
-      }
-      jb->lists[slot].PushBack(static_cast<rid_t>(a));
-    }
-  }
-  return Status::OK();
 }
 
 /// Calls f(key, values, n) once per distinct key of `pairs`, in ascending
@@ -188,10 +154,6 @@ Status AnalyzeRefreshability(PlanResult* pr) {
           return reject("group-by below the plan root (patched aggregates "
                         "would invalidate downstream captures)");
         }
-        if (!node.pushdown.empty()) {
-          return reject("group-by capture push-down (push-down artifacts "
-                        "are not incrementally maintained)");
-        }
         break;
       case PlanOpKind::kHashJoin:
         if (plan.node(node.children[0]).kind != PlanOpKind::kScan) {
@@ -199,6 +161,9 @@ Status AnalyzeRefreshability(PlanResult* pr) {
         }
         if (!node.join.materialize_output) {
           return reject("join output not materialized");
+        }
+        if (rs.results[id].join_build == nullptr) {
+          return reject("no retained join build table");
         }
         break;
       default:
@@ -252,15 +217,6 @@ Status AnalyzeRefreshability(PlanResult* pr) {
                     "'");
     }
     cache->scan_rows[static_cast<int>(sid)] = tl.forward.size();
-  }
-
-  for (int jid : cache->path) {
-    const PlanNode& node = plan.node(jid);
-    if (node.kind != PlanOpKind::kHashJoin) continue;
-    RefreshPlanCache::JoinBuild& jb = cache->joins[jid];
-    const int build_scan = node.children[0];
-    SMOKE_RETURN_NOT_OK(BuildJoinCache(
-        plan, jid, cache->scan_rows[build_scan], &jb));
   }
 
   rs.cache = std::move(cache);
@@ -373,7 +329,8 @@ Status RefreshPlanAppend(PlanResult* pr, RefreshStats* stats) {
         break;
       }
       case PlanOpKind::kHashJoin: {
-        const RefreshPlanCache::JoinBuild& jb = cache.joins[id];
+        const JoinHashTable& ht =
+            *rs.results[static_cast<size_t>(id)].join_build;
         const int build_scan = node.children[0];
         const Table* build = plan.node(build_scan).table;
         const size_t build_cols = build->num_columns();
@@ -385,11 +342,10 @@ Status RefreshPlanAppend(PlanResult* pr, RefreshStats* stats) {
         // The sequential probe loop of the kernel, over the delta only:
         // probe rows ascending, matches in build scan order.
         for (size_t b = cur_old; b < cur_end; ++b) {
-          const uint32_t slot = jb.map.Find(pkeys[b]);
+          const uint32_t slot = ht.map.Find(pkeys[b]);
           if (slot == IntKeyMap::kNotFound) continue;
-          const rid_t* match = jb.pk ? &jb.single[slot]
-                                     : jb.lists[slot].data();
-          const size_t nm = jb.pk ? 1 : jb.lists[slot].size();
+          const rid_t* match = ht.rids(slot);
+          const size_t nm = ht.count(slot);
           for (size_t m = 0; m < nm; ++m) {
             out->AppendRowFrom(*build, match[m]);
             out->AppendRowFrom(*cur, static_cast<rid_t>(b), build_cols);

@@ -11,9 +11,10 @@
 //
 //  - selects / projects / derives emit output fragments for the delta rows
 //    and append them to the retained intermediate outputs;
-//  - hash joins probe the delta against a cached build-side map (the build
-//    relation is static — a delta arriving on the build side instead falls
-//    back to a scoped rebuild with an explicit RefreshStats reason);
+//  - hash joins probe the delta against the build table the join kernel
+//    built and retained (the build relation is static — a delta arriving on
+//    the build side instead falls back to a scoped rebuild with an explicit
+//    RefreshStats reason);
 //  - a group-by at the plan root folds the delta into its retained γht
 //    handle (GroupByDeltaAppend): new groups append output rows, updated
 //    groups patch their finalized aggregates in place;
@@ -38,7 +39,8 @@
 //   Derive        | always
 //   HashJoin      | build child is a DIRECT base-table scan and the delta
 //                 | arrives via the probe subtree; materialized output
-//   GroupBy       | only at the plan root, without capture push-downs
+//                 | (the retained kernel build table is probed as is)
+//   GroupBy       | only at the plan root
 //   SetOp         | never
 //   SpjaBlock     | never
 //   Trace         | never
@@ -55,8 +57,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/hash.h"
-#include "common/rid_vec.h"
 #include "common/status.h"
 #include "engine/group_by.h"
 #include "plan/executor.h"
@@ -87,8 +87,9 @@ struct RefreshStats {
 };
 
 /// Per-plan scratch the refresh subsystem caches on PlanRefreshState
-/// (forward-declared in plan/executor.h): the analyzed delta path plus the
-/// rebuilt join build-side maps, so each batch probes instead of rebuilding.
+/// (forward-declared in plan/executor.h): the analyzed delta path and the
+/// base-row watermarks. Join build tables are not copied here: each batch
+/// probes the table the join kernel built (OperatorResult::join_build).
 struct RefreshPlanCache {
   /// Operator node ids on the unique path delta-scan -> root, bottom-up.
   std::vector<int> path;
@@ -98,22 +99,11 @@ struct RefreshPlanCache {
   /// Scan node id -> base rows already folded into the view. Compared
   /// against the live tables to detect deltas (and dim-side appends).
   std::map<int, size_t> scan_rows;
-
-  /// Cached build side of one hash join: key -> build rids in scan order
-  /// (the probe loop's match order, so delta outputs replicate the
-  /// sequential kernel exactly).
-  struct JoinBuild {
-    IntKeyMap map{64};
-    std::vector<RidVec> lists;   ///< slot -> build rids (non-pk)
-    std::vector<rid_t> single;   ///< slot -> build rid (pk_build)
-    bool pk = false;
-  };
-  std::map<int, JoinBuild> joins;  ///< join node id -> build map
 };
 
 /// Analyzes a retained plan's refresh state against the matrix above,
 /// filling refresh->analyzed / refreshable / fallback_reason and building
-/// the RefreshPlanCache (delta path, join build maps, base-row watermarks).
+/// the RefreshPlanCache (delta path, base-row watermarks).
 /// Idempotent; called automatically by the first RefreshPlanAppend and by
 /// the engine/serving integration right after retention. Errors only on
 /// misuse (no refresh state retained at all).
@@ -186,21 +176,28 @@ class RefreshManager {
   std::map<std::string, RefreshStats> last_;
 };
 
-// ---- single-kernel refresh (the original engine/refresh API, re-homed) ----
+// ---- single-kernel refresh ----
 
 /// Incrementally maintains `result` after rows [first_new_rid, input rows)
-/// were appended to `input`. Requires result->handle and Inject-captured
-/// lineage. Returns the output rids whose aggregates changed (new groups
-/// are returned too, in output order). Implemented in engine/group_by.cc
-/// for access to the kernel internals.
-std::vector<rid_t> RefreshAppend(GroupByResult* result, const Table& input,
-                                 rid_t first_new_rid);
+/// were appended to `input`: GroupByDeltaAppend folds the rows into the
+/// γht handle and output, then the backward index and forward array grow by
+/// one edge per row. `changed` receives the output rids whose aggregates
+/// changed (new groups too, in first-touch order). Fails, leaving `result`
+/// untouched, without a handle or raw Inject-captured lineage, or when
+/// `first_new_rid` is not the number of rows already folded. Both functions
+/// here live in engine/group_by.cc, next to the kernel state that
+/// ForwardPropagate re-initializes.
+Status RefreshAppend(GroupByResult* result, const Table& input,
+                     rid_t first_new_rid, std::vector<rid_t>* changed);
 
 /// Recomputes the output groups affected by in-place updates to the given
 /// input rows (group-by key columns must be unchanged — key changes require
-/// re-running the query). Returns the affected output rids.
-std::vector<rid_t> ForwardPropagate(GroupByResult* result, const Table& input,
-                                    const std::vector<rid_t>& updated_rids);
+/// re-running the query); `affected` receives their output rids. Fails,
+/// leaving `result` untouched, on an updated rid outside the captured
+/// input or a result without a handle or raw Inject-captured lineage.
+Status ForwardPropagate(GroupByResult* result, const Table& input,
+                        const std::vector<rid_t>& updated_rids,
+                        std::vector<rid_t>* affected);
 
 }  // namespace smoke
 

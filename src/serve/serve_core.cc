@@ -318,14 +318,12 @@ Status ServeCore::OpenSession(const std::string& session_id,
   if (current_.load(std::memory_order_acquire) == nullptr) {
     return Status::InvalidArgument("OpenSession before Start()");
   }
-  const size_t budget =
-      budget_bytes != 0 ? budget_bytes : options_.session_budget_bytes;
   MutexLock lock(sessions_mu_);
   if (sessions_.count(session_id) != 0) {
     return Status::AlreadyExists("session '" + session_id + "'");
   }
   std::shared_ptr<ServeSession> session(
-      new ServeSession(this, session_id, budget));
+      new ServeSession(this, session_id, budget_bytes));
   sessions_.emplace(session_id, session);
   *out = std::move(session);
   return Status::OK();

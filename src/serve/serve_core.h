@@ -82,9 +82,6 @@ struct ServeOptions {
   /// Worker threads of the shared admission pool (submitters co-execute,
   /// so effective parallelism is num_threads + 1).
   int num_threads = 3;
-  /// Default per-session lineage-budget slice in bytes (0 = unlimited);
-  /// OpenSession can override per session.
-  size_t session_budget_bytes = 0;
   /// Capture configuration for view execution at snapshot build — codec,
   /// pruning, morsel size. mode/scheduler/num_threads are overridden: views
   /// always capture kInject with morsels routed at batch priority.
@@ -172,9 +169,8 @@ class ServeCore {
 
   // ---- sessions ----
 
-  /// Opens a session. `budget_bytes` overrides the default per-session
-  /// lineage slice (0 = use ServeOptions::session_budget_bytes). Fails on a
-  /// duplicate live session id. The returned handle stays valid until
+  /// Opens a session with a lineage-budget slice of `budget_bytes` (0 =
+  /// unlimited). Fails on a duplicate live session id. The returned handle stays valid until
   /// CloseSession / core destruction.
   Status OpenSession(const std::string& session_id,
                      std::shared_ptr<ServeSession>* out,

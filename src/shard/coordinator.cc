@@ -174,15 +174,11 @@ Region ClassifyFrom(const LogicalPlan& plan, const ShardResolver& sharded,
     break;
   }
   r.root = r.spine.back();
-  // Partial-aggregate exchange: a group-by (no push-down — push-down rids
-  // are relation rids, which partial aggregation would not preserve)
-  // consuming the region root as its only parent.
+  // Partial-aggregate exchange: a group-by consuming the region root as its
+  // only parent.
   const auto& rps = parents[static_cast<size_t>(r.root)];
-  if (rps.size() == 1) {
-    const PlanNode& pn = plan.node(rps[0]);
-    if (pn.kind == PlanOpKind::kGroupBy && pn.pushdown.empty()) {
-      r.exchange = rps[0];
-    }
+  if (rps.size() == 1 && plan.node(rps[0]).kind == PlanOpKind::kGroupBy) {
+    r.exchange = rps[0];
   }
   return r;
 }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "plan/executor.h"
 #include "test_util.h"
 #include "workloads/zipf_table.h"
 
@@ -189,6 +190,51 @@ TEST(HashJoinTest, ColumnNameCollisionPrefixed) {
   auto res = HashJoinExec(a, "a", b, "bee", MnSpec(), CaptureOptions::None());
   EXPECT_GE(res.output.ColumnIndex("bee_z"), 0);
   EXPECT_GE(res.output.ColumnIndex("z"), 0);
+}
+
+TEST(HashJoinTest, PkBuildWithDuplicateKeysIsRejected) {
+  Schema ds;
+  ds.AddField("k", DataType::kInt64);
+  ds.AddField("w", DataType::kInt64);
+  Table dim(ds);
+  dim.AppendRow({int64_t{1}, int64_t{10}});
+  dim.AppendRow({int64_t{1}, int64_t{20}});
+  Schema fs;
+  fs.AddField("fk", DataType::kInt64);
+  Table fact(fs);
+  fact.AppendRow({int64_t{1}});
+
+  auto plan_for = [&](bool pk) {
+    JoinSpec spec;
+    spec.left_key = 0;
+    spec.right_key = 0;
+    spec.pk_build = pk;
+    PlanBuilder b;
+    LogicalPlan plan;
+    SMOKE_CHECK(b.Build(b.HashJoin(b.Scan(&dim, "dim"),
+                                   b.Scan(&fact, "fact"), spec),
+                        &plan)
+                    .ok());
+    return plan;
+  };
+  // The build loop rejects the second row of key 1 instead of keeping only
+  // the first, on every probe path.
+  for (CaptureMode mode : {CaptureMode::kNone, CaptureMode::kInject}) {
+    for (int threads : {1, 2}) {
+      CaptureOptions opts = CaptureOptions::Mode(mode);
+      opts.num_threads = threads;
+      PlanResult r;
+      Status st = ExecutePlan(plan_for(true), opts, &r);
+      EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
+      EXPECT_NE(st.message().find("pk_build join has duplicate build keys"),
+                std::string::npos)
+          << st.ToString();
+    }
+  }
+  // The same input as an M:N join matches both build rows.
+  PlanResult mn;
+  ASSERT_TRUE(ExecutePlan(plan_for(false), CaptureOptions::Inject(), &mn).ok());
+  EXPECT_EQ(mn.output.num_rows(), 2u);
 }
 
 class JoinPropertySweep

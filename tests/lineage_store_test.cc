@@ -3,7 +3,7 @@
 //    {raw, range, bitmap, adaptive} and thread counts {1, 7} on the
 //    zipf / ontime / TPC-H workload shapes the memory bench uses;
 //  - the adaptive codec compresses the contiguous-selection series >= 4x;
-//  - lineage_budget_bytes: capture succeeds under budget, stats stay under
+//  - SetLineageBudget: capture succeeds under budget, stats stay under
 //    budget, and traces on evicted queries answer via the lazy rescan;
 //  - DropResult/DropTable/ReplaceTable release lineage store accounting
 //    (LineageMemoryStats returns to baseline after drops).
@@ -362,9 +362,10 @@ TEST(LineageStoreTest, EvictedSkipQueryFallsBackToLazyNotSkipping) {
     ASSERT_TRUE(engine->GetTable("zipf", &t).ok());
     SPJAQuery q = query;
     q.fact = t;
-    CaptureOptions opts = CaptureOptions::Inject();
-    opts.lineage_budget_bytes = budget;
-    ASSERT_TRUE(engine->ExecuteQuery("q", q, opts, &workload).ok());
+    engine->SetLineageBudget(budget);
+    ASSERT_TRUE(engine->ExecuteQuery("q", q, CaptureOptions::Inject(),
+                                     &workload)
+                    .ok());
   };
   SmokeEngine reference;
   run(&reference, 0);
@@ -436,14 +437,14 @@ TEST(LineageStoreTest, BudgetEvictionFallsBackToLazyRescan) {
   ASSERT_TRUE(budgeted.GetTable("zipf", &t1).ok());
   SPJAQuery q1 = query;
   q1.fact = t1;
-  CaptureOptions opts = CaptureOptions::Inject();
-  opts.lineage_budget_bytes = raw_total / 6;
+  const size_t budget = raw_total / 6;
+  budgeted.SetLineageBudget(budget);
   for (const char* name : {"qa", "qb", "qc"}) {
-    ASSERT_TRUE(budgeted.ExecuteQuery(name, q1, opts).ok());
+    ASSERT_TRUE(budgeted.ExecuteQuery(name, q1, CaptureOptions::Inject()).ok());
   }
 
   LineageStoreStats stats = budgeted.LineageMemoryStats();
-  EXPECT_EQ(stats.budget_bytes, opts.lineage_budget_bytes);
+  EXPECT_EQ(stats.budget_bytes, budget);
   EXPECT_LE(stats.total_bytes, stats.budget_bytes);
   EXPECT_GT(stats.num_evicted, 0u);
 
@@ -531,8 +532,8 @@ TEST(LineageStoreTest, PlanBuiltSpjaBlockEvictsToLazyRescan) {
     ASSERT_TRUE(engine->GetTable("lineitem", &q1.fact).ok());
     ASSERT_TRUE(engine->GetTable("lineitem", &q12.fact).ok());
     ASSERT_TRUE(engine->GetTable("orders", &q12.dims[0].table).ok());
-    CaptureOptions opts = CaptureOptions::Inject();
-    opts.lineage_budget_bytes = budget;
+    const CaptureOptions opts = CaptureOptions::Inject();
+    engine->SetLineageBudget(budget);
     for (const auto& [name, q] : {std::make_pair("q12", q12),
                                   std::make_pair("q1", q1)}) {
       PlanBuilder b;
@@ -637,9 +638,9 @@ TEST(LineageStoreTest, BudgetReencodesBeforeEvicting) {
                        {Predicate::Int(zipf_table::kId, CmpOp::kLt, 15000)});
   LogicalPlan plan2;
   ASSERT_TRUE(b2.Build(sel2, &plan2).ok());
-  CaptureOptions opts = Opts(LineageCodec::kRaw, 1);
-  opts.lineage_budget_bytes = raw_bytes / 2;  // adaptive fits easily
-  ASSERT_TRUE(engine.ExecutePlan("sel", plan2, opts).ok());
+  engine.SetLineageBudget(raw_bytes / 2);  // adaptive fits easily
+  ASSERT_TRUE(
+      engine.ExecutePlan("sel", plan2, Opts(LineageCodec::kRaw, 1)).ok());
 
   LineageStoreStats stats = engine.LineageMemoryStats();
   EXPECT_LE(stats.total_bytes, stats.budget_bytes);

@@ -357,17 +357,20 @@ Table MakeDrillTable(Lcg* rng, size_t rows) {
   return t;
 }
 
-/// GROUP BY k1 over the relation, with COUNT and SUM(val) — optionally with
-/// its backward lineage partitioned on k2 (the data-skipping push-down).
+/// GROUP BY k1 over the relation, with COUNT and SUM(val), as an SPJA block
+/// with no dimensions — optionally with its backward lineage partitioned on
+/// k2 (the data-skipping push-down).
 PlanResult RunBase(const Table* t, bool skip) {
   PlanBuilder b;
-  GroupBySpec spec;
-  spec.keys = {kDk1};
-  spec.aggs = {AggSpec::Count("cnt"),
-               AggSpec::Sum(ScalarExpr::Col(kDVal), "sum_val")};
+  SPJAQuery q;
+  q.fact = t;
+  q.fact_name = "t";
+  q.group_by = {ColRef::Fact(kDk1)};
+  q.aggs = {AggSpec::Count("cnt"),
+            AggSpec::Sum(ScalarExpr::Col(kDVal), "sum_val")};
   SPJAPushdown push;
   if (skip) push.skip_cols = {kDk2};
-  const int gb = b.GroupBy(b.Scan(t, "t"), spec, push);
+  const int gb = b.SpjaBlock(std::move(q), push);
   LogicalPlan plan;
   SMOKE_CHECK(b.Build(gb, &plan).ok());
   PlanResult r;

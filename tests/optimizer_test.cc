@@ -334,17 +334,27 @@ TEST(OptimizerValidation, RejectsNonIntJoinKey) {
 }
 
 // ---------------------------------------------------------------------------
-// Group-by capture push-downs (lifted from the SPJA block)
+// Capture push-downs on a single-table SPJA block (a group-by with no
+// dimensions)
 // ---------------------------------------------------------------------------
 
-TEST(GroupByPushdown, SelectionFiltersBackwardLists) {
+/// GROUP BY region_id over `sales` as an SPJA block with no dimensions.
+SPJAQuery SalesByRegion(const Table* sales, std::vector<AggSpec> aggs) {
+  SPJAQuery q;
+  q.fact = sales;
+  q.fact_name = "sales";
+  q.group_by = {ColRef::Fact(0)};
+  q.aggs = std::move(aggs);
+  return q;
+}
+
+TEST(SpjaPushdown, SelectionFiltersBackwardLists) {
   Table sales = MakeSales();
   SPJAPushdown push;
   push.sel_fact = {Predicate::Double(1, CmpOp::kGt, 5.0)};
 
   PlanBuilder b;
-  int scan = b.Scan(&sales, "sales");
-  int agg = b.GroupBy(scan, {{0}, {AggSpec::Count("cnt")}}, push);
+  int agg = b.SpjaBlock(SalesByRegion(&sales, {AggSpec::Count("cnt")}), push);
   LogicalPlan plan;
   ASSERT_TRUE(b.Build(agg, &plan).ok());
 
@@ -369,11 +379,12 @@ TEST(GroupByPushdown, SelectionFiltersBackwardLists) {
   EXPECT_EQ(listed, expect);
 }
 
-TEST(GroupByPushdown, SkippingReplacesBackwardIndexAndServesTraces) {
+TEST(SpjaPushdown, SkippingReplacesBackwardIndexAndServesTraces) {
   Table sales = MakeSales();
   GroupBySpec spec{{0}, {AggSpec::Sum(ScalarExpr::Col(1), "amt")}};
 
-  // Reference: no push-down, plain indexed backward trace with a filter.
+  // Reference: a plain group-by, plain indexed backward trace with a
+  // filter.
   PlanBuilder rb;
   int rscan = rb.Scan(&sales, "sales");
   int ragg = rb.GroupBy(rscan, spec);
@@ -386,8 +397,7 @@ TEST(GroupByPushdown, SkippingReplacesBackwardIndexAndServesTraces) {
   SPJAPushdown push;
   push.skip_cols = {0};
   PlanBuilder b;
-  int scan = b.Scan(&sales, "sales");
-  int agg = b.GroupBy(scan, spec, push);
+  int agg = b.SpjaBlock(SalesByRegion(&sales, spec.aggs), push);
   LogicalPlan plan;
   ASSERT_TRUE(b.Build(agg, &plan).ok());
   PlanResult r;
@@ -428,16 +438,34 @@ TEST(GroupByPushdown, SkippingReplacesBackwardIndexAndServesTraces) {
   }
 }
 
-TEST(GroupByPushdown, RequiresScanChild) {
+TEST(SpjaPushdown, OnlyBlocksCarryPushdowns) {
   Table sales = MakeSales();
-  SPJAPushdown push;
-  push.skip_cols = {0};
+  // A push-down on any other node kind fails Build.
   PlanBuilder b;
-  int scan = b.Scan(&sales, "sales");
-  int sel = b.Select(scan, {Predicate::Int(0, CmpOp::kLe, 2)});
-  int agg = b.GroupBy(sel, {{0}, {AggSpec::Count("cnt")}}, push);
+  PlanNode gb;
+  gb.kind = PlanOpKind::kGroupBy;
+  gb.children = {b.Scan(&sales, "sales")};
+  gb.group_by = {{0}, {AggSpec::Count("cnt")}};
+  gb.pushdown.skip_cols = {0};
   LogicalPlan plan;
-  EXPECT_FALSE(b.Build(agg, &plan).ok());
+  Status st = b.Build(b.AddNode(std::move(gb)), &plan);
+  EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(st.message().find("SPJA blocks only"), std::string::npos);
+
+  // A block's push-down columns are validated against the fact schema.
+  SPJAPushdown push;
+  push.skip_cols = {7};
+  PlanBuilder bb;
+  LogicalPlan bad;
+  ASSERT_TRUE(
+      bb.Build(bb.SpjaBlock(SalesByRegion(&sales, {AggSpec::Count("cnt")}),
+                            push),
+               &bad)
+          .ok());
+  PlanResult r;
+  st = ExecutePlan(bad, CaptureOptions::Inject(), &r);
+  EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(st.message().find("push-down"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

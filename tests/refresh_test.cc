@@ -462,9 +462,8 @@ TEST(RefreshPlanTest, EvictedSpjaQueryRebuildsAndStaysWithinBudget) {
   q.fact_name = "zipf";
   q.group_by = {ColRef::Fact(zipf_table::kZ)};
   q.aggs = {AggSpec::Count("cnt")};
-  CaptureOptions opts = RetainOpts();
-  opts.lineage_budget_bytes = 64;
-  ASSERT_TRUE(engine.ExecuteQuery("v", q, opts).ok());
+  engine.SetLineageBudget(64);
+  ASSERT_TRUE(engine.ExecuteQuery("v", q, RetainOpts()).ok());
   ASSERT_EQ(engine.LineageMemoryStats().num_evicted, 1u);
 
   std::vector<RefreshStats> stats;
@@ -651,7 +650,8 @@ TEST(RefreshAppendTest, MatchesFullRecompute) {
   rid_t first_new = static_cast<rid_t>(t.num_rows());
   for (rid_t r = 0; r < extra.num_rows(); ++r) t.AppendRowFrom(extra, r);
 
-  auto affected = RefreshAppend(&res, t, first_new);
+  std::vector<rid_t> affected;
+  ASSERT_TRUE(RefreshAppend(&res, t, first_new, &affected).ok());
   EXPECT_GT(affected.size(), 0u);
 
   auto full = GroupByExec(t, "zipf", Spec(), CaptureOptions::Inject());
@@ -666,9 +666,30 @@ TEST(RefreshAppendTest, NoNewRowsNoChange) {
   Table t = MakeZipfTable(100, 4, 1.0, 33);
   auto res = GroupByExec(t, "zipf", Spec(), CaptureOptions::Inject());
   auto before = GroupedRows(res.output, 1);
-  auto affected = RefreshAppend(&res, t, static_cast<rid_t>(t.num_rows()));
+  std::vector<rid_t> affected;
+  ASSERT_TRUE(
+      RefreshAppend(&res, t, static_cast<rid_t>(t.num_rows()), &affected)
+          .ok());
   EXPECT_TRUE(affected.empty());
   EXPECT_EQ(GroupedRows(res.output, 1), before);
+}
+
+TEST(RefreshAppendTest, RejectsResultWithoutInjectLineage) {
+  Table t = MakeZipfTable(100, 4, 1.0, 35);
+  auto res = GroupByExec(t, "zipf", Spec(), CaptureOptions::None());
+  auto before = GroupedRows(res.output, 1);
+  std::vector<rid_t> affected;
+  Status st = RefreshAppend(&res, t, 0, &affected);
+  EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
+  st = ForwardPropagate(&res, t, {0}, &affected);
+  EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(GroupedRows(res.output, 1), before);
+
+  // A first_new_rid that is not the folded row count would fold rows twice.
+  auto inj = GroupByExec(t, "zipf", Spec(), CaptureOptions::Inject());
+  EXPECT_EQ(RefreshAppend(&inj, t, 50, &affected).code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(GroupedRows(inj.output, 1), before);
 }
 
 TEST(ForwardPropagateTest, RecomputesOnlyAffectedGroups) {
@@ -680,7 +701,8 @@ TEST(ForwardPropagateTest, RecomputesOnlyAffectedGroups) {
   for (rid_t r : updated) {
     t.mutable_column(zipf_table::kV).mutable_doubles()[r] += 1000.0;
   }
-  auto affected = ForwardPropagate(&res, t, updated);
+  std::vector<rid_t> affected;
+  ASSERT_TRUE(ForwardPropagate(&res, t, updated, &affected).ok());
   EXPECT_GE(affected.size(), 1u);
   EXPECT_LE(affected.size(), 3u);
 
@@ -699,9 +721,21 @@ TEST(ForwardPropagateTest, MinRecomputedCorrectlyOnDecrease) {
   t.AppendRow({int64_t{1}, int64_t{1}, 20.0});
   auto res = GroupByExec(t, "t", Spec(), CaptureOptions::Inject());
   t.mutable_column(2).mutable_doubles()[1] = 1.0;  // new minimum
-  ForwardPropagate(&res, t, {1});
+  std::vector<rid_t> affected;
+  ASSERT_TRUE(ForwardPropagate(&res, t, {1}, &affected).ok());
   auto rows = GroupedRows(res.output, 1);
   EXPECT_EQ(rows.at("1|"), "2|11.000000|1.000000|5.500000|");
+}
+
+TEST(ForwardPropagateTest, RejectsOutOfRangeRid) {
+  Table t = MakeZipfTable(100, 4, 1.0, 36);
+  auto res = GroupByExec(t, "zipf", Spec(), CaptureOptions::Inject());
+  auto before = GroupedRows(res.output, 1);
+  std::vector<rid_t> affected;
+  Status st = ForwardPropagate(&res, t, {3, 100}, &affected);
+  EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(st.message().find("100"), std::string::npos);
+  EXPECT_EQ(GroupedRows(res.output, 1), before);
 }
 
 }  // namespace
