@@ -57,14 +57,76 @@ const PlanCrossfilter::View* PlanCrossfilter::Find(
 
 namespace {
 
-/// Forward-counts `bar` (n relation rows, largest `max_rid`) into target
-/// `to`: every forward edge bumps the counter of the target row it
-/// reaches, and a row joins `out->rids` when its counter first leaves zero
-/// (first-seen order).
-Status CountLinked(const PlanResult& to, const std::string& relation,
-                   const rid_t* bar, size_t n, rid_t max_rid,
-                   LinkedBrush* out) {
-  int idx = to.lineage.FindInput(relation);
+/// Bar rids per pass over the targets, counted into every target while
+/// they sit in L1 (the encoded lists' decode chunk).
+constexpr size_t kChunk = EncodedPostings::kChunkRids;
+
+/// One target's forward-count state. A row joins `rids` when its counter
+/// first leaves zero (first-seen order); a row is seen first at most once,
+/// so `rids` holds one slot per target row.
+struct TargetCount {
+  const BrushTarget* target = nullptr;
+  const LineageIndex* fw = nullptr;
+  size_t num_rows = 0;
+  std::vector<int64_t> count;
+  std::vector<rid_t> rids;
+  size_t linked = 0;
+  rid_t bad = kInvalidRid;  ///< a reached row past the output
+
+  /// Counts the target rows `get(r)` of every bar rid (kInvalidRid: none).
+  template <typename Get>
+  void CountEach(const rid_t* bar, size_t n, Get get) {
+    int64_t* c = count.data();
+    rid_t* first = rids.data();
+    size_t k = linked;
+    for (size_t i = 0; i < n; ++i) {
+      const rid_t t = get(bar[i]);
+      if (t == kInvalidRid) continue;
+      if (t >= num_rows) {
+        bad = t;
+      } else if (c[t]++ == 0) {
+        first[k++] = t;
+      }
+    }
+    linked = k;
+  }
+
+  /// One chunk of the bar: raw and packed 1:1 forwards take their own
+  /// loops, every other form its ForEachRelated.
+  void Count(const rid_t* bar, size_t n) {
+    switch (fw->kind()) {
+      case LineageIndex::Kind::kArray: {
+        const rid_t* to_row = fw->array().data();
+        CountEach(bar, n, [to_row](rid_t r) { return to_row[r]; });
+        return;
+      }
+      case LineageIndex::Kind::kEncodedArray:
+        if (fw->encoded_array().encoding() == RidSetEncoding::kPacked) {
+          CountEach(bar, n, fw->encoded_array().packed());
+          return;
+        }
+        break;
+      default:
+        break;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      fw->ForEachRelated(bar[i], [this](rid_t t) {
+        if (t >= num_rows) {
+          bad = t;
+        } else if (count[t]++ == 0) {
+          rids[linked++] = t;
+        }
+      });
+    }
+  }
+};
+
+/// Sets up the count of target `t`, or the error the compiled chain gives
+/// for a target it cannot trace into.
+Status StartCount(const BrushTarget& t, const std::string& relation,
+                  TargetCount* out) {
+  const PlanResult& to = *t.result;
+  const int idx = to.lineage.FindInput(relation);
   if (idx < 0) {
     return Status::NotFound("relation '" + relation +
                             "' in trace source lineage");
@@ -76,43 +138,21 @@ Status CountLinked(const PlanResult& to, const std::string& relation,
         (to.lineage.evicted() ? "evicted under the lineage memory budget"
                               : "not captured"));
   }
-  if (n > 0 && max_rid >= fw.size()) {
-    return Status::InvalidArgument("chained trace seed rid " +
-                                   std::to_string(max_rid) + " out of range");
-  }
+  out->target = &t;
+  out->fw = &fw;
+  out->num_rows = to.output.num_rows();
+  out->count.assign(out->num_rows, 0);
+  out->rids.resize(out->num_rows);
+  return Status::OK();
+}
 
-  const size_t num_rows = to.output.num_rows();
-  std::vector<int64_t> count(num_rows, 0);
-  // A row is seen first at most once: one slot per row.
-  std::vector<rid_t>& rids = out->rids;
-  rids.resize(num_rows);
-  size_t linked = 0;
-  rid_t bad = kInvalidRid;
-  auto visit = [&](rid_t t) {
-    if (t >= num_rows) {
-      bad = t;
-    } else if (count[t]++ == 0) {
-      rids[linked++] = t;
-    }
-  };
-  if (fw.kind() == LineageIndex::Kind::kArray) {
-    // A histogram's raw 1:1 forward: one load per relation row.
-    const rid_t* to_row = fw.array().data();
-    for (size_t i = 0; i < n; ++i) {
-      const rid_t t = to_row[bar[i]];
-      if (t != kInvalidRid) visit(t);
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) fw.ForEachRelated(bar[i], visit);
+/// True when `d` is strictly ascending: a group-by's input order, which
+/// holds no duplicates.
+bool StrictlyAscending(const rid_t* d, size_t n) {
+  for (size_t i = 1; i < n; ++i) {
+    if (d[i - 1] >= d[i]) return false;
   }
-  if (bad != kInvalidRid) {
-    return Status::InvalidArgument("traced rid " + std::to_string(bad) +
-                                   " out of range for endpoint");
-  }
-  rids.resize(linked);
-  out->counts.resize(linked);
-  for (size_t i = 0; i < linked; ++i) out->counts[i] = count[rids[i]];
-  return MaterializeRowsChecked(to.output, rids, &out->rows);
+  return true;
 }
 
 }  // namespace
@@ -122,35 +162,42 @@ Status BrushLinkedPlans(const PlanResult& from, rid_t out_rid,
                         const std::vector<BrushTarget>& targets,
                         std::map<std::string, LinkedBrush>* out) {
   out->clear();
-  // The brushed row's relation rows, traced once for every target: read in
-  // place from a raw posting list, else copied out by the checked trace
-  // (which also reports every missing-index and range error).
+  // The brushed row's relation rows, read once for every target: in place
+  // from a raw posting list or a 1:1 backward, decoded chunk by chunk
+  // from an Elias-Fano or bitmap list (ascending by construction); any
+  // other list (and every missing-index and range error) goes through the
+  // checked trace into a copy.
   const int idx = from.lineage.FindInput(relation);
   const LineageIndex* bw =
       idx >= 0 ? &from.lineage.input(static_cast<size_t>(idx)).backward
                : nullptr;
-  std::vector<rid_t> copy;
+  const bool in_range = bw != nullptr && out_rid < bw->size();
   const rid_t* bar = nullptr;
   size_t n = 0;
-  if (bw != nullptr && bw->kind() == LineageIndex::Kind::kIndex &&
-      out_rid < bw->size()) {
+  rid_t single = kInvalidRid;
+  const EncodedPostings* decode = nullptr;
+  std::vector<rid_t> copy;
+  if (in_range && bw->kind() == LineageIndex::Kind::kIndex) {
     const RidVec& list = bw->index().list(out_rid);
     bar = list.data();
     n = list.size();
+  } else if (in_range && bw->IsOneToOne()) {
+    single = bw->ValueAt(out_rid);
+    bar = &single;
+    n = single == kInvalidRid ? 0 : 1;
+  } else if (in_range && bw->kind() == LineageIndex::Kind::kEncodedIndex &&
+             bw->encoded_postings().ListAscending(out_rid)) {
+    decode = &bw->encoded_postings();
   } else {
     SMOKE_RETURN_NOT_OK(BackwardRidsChecked(from.lineage, relation, {out_rid},
                                             /*dedup=*/false, &copy));
     bar = copy.data();
     n = copy.size();
   }
-  // A strictly ascending list (a group-by's input order) holds no
-  // duplicates and ends at its largest rid; any other is deduplicated into
-  // a copy, in first-seen order.
-  size_t i = 1;
-  while (i < n && bar[i - 1] < bar[i]) ++i;
-  rid_t max_rid = n == 0 ? 0 : bar[n - 1];
-  if (i < n) {
-    max_rid = *std::max_element(bar, bar + n);
+  // Any other order is deduplicated into a copy, in first-seen order.
+  const bool ascending = decode != nullptr || StrictlyAscending(bar, n);
+  if (!ascending) {
+    const rid_t max_rid = *std::max_element(bar, bar + n);
     std::vector<bool> seen(static_cast<size_t>(max_rid) + 1, false);
     std::vector<rid_t> unique;
     for (size_t k = 0; k < n; ++k) {
@@ -163,11 +210,54 @@ Status BrushLinkedPlans(const PlanResult& from, rid_t out_rid,
     bar = copy.data();
     n = copy.size();
   }
-  for (const BrushTarget& t : targets) {
+
+  std::vector<TargetCount> counts(targets.size());
+  size_t min_fw = SIZE_MAX;
+  for (size_t t = 0; t < targets.size(); ++t) {
+    SMOKE_RETURN_NOT_OK(StartCount(targets[t], relation, &counts[t]));
+    min_fw = std::min(min_fw, counts[t].fw->size());
+  }
+  rid_t out_of_range = kInvalidRid;
+  auto count_chunk = [&](const rid_t* chunk, size_t m) {
+    if (m == 0 || out_of_range != kInvalidRid) return;
+    const rid_t max_rid =
+        ascending ? chunk[m - 1] : *std::max_element(chunk, chunk + m);
+    if (max_rid >= min_fw) {
+      out_of_range = max_rid;
+      return;
+    }
+    for (TargetCount& c : counts) c.Count(chunk, m);
+  };
+  if (decode != nullptr) {
+    rid_t buf[kChunk];
+    decode->ForEachChunk(out_rid, buf, count_chunk);
+  } else {
+    for (size_t b = 0; b < n; b += kChunk) {
+      count_chunk(bar + b, std::min(kChunk, n - b));
+    }
+  }
+  if (out_of_range != kInvalidRid) {
+    return Status::InvalidArgument("chained trace seed rid " +
+                                   std::to_string(out_of_range) +
+                                   " out of range");
+  }
+
+  for (TargetCount& c : counts) {
+    if (c.bad != kInvalidRid) {
+      return Status::InvalidArgument("traced rid " + std::to_string(c.bad) +
+                                     " out of range for endpoint");
+    }
     LinkedBrush linked;
+    linked.rids = std::move(c.rids);
+    linked.rids.resize(c.linked);
+    linked.counts.resize(c.linked);
+    for (size_t i = 0; i < c.linked; ++i) {
+      linked.counts[i] = c.count[linked.rids[i]];
+    }
     SMOKE_RETURN_NOT_OK(
-        CountLinked(*t.result, relation, bar, n, max_rid, &linked));
-    (*out)[t.name] = std::move(linked);
+        MaterializeRowsChecked(c.target->result->output, linked.rids,
+                               &linked.rows));
+    (*out)[c.target->name] = std::move(linked);
   }
   return Status::OK();
 }

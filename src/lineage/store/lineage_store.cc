@@ -44,6 +44,33 @@ LineageIndex EncodeLineage(LineageIndex index, LineageCodec codec) {
   return index;
 }
 
+LineageIndex EncodeLineageCopy(const LineageIndex& index, LineageCodec codec) {
+  switch (index.kind()) {
+    case LineageIndex::Kind::kArray: {
+      const RidArray& a = index.array();
+      if (codec == LineageCodec::kRaw) return LineageIndex::FromArray(a);
+      return LineageIndex::FromEncodedArray(
+          EncodedRidArray::Encode(a.data(), a.size(), codec));
+    }
+    case LineageIndex::Kind::kIndex: {
+      const RidIndex& in = index.index();
+      if (codec != LineageCodec::kRaw) {
+        return LineageIndex::FromEncodedPostings(
+            EncodedPostings::Encode(in, codec));
+      }
+      // RidVec copies are exact-capacity.
+      std::vector<RidVec> lists(in.size());
+      for (size_t i = 0; i < in.size(); ++i) lists[i] = in.list(i);
+      return LineageIndex::FromIndex(RidIndex::FromLists(std::move(lists)));
+    }
+    case LineageIndex::Kind::kNone:
+    case LineageIndex::Kind::kEncodedArray:
+    case LineageIndex::Kind::kEncodedIndex:
+      break;
+  }
+  return EncodeLineage(index, codec);
+}
+
 void EncodeQueryLineage(QueryLineage* lineage, LineageCodec codec) {
   for (size_t i = 0; i < lineage->num_inputs(); ++i) {
     TableLineage& tl = lineage->mutable_input(i);

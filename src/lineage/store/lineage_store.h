@@ -34,6 +34,11 @@ namespace smoke {
 /// policy is supported. kNone passes through.
 LineageIndex EncodeLineage(LineageIndex index, LineageCodec codec);
 
+/// Encodes a copy of `index` under `codec` in one pass over the source,
+/// leaving the source as it is (the serving layer's snapshot publish reads
+/// its builder's raw indexes in place). kRaw gives an exact-size raw copy.
+LineageIndex EncodeLineageCopy(const LineageIndex& index, LineageCodec codec);
+
 /// Applies EncodeLineage to every captured backward/forward index of
 /// `lineage`.
 void EncodeQueryLineage(QueryLineage* lineage, LineageCodec codec);

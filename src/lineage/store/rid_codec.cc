@@ -23,15 +23,24 @@ RidSetStats RidSetStats::Of(const rid_t* data, size_t n) {
   if (n == 0) return s;
   s.runs = 1;
   s.min = s.max = data[0];
+  // Branch-free and 32-bit wide, so the loop vectorizes: the serving
+  // layer encodes every captured edge at every publish.
+  uint32_t runs = 1, descents = 0;
+  rid_t lo = data[0], hi = data[0];
   for (size_t i = 1; i < n; ++i) {
     const rid_t prev = data[i - 1];
     const rid_t cur = data[i];
     // A step-+1 run never crosses into the kInvalidRid sentinel.
-    if (!(cur == prev + 1 && cur != kInvalidRid)) ++s.runs;
-    if (cur <= prev) s.ascending_nodup = false;
-    if (cur < s.min) s.min = cur;
-    if (cur > s.max) s.max = cur;
+    runs += (cur != prev + 1) | (cur == kInvalidRid);
+    descents += cur <= prev;
+    lo = std::min(lo, cur);
+    hi = std::max(hi, cur);
   }
+  const bool ascending = descents == 0;
+  s.runs = runs;
+  s.ascending_nodup = ascending;
+  s.min = lo;
+  s.max = hi;
   return s;
 }
 
@@ -58,7 +67,11 @@ RidSetEncoding ChooseEncoding(const RidSetStats& stats, LineageCodec policy) {
         best = RidSetEncoding::kRange;
       }
       if (stats.BitmapEligible() && stats.BitmapWords() < best_words) {
+        best_words = stats.BitmapWords();
         best = RidSetEncoding::kBitmap;
+      }
+      if (stats.BitmapEligible() && stats.EliasFanoWords() < best_words) {
+        best = RidSetEncoding::kEliasFano;
       }
       return best;
     }
@@ -100,6 +113,46 @@ void EncodeListInto(const rid_t* d, size_t n, RidSetEncoding enc,
       }
       break;
     }
+    case RidSetEncoding::kEliasFano: {
+      // Header, then the low bits of every rid - base (l each, packed
+      // LSB-first), then the high parts in unary: rid k sets bit
+      // (rid - base) >> l + k of the high stream.
+      const rid_t base = d[0];
+      const uint64_t span = static_cast<uint64_t>(d[n - 1]) - base;
+      const unsigned l = EliasFanoLowBits(n, span);
+      const size_t low_words = (n * l + 31) / 32;
+      size_t high_words = ((span >> l) + n + 31) / 32;
+      if (high_words < 2) high_words = 2;
+      const size_t start = data->size();
+      data->push_back(static_cast<rid_t>(n));
+      data->push_back(base);
+      data->push_back(l);
+      data->resize(start + 3 + low_words + high_words, 0);
+      rid_t* low = data->data() + start + 3;
+      rid_t* high = low + low_words;
+      const uint64_t low_mask = (uint64_t{1} << l) - 1;
+      uint64_t acc = 0;  // low bits not yet flushed, `filled` of them
+      unsigned filled = 0;
+      for (size_t k = 0; k < n; ++k) {
+        const uint64_t x = static_cast<uint64_t>(d[k]) - base;
+        if (l > 0) {
+          acc |= (x & low_mask) << filled;
+          *low = static_cast<rid_t>(acc);
+          filled += l;
+          const unsigned spill = filled >= 32;  // branch-free word flush
+          filled -= spill * 32;
+          low += spill;
+          acc >>= spill * 32;
+        }
+        const uint64_t hb = (x >> l) + k;
+        high[hb / 32] |= static_cast<rid_t>(1u) << (hb % 32);
+      }
+      if (filled > 0) *low = static_cast<rid_t>(acc);
+      break;
+    }
+    case RidSetEncoding::kPacked:
+      SMOKE_DCHECK(false);  // arrays only
+      break;
   }
 }
 
@@ -109,12 +162,25 @@ void PostingsBuilder::AddList(const rid_t* data, size_t n) {
   out_.AppendNewList(data, n, policy_);
 }
 
+void PostingsBuilder::AddList(const rid_t* data, size_t n,
+                              RidSetEncoding enc) {
+  out_.AppendNewList(data, n, enc);
+}
+
 void EncodedPostings::AppendNewList(const rid_t* d, size_t n,
                                     LineageCodec policy) {
+  AppendNewList(d, n,
+                n == 0 ? RidSetEncoding::kRaw
+                       : ChooseEncoding(RidSetStats::Of(d, n), policy));
+}
+
+void EncodedPostings::AppendNewList(const rid_t* d, size_t n,
+                                    RidSetEncoding enc) {
+  SMOKE_DCHECK(enc != RidSetEncoding::kPacked);
+  SMOKE_DCHECK((enc != RidSetEncoding::kBitmap &&
+                enc != RidSetEncoding::kEliasFano) ||
+               RidSetStats::Of(d, n).BitmapEligible());
   if (offsets_.empty()) offsets_.push_back(0);
-  const RidSetStats stats = RidSetStats::Of(d, n);
-  const RidSetEncoding enc =
-      n == 0 ? RidSetEncoding::kRaw : ChooseEncoding(stats, policy);
   EncodeListInto(d, n, enc, &data_);
   encodings_.push_back(static_cast<uint8_t>(enc));
   offsets_.push_back(data_.size());
@@ -197,12 +263,54 @@ void EncodedPostings::InsertSortedIntoList(size_t i, rid_t v) {
   list.insert(pos, v);
 }
 
+const ByteBits& ByteBitsTable() {
+  static const ByteBits table = [] {
+    ByteBits t{};
+    for (int v = 0; v < 256; ++v) {
+      int c = 0;
+      for (int bit = 0; bit < 8; ++bit) {
+        if ((v >> bit) & 1) t.pos[v][c++] = static_cast<uint8_t>(bit);
+      }
+      t.count[v] = static_cast<uint8_t>(c);
+    }
+    return t;
+  }();
+  return table;
+}
+
 EncodedPostings EncodedPostings::Encode(const RidIndex& index,
                                         LineageCodec policy) {
-  PostingsBuilder b(policy);
+  // Choose every list's encoding first, so the arena is sized exactly
+  // once: no growth copies and no shrink copy.
   const size_t n = index.size();
-  for (size_t i = 0; i < n; ++i) b.AddList(index.list(i));
-  return b.Finish();
+  std::vector<uint8_t> encs(n);
+  size_t words = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const RidVec& l = index.list(i);
+    const RidSetStats stats = RidSetStats::Of(l.data(), l.size());
+    const RidSetEncoding enc =
+        l.size() == 0 ? RidSetEncoding::kRaw : ChooseEncoding(stats, policy);
+    encs[i] = static_cast<uint8_t>(enc);
+    switch (enc) {
+      case RidSetEncoding::kRaw:       words += stats.RawWords(); break;
+      case RidSetEncoding::kRange:     words += stats.RangeWords(); break;
+      case RidSetEncoding::kBitmap:    words += stats.BitmapWords(); break;
+      case RidSetEncoding::kEliasFano: words += stats.EliasFanoWords(); break;
+      case RidSetEncoding::kPacked:    break;
+    }
+  }
+  EncodedPostings out;
+  out.offsets_.reserve(n + 1);
+  out.offsets_.push_back(0);
+  out.encodings_ = std::move(encs);
+  out.data_.reserve(words);
+  for (size_t i = 0; i < n; ++i) {
+    const RidVec& l = index.list(i);
+    EncodeListInto(l.data(), l.size(),
+                   static_cast<RidSetEncoding>(out.encodings_[i]), &out.data_);
+    out.offsets_.push_back(out.data_.size());
+  }
+  return out;
 }
 
 size_t EncodedPostings::ListSize(size_t i) const {
@@ -229,6 +337,10 @@ size_t EncodedPostings::ListSize(size_t i) const {
       }
       return n;
     }
+    case RidSetEncoding::kEliasFano:
+      return data_[b];
+    case RidSetEncoding::kPacked:
+      break;
   }
   return 0;
 }
@@ -260,52 +372,178 @@ inline bool ContinuesArrayRun(rid_t prev, rid_t cur) {
          (prev != kInvalidRid && cur == prev + 1 && cur != kInvalidRid);
 }
 
+/// Bits per position of a packed array whose valid rids lie in [lo, hi]
+/// (lo == kInvalidRid: none): codes 0..hi-lo stay below the all-ones
+/// kInvalidRid code, so the width is that of hi - lo + 1 (at most 32).
+unsigned PackedWidth(rid_t lo, rid_t hi) {
+  const uint64_t top = lo == kInvalidRid ? 1 : uint64_t{hi} - lo + 1;
+  return 64u - static_cast<unsigned>(__builtin_clzll(top));
+}
+
+/// The encoding `policy` gives array `d`, with the range of its valid
+/// rids. Bytes of each form: raw 4 per position, range 8 per run, packed
+/// its width in bits per position plus one trailing word. Forced kBitmap
+/// has no 1:1 form and behaves adaptively.
+struct ArrayChoice {
+  RidSetEncoding enc = RidSetEncoding::kRaw;
+  rid_t lo = kInvalidRid;  ///< kInvalidRid: no valid rid
+  rid_t hi = 0;
+};
+
+ArrayChoice ChooseArrayEncoding(const rid_t* d, size_t n,
+                                LineageCodec policy) {
+  ArrayChoice c;
+  if (n == 0 || policy == LineageCodec::kRaw) return c;
+  if (policy == LineageCodec::kRange) {
+    c.enc = RidSetEncoding::kRange;
+    return c;
+  }
+  // Branch-free and 32-bit wide, so the loop vectorizes (kInvalidRid is
+  // the largest rid, so min ignores it). A run continues on a step-+1
+  // valid rid after a valid one, or on kInvalidRid after kInvalidRid.
+  uint32_t runs = 1;
+  rid_t lo = d[0], hi = d[0] == kInvalidRid ? 0 : d[0];
+  for (size_t i = 1; i < n; ++i) {
+    const rid_t prev = d[i - 1];
+    const rid_t cur = d[i];
+    const uint32_t inv_prev = prev == kInvalidRid;
+    const uint32_t inv_cur = cur == kInvalidRid;
+    const uint32_t step = cur == prev + 1;
+    runs += 1 - ((inv_prev & inv_cur) | (step & (1 - inv_prev) & (1 - inv_cur)));
+    lo = std::min(lo, cur);
+    hi = std::max(hi, inv_cur ? rid_t{0} : cur);
+  }
+  c.lo = lo;
+  c.hi = hi;
+  size_t best = n * sizeof(rid_t);
+  if (runs * 2 * sizeof(rid_t) < best) {
+    best = runs * 2 * sizeof(rid_t);
+    c.enc = RidSetEncoding::kRange;
+  }
+  if ((n * PackedWidth(lo, hi) + 63) / 64 * sizeof(uint64_t) +
+          sizeof(uint64_t) <
+      best) {
+    c.enc = RidSetEncoding::kPacked;
+  }
+  return c;
+}
+
 }  // namespace
 
 EncodedRidArray EncodedRidArray::Encode(std::vector<rid_t> array,
                                         LineageCodec policy) {
-  EncodedRidArray out;
+  const ArrayChoice c =
+      ChooseArrayEncoding(array.data(), array.size(), policy);
+  if (c.enc == RidSetEncoding::kPacked) {
+    return Pack(array.data(), array.size(), c.lo, c.hi);
+  }
+  if (c.enc != RidSetEncoding::kRaw) {
+    return EncodeAs(array.data(), array.size(), c.enc);
+  }
+  EncodedRidArray out;  // adopt instead of copying
   out.size_ = array.size();
-  size_t runs = 0;
-  for (size_t i = 0; i < array.size(); ++i) {
-    if (i == 0 || !ContinuesArrayRun(array[i - 1], array[i])) ++runs;
+  out.data_ = std::move(array);
+  out.data_.shrink_to_fit();
+  return out;
+}
+
+EncodedRidArray EncodedRidArray::Encode(const rid_t* d, size_t n,
+                                        LineageCodec policy) {
+  const ArrayChoice c = ChooseArrayEncoding(d, n, policy);
+  if (c.enc == RidSetEncoding::kPacked) return Pack(d, n, c.lo, c.hi);
+  return EncodeAs(d, n, c.enc);
+}
+
+EncodedRidArray EncodedRidArray::Pack(const rid_t* d, size_t n, rid_t lo,
+                                      rid_t hi) {
+  EncodedRidArray out;
+  out.encoding_ = RidSetEncoding::kPacked;
+  out.size_ = n;
+  out.base_ = lo == kInvalidRid ? 0 : lo;
+  const unsigned w = PackedWidth(lo, hi);
+  out.width_ = static_cast<uint8_t>(w);
+  out.words_.assign((n * w + 63) / 64 + 1, 0);
+  // Stream the codes through a 64-bit accumulator, one store per word.
+  const uint64_t mask = (uint64_t{1} << w) - 1;
+  uint64_t* word = out.words_.data();
+  uint64_t acc = 0;
+  unsigned filled = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t c = d[i] == kInvalidRid ? mask : uint64_t{d[i]} - out.base_;
+    acc |= c << filled;
+    *word = acc;
+    filled += w;
+    // Branch-free spill into the next word: the code's bits that did not
+    // fit (none when the word filled exactly, as c >> w is 0).
+    const unsigned spill = filled >= 64;
+    filled -= spill * 64;
+    word += spill;
+    acc = spill ? c >> (w - filled) : acc;
   }
-  // Range costs 2 words per run; raw costs 1 word per position. Forced
-  // kBitmap has no 1:1 form and behaves adaptively.
-  bool range = false;
-  switch (policy) {
-    case LineageCodec::kRaw:
-      range = false;
+  *word = acc;
+  return out;
+}
+
+EncodedRidArray EncodedRidArray::EncodeAs(const rid_t* d, size_t n,
+                                          RidSetEncoding enc) {
+  EncodedRidArray out;
+  out.encoding_ = enc;
+  out.size_ = n;
+  switch (enc) {
+    case RidSetEncoding::kRaw:
+      out.data_.assign(d, d + n);
       break;
-    case LineageCodec::kRange:
-      range = !array.empty();
+    case RidSetEncoding::kRange:
+      for (size_t i = 0; i < n; ++i) {
+        if (i == 0 || !ContinuesArrayRun(d[i - 1], d[i])) {
+          out.run_pos_.push_back(static_cast<uint32_t>(i));
+          out.run_val_.push_back(d[i]);
+        }
+      }
+      out.run_pos_.shrink_to_fit();
+      out.run_val_.shrink_to_fit();
       break;
-    case LineageCodec::kBitmap:
-    case LineageCodec::kAdaptive:
-      range = 2 * runs < array.size();
-      break;
-  }
-  if (!range) {
-    out.encoding_ = RidSetEncoding::kRaw;
-    out.data_ = std::move(array);
-    out.data_.shrink_to_fit();
-    return out;
-  }
-  out.encoding_ = RidSetEncoding::kRange;
-  out.run_pos_.reserve(runs);
-  out.run_val_.reserve(runs);
-  for (size_t i = 0; i < array.size(); ++i) {
-    if (i == 0 || !ContinuesArrayRun(array[i - 1], array[i])) {
-      out.run_pos_.push_back(static_cast<uint32_t>(i));
-      out.run_val_.push_back(array[i]);
+    case RidSetEncoding::kPacked: {
+      rid_t lo = kInvalidRid, hi = 0;
+      for (size_t i = 0; i < n; ++i) {
+        lo = std::min(lo, d[i]);
+        hi = std::max(hi, d[i] == kInvalidRid ? rid_t{0} : d[i]);
+      }
+      return Pack(d, n, lo, hi);
     }
+    case RidSetEncoding::kBitmap:
+    case RidSetEncoding::kEliasFano:
+      SMOKE_DCHECK(false);  // postings only
+      break;
   }
   return out;
+}
+
+void EncodedRidArray::PutCode(size_t i, uint64_t c) {
+  const uint64_t bit = i * width_;
+  const uint64_t off = bit % 64;
+  words_[bit / 64] |= c << off;
+  if (off + width_ > 64) words_[bit / 64 + 1] |= c >> (64 - off);
 }
 
 void EncodedRidArray::Append(rid_t v) {
   if (encoding_ == RidSetEncoding::kRaw) {
     data_.push_back(v);
+    ++size_;
+    return;
+  }
+  if (encoding_ == RidSetEncoding::kPacked) {
+    const uint64_t mask = (uint64_t{1} << width_) - 1;
+    if (v != kInvalidRid && (v < base_ || uint64_t{v} - base_ >= mask)) {
+      // Outside the frame: repack at the width the new value needs.
+      std::vector<rid_t> all = Decode();
+      all.push_back(v);
+      *this = EncodeAs(all.data(), all.size(), RidSetEncoding::kPacked);
+      return;
+    }
+    const size_t need = ((size_ + 1) * width_ + 63) / 64 + 1;
+    if (words_.size() < need) words_.resize(need, 0);
+    PutCode(size_, v == kInvalidRid ? mask : uint64_t{v} - base_);
     ++size_;
     return;
   }

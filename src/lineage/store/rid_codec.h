@@ -9,24 +9,35 @@
 // decompression: consumers iterate encoded posting lists decode-on-demand
 // (ForEach over one list at a time), never materializing the full index.
 //
-// Three physical encodings, chosen per posting list / per array:
-//  - kRaw:    the rids verbatim (today's representation, flattened).
-//  - kRange:  maximal step-+1 runs as (start, len) pairs. Lossless for ANY
-//             rid sequence — order and duplicates are preserved by run
-//             splitting — and collapses contiguous selections and sorted
-//             group postings to a handful of words.
-//  - kBitmap: base rid + bit words (dense postings). Only eligible for
-//             strictly-ascending duplicate-free lists, where ascending
-//             decode order reproduces the sequence bit-identically.
+// Five physical encodings, chosen per posting list / per 1:1 array, with
+// what each costs to read:
+//  - kRaw:       the rids verbatim. 32 bits per rid; no decode.
+//  - kRange:     maximal step-+1 runs as (start, len) pairs (arrays: run
+//                start positions and values). Lossless for ANY rid
+//                sequence. Lists decode O(1) per rid; array At is a binary
+//                search over the runs.
+//  - kBitmap:    base rid + bit words (postings only; strictly ascending,
+//                duplicate-free lists). Decode scans span/32 words, one ctz
+//                per rid.
+//  - kPacked:    frame-of-reference bit-packing (1:1 arrays only): each
+//                position holds value - base in w bits, w set by the largest
+//                value, with the all-ones code reserved for kInvalidRid. At
+//                is O(1): one unaligned 64-bit load, a shift and a mask.
+//  - kEliasFano: strictly ascending lists (postings only) as l low bits
+//                per rid plus a unary high-bit stream, ~2 + log2(span / n)
+//                bits per rid. Decode is sequential: one ctz over the high
+//                words and one unaligned 64-bit load of the low bits per rid.
 //
-// The adaptive policy picks the smallest eligible encoding per list from
-// one-pass stats (count, run count, sortedness, span) at capture-finalize
-// time. Every policy round-trips every input exactly: encoded and raw
-// indexes answer lineage queries with bit-identical results.
+// The adaptive policy picks the smallest eligible encoding per list or
+// array from one-pass stats (count, run count, sortedness, span) at
+// capture-finalize time. Every policy round-trips every input exactly:
+// encoded and raw indexes answer lineage queries with bit-identical
+// results. Packed and Elias-Fano reads assume a little-endian host.
 #ifndef SMOKE_LINEAGE_STORE_RID_CODEC_H_
 #define SMOKE_LINEAGE_STORE_RID_CODEC_H_
 
 #include <cstdint>
+#include <cstring>
 #include <unordered_map>
 #include <vector>
 
@@ -46,7 +57,41 @@ enum class LineageCodec : uint8_t { kRaw, kRange, kBitmap, kAdaptive };
 const char* LineageCodecName(LineageCodec c);
 
 /// Physical encoding of one posting list / rid array.
-enum class RidSetEncoding : uint8_t { kRaw = 0, kRange = 1, kBitmap = 2 };
+enum class RidSetEncoding : uint8_t {
+  kRaw = 0,
+  kRange = 1,
+  kBitmap = 2,
+  kPacked = 3,     ///< 1:1 arrays only
+  kEliasFano = 4,  ///< posting lists only
+};
+
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "packed and Elias-Fano reads load little-endian words");
+
+/// The bits under `mask` (at most 57 of them) at bit offset `bit` of
+/// `bytes`: one unaligned 64-bit load. The caller guarantees 8 readable bytes from the
+/// load's first byte.
+inline uint64_t LoadBits(const unsigned char* bytes, uint64_t bit,
+                         uint64_t mask) {
+  uint64_t w;
+  std::memcpy(&w, bytes + (bit >> 3), sizeof(w));
+  return (w >> (bit & 7)) & mask;
+}
+
+/// Set-bit positions of every byte value (ascending; slots past the
+/// count hold 0), for decoding bit streams a byte at a time.
+struct ByteBits {
+  uint8_t pos[256][8];
+  uint8_t count[256];
+};
+const ByteBits& ByteBitsTable();
+
+/// Low-bit count of an Elias-Fano list of `n` rids spanning [0, span].
+inline unsigned EliasFanoLowBits(size_t n, uint64_t span) {
+  const uint64_t universe = span + 1;
+  if (universe <= n) return 0;
+  return 63u - static_cast<unsigned>(__builtin_clzll(universe / n));
+}
 
 /// One-pass statistics of a rid sequence, driving the adaptive choice.
 struct RidSetStats {
@@ -64,6 +109,15 @@ struct RidSetStats {
   /// 1 base word + bit words spanning [min, max]; only when eligible.
   size_t BitmapWords() const {
     return 1 + (static_cast<size_t>(max) - min) / 32 + 1;
+  }
+  /// Header (count, base, low-bit count) + low words + high words; the
+  /// high stream is at least two words, so an unaligned low-bit load never
+  /// leaves the list. Eligible exactly when a bitmap is.
+  size_t EliasFanoWords() const {
+    const uint64_t span = static_cast<uint64_t>(max) - min;
+    const unsigned l = EliasFanoLowBits(count, span);
+    const size_t high_words = ((span >> l) + count + 31) / 32;
+    return 3 + (count * l + 31) / 32 + (high_words < 2 ? 2 : high_words);
   }
 };
 
@@ -131,12 +185,105 @@ class EncodedPostings {
         }
         break;
       }
+      case RidSetEncoding::kEliasFano: {
+        const rid_t n = data_[b];
+        const rid_t base = data_[b + 1];
+        const unsigned l = data_[b + 2];
+        const uint64_t low_mask = (uint64_t{1} << l) - 1;
+        const rid_t* low = data_.data() + b + 3;
+        const auto* low_bytes = reinterpret_cast<const unsigned char*>(low);
+        const rid_t* high = low + (static_cast<uint64_t>(n) * l + 31) / 32;
+        uint64_t k = 0;
+        uint64_t low_bit = 0;
+        for (uint64_t w = 0; k < n; ++w) {
+          uint32_t word = high[w];
+          while (word != 0) {
+            const uint64_t h = w * 32 + __builtin_ctz(word) - k;
+            const uint64_t lo = LoadBits(low_bytes, low_bit, low_mask);
+            f(base + static_cast<rid_t>((h << l) | lo));
+            ++k;
+            low_bit += l;
+            word &= word - 1;
+          }
+        }
+        break;
+      }
+      case RidSetEncoding::kPacked:
+        SMOKE_DCHECK(false);  // arrays only
+        break;
     }
+  }
+
+  /// True when list `i` decodes strictly ascending by construction (a
+  /// bitmap or Elias-Fano list the overlay has not taken over).
+  bool ListAscending(size_t i) const {
+    const auto enc = static_cast<RidSetEncoding>(encodings_[i]);
+    return (enc == RidSetEncoding::kBitmap ||
+            enc == RidSetEncoding::kEliasFano) &&
+           (overlay_.empty() || overlay_.count(i) == 0);
+  }
+
+  /// Rids per chunk of ForEachChunk, and the size of its buffer.
+  static constexpr size_t kChunkRids = 512;
+
+  /// Decode-on-demand in chunks: f(rids, n) for consecutive runs of list
+  /// `i` in stored order, decoded into `buf` (kChunkRids slots). An
+  /// Elias-Fano list with at most 7 low bits decodes a high byte at a time
+  /// through ByteBitsTable — eight rids written per byte, their low bits
+  /// from one 64-bit load, no ctz or branch per rid.
+  template <typename F>
+  void ForEachChunk(size_t i, rid_t* buf, F&& f) const {
+    const uint64_t b = offsets_[i];
+    if (static_cast<RidSetEncoding>(encodings_[i]) ==
+            RidSetEncoding::kEliasFano &&
+        data_[b + 2] <= 7 && (overlay_.empty() || overlay_.count(i) == 0)) {
+      const rid_t n = data_[b];
+      const rid_t base = data_[b + 1];
+      const unsigned l = data_[b + 2];
+      const uint64_t low_mask = (uint64_t{1} << l) - 1;
+      const uint64_t lows_mask = (uint64_t{1} << (8 * l)) - 1;
+      const rid_t* low = data_.data() + b + 3;
+      const auto* low_bytes = reinterpret_cast<const unsigned char*>(low);
+      const auto* high_bytes = reinterpret_cast<const unsigned char*>(
+          low + (static_cast<uint64_t>(n) * l + 31) / 32);
+      const ByteBits& bits = ByteBitsTable();
+      size_t m = 0;  // rids in buf; slots past them are scratch
+      for (uint64_t k = 0, byte = 0; k < n; ++byte) {
+        const uint8_t v = high_bytes[byte];
+        const uint64_t lows = LoadBits(low_bytes, k * l, lows_mask);
+        const uint64_t off = byte * 8 - k;  // wraps; only differences count
+        for (uint32_t j = 0; j < 8; ++j) {
+          const uint64_t h = off + bits.pos[v][j] - j;
+          buf[m + j] =
+              base + static_cast<rid_t>((h << l) | ((lows >> (j * l)) & low_mask));
+        }
+        k += bits.count[v];
+        m += bits.count[v];
+        if (m + 8 > kChunkRids) {
+          f(static_cast<const rid_t*>(buf), m);
+          m = 0;
+        }
+      }
+      if (m > 0) f(static_cast<const rid_t*>(buf), m);
+      return;
+    }
+    size_t m = 0;
+    ForEachInList(i, [&](rid_t r) {
+      buf[m++] = r;
+      if (m == kChunkRids) {
+        f(static_cast<const rid_t*>(buf), m);
+        m = 0;
+      }
+    });
+    if (m > 0) f(static_cast<const rid_t*>(buf), m);
   }
 
   /// Appends list `i` onto `out` (the TraceInto contract).
   void AppendList(size_t i, std::vector<rid_t>* out) const {
-    ForEachInList(i, [out](rid_t r) { out->push_back(r); });
+    rid_t buf[kChunkRids];
+    ForEachChunk(i, buf, [out](const rid_t* d, size_t m) {
+      out->insert(out->end(), d, d + m);
+    });
   }
 
   /// Decoded length of list `i` (scans the encoded words, not the rids).
@@ -154,10 +301,12 @@ class EncodedPostings {
   /// Appends a brand-new list (source rid == num_lists()) encoded under
   /// `policy` — the same choice PostingsBuilder::AddList makes.
   void AppendNewList(const rid_t* d, size_t n, LineageCodec policy);
+  /// Appends a brand-new list encoded as `enc` (see PostingsBuilder).
+  void AppendNewList(const rid_t* d, size_t n, RidSetEncoding enc);
 
   /// Appends `n` rids onto existing list `i`, preserving order. Arena
-  /// fast path when `i` is the tail list under kRaw/kRange; otherwise the
-  /// list moves to the overlay.
+  /// fast path when `i` is the tail list under kRaw/kRange; otherwise
+  /// (bitmap, Elias-Fano, interior lists) the list moves to the overlay.
   void ExtendList(size_t i, const rid_t* d, size_t n);
 
   /// Inserts `v` into ascending duplicate-free list `i`, keeping it sorted
@@ -207,6 +356,10 @@ class PostingsBuilder {
   /// Encodes `n` rids as the next list.
   void AddList(const rid_t* data, size_t n);
   void AddList(const RidVec& list) { AddList(list.data(), list.size()); }
+  /// Encodes the next list as `enc` instead of the policy's choice. kBitmap
+  /// and kEliasFano need a non-empty strictly ascending list; kPacked is
+  /// not a list encoding.
+  void AddList(const rid_t* data, size_t n, RidSetEncoding enc);
 
   /// Shrinks the arena to size (MemoryBytes() reports capacity — growth
   /// slack would both waste memory and inflate the budget accounting).
@@ -223,11 +376,13 @@ class PostingsBuilder {
 };
 
 /// \brief A compressed 1-to-1 lineage array (RidArray): position -> rid or
-/// kInvalidRid. Two encodings: raw values, or maximal runs — step-+1
+/// kInvalidRid. Three encodings: raw values; maximal runs — step-+1
 /// ascending value runs and constant kInvalidRid runs — stored as parallel
 /// (run start position, run start value) arrays with O(log runs) random
-/// access. A contiguous selection's backward array collapses to one run.
-/// (Bitmaps do not apply to 1:1 arrays; forced kBitmap behaves like
+/// access, so a contiguous selection's backward array collapses to one run;
+/// or frame-of-reference bit-packing with O(1) random access, so a group-by
+/// forward over g groups costs about log2(g + 1) bits per row. (Bitmaps and
+/// Elias-Fano do not apply to 1:1 arrays; forced kBitmap behaves like
 /// kAdaptive here.)
 class EncodedRidArray {
  public:
@@ -238,14 +393,46 @@ class EncodedRidArray {
   /// when the budget is under pressure, so peak transient memory matters.
   static EncodedRidArray Encode(std::vector<rid_t> array,
                                 LineageCodec policy);
+  /// Encodes a borrowed array (the serving layer's snapshot encode reads
+  /// the builder's raw arrays in place).
+  static EncodedRidArray Encode(const rid_t* d, size_t n,
+                                LineageCodec policy);
+  /// Encodes as `enc` (kRaw, kRange or kPacked) instead of a policy's
+  /// choice.
+  static EncodedRidArray EncodeAs(const rid_t* d, size_t n,
+                                  RidSetEncoding enc);
+
+  /// O(1) reader over a kPacked array: the code at a position is
+  /// value - base, or `mask` (all ones) for kInvalidRid.
+  struct PackedReader {
+    const unsigned char* bytes = nullptr;
+    uint64_t width = 0;
+    uint64_t mask = 0;
+    rid_t base = 0;
+
+    uint64_t Code(size_t i) const { return LoadBits(bytes, i * width, mask); }
+    rid_t operator()(size_t i) const {
+      const uint64_t c = Code(i);
+      return c == mask ? kInvalidRid : base + static_cast<rid_t>(c);
+    }
+  };
 
   size_t size() const { return size_; }
   RidSetEncoding encoding() const { return encoding_; }
+  /// Bits per position of a kPacked array.
+  unsigned width() const { return width_; }
+
+  PackedReader packed() const {
+    SMOKE_DCHECK(encoding_ == RidSetEncoding::kPacked);
+    return PackedReader{reinterpret_cast<const unsigned char*>(words_.data()),
+                        width_, (uint64_t{1} << width_) - 1, base_};
+  }
 
   /// The rid at position `i` (kInvalidRid = no counterpart).
   rid_t At(size_t i) const {
     SMOKE_DCHECK(i < size_);
     if (encoding_ == RidSetEncoding::kRaw) return data_[i];
+    if (encoding_ == RidSetEncoding::kPacked) return packed()(i);
     // Binary search for the run containing i.
     size_t lo = 0, hi = run_pos_.size();
     while (hi - lo > 1) {
@@ -268,6 +455,11 @@ class EncodedRidArray {
       for (size_t i = 0; i < size_; ++i) f(i, data_[i]);
       return;
     }
+    if (encoding_ == RidSetEncoding::kPacked) {
+      const PackedReader p = packed();
+      for (size_t i = 0; i < size_; ++i) f(i, p(i));
+      return;
+    }
     for (size_t r = 0; r < run_pos_.size(); ++r) {
       const size_t begin = run_pos_[r];
       const size_t end = r + 1 < run_pos_.size() ? run_pos_[r + 1] : size_;
@@ -284,21 +476,34 @@ class EncodedRidArray {
 
   /// Appends one position at the end (incremental refresh): extends the
   /// trailing run in place when `v` continues it, else starts a new run —
-  /// the append-shaped mutation monotonic rid spaces produce.
+  /// the append-shaped mutation monotonic rid spaces produce. A packed
+  /// array writes `v` in place while it fits the frame, else repacks wider.
   void Append(rid_t v);
 
   size_t MemoryBytes() const {
     return data_.capacity() * sizeof(rid_t) +
            run_pos_.capacity() * sizeof(uint32_t) +
-           run_val_.capacity() * sizeof(rid_t);
+           run_val_.capacity() * sizeof(rid_t) +
+           words_.capacity() * sizeof(uint64_t);
   }
 
  private:
+  /// The kPacked form of `d`, whose valid rids lie in [lo, hi]
+  /// (lo == kInvalidRid: none).
+  static EncodedRidArray Pack(const rid_t* d, size_t n, rid_t lo, rid_t hi);
+  /// Writes code `c` at position `i` of a kPacked array (words_ sized).
+  void PutCode(size_t i, uint64_t c);
+
   RidSetEncoding encoding_ = RidSetEncoding::kRaw;
   size_t size_ = 0;
   std::vector<rid_t> data_;       ///< kRaw: the values
   std::vector<uint32_t> run_pos_; ///< kRange: run start positions (first 0)
   std::vector<rid_t> run_val_;    ///< kRange: run start values / kInvalidRid
+  /// kPacked: width_-bit codes, plus one trailing word so the last code's
+  /// 64-bit load stays inside the buffer.
+  std::vector<uint64_t> words_;
+  uint8_t width_ = 0;
+  rid_t base_ = 0;
 };
 
 }  // namespace smoke

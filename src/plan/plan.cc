@@ -366,8 +366,28 @@ Status PlanBuilder::ResolveNames() {
         }
         break;
       }
+      case PlanOpKind::kSpjaBlock: {
+        // Block predicates read base tables directly: fact filters and the
+        // selection push-down resolve against the fact schema, each
+        // dimension's filters against that dimension's.
+        if (n.spja.fact != nullptr) {
+          for (auto* preds : {&n.spja.fact_filters, &n.pushdown.sel_fact}) {
+            for (Predicate& p : *preds) {
+              SMOKE_RETURN_NOT_OK(
+                  ResolvePredicate(n.spja.fact->schema(), n.label, &p));
+            }
+          }
+        }
+        for (SPJADim& d : n.spja.dims) {
+          if (d.table == nullptr) continue;
+          for (Predicate& p : d.filters) {
+            SMOKE_RETURN_NOT_OK(
+                ResolvePredicate(d.table->schema(), n.label, &p));
+          }
+        }
+        break;
+      }
       case PlanOpKind::kScan:
-      case PlanOpKind::kSpjaBlock:
         break;
     }
   }

@@ -65,29 +65,6 @@ void ForEachKeyRun(std::vector<std::pair<rid_t, rid_t>>* pairs, F&& f) {
   }
 }
 
-/// Deep copy of one lineage index (all four physical forms are value types;
-/// RidIndex needs an explicit per-list copy only because RidVec copies are
-/// exact-capacity).
-LineageIndex CopyIndex(const LineageIndex& src) {
-  switch (src.kind()) {
-    case LineageIndex::Kind::kNone:
-      return LineageIndex();
-    case LineageIndex::Kind::kArray:
-      return LineageIndex::FromArray(src.array());
-    case LineageIndex::Kind::kIndex: {
-      const RidIndex& in = src.index();
-      std::vector<RidVec> lists(in.size());
-      for (size_t i = 0; i < in.size(); ++i) lists[i] = in.list(i);
-      return LineageIndex::FromIndex(RidIndex::FromLists(std::move(lists)));
-    }
-    case LineageIndex::Kind::kEncodedArray:
-      return LineageIndex::FromEncodedArray(src.encoded_array());
-    case LineageIndex::Kind::kEncodedIndex:
-      return LineageIndex::FromEncodedPostings(src.encoded_postings());
-  }
-  return LineageIndex();
-}
-
 }  // namespace
 
 Status AnalyzeRefreshability(PlanResult* pr) {
@@ -501,7 +478,7 @@ Status RebuildRetainedPlan(PlanResult* pr) {
 Status ClonePlanResultForServe(
     const PlanResult& src,
     const std::unordered_map<const Table*, const Table*>& rebind,
-    PlanResult* out) {
+    LineageCodec codec, PlanResult* out) {
   if (src.HasDeferred()) {
     return Status::InvalidArgument(
         "cannot clone a result with pending deferred capture");
@@ -519,8 +496,8 @@ Status ClonePlanResultForServe(
     const Table* table = in.table;
     if (auto it = rebind.find(table); it != rebind.end()) table = it->second;
     TableLineage& tl = copy.lineage.AddInput(in.table_name, table);
-    tl.backward = CopyIndex(in.backward);
-    tl.forward = CopyIndex(in.forward);
+    tl.backward = EncodeLineageCopy(in.backward, codec);
+    tl.forward = EncodeLineageCopy(in.forward, codec);
   }
   copy.lineage.set_output_cardinality(src.lineage.output_cardinality());
   copy.lineage.set_evicted(src.lineage.evicted());

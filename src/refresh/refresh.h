@@ -126,17 +126,19 @@ Status RefreshPlanAppend(PlanResult* pr, RefreshStats* stats);
 /// store policy (SmokeEngine) re-encode afterwards.
 Status RebuildRetainedPlan(PlanResult* pr);
 
-/// Deep-copies a finalized retained result for the serving layer: output,
-/// composed lineage and cardinality are cloned, with every borrowed Table*
-/// in `rebind` swapped for its replacement (a snapshot's own table copies).
-/// Refresh/deferred state and explain records are not cloned — the copy is
-/// an immutable published artifact. Fails on results that still hold
-/// deferred capture, or SPJA block artifacts that reference base tables or
-/// push-down indexes (those views re-execute).
+/// Copies a finalized retained result for the serving layer: output and
+/// cardinality are cloned and the composed lineage is encoded under
+/// `codec` in one pass over the source indexes (kRaw: an exact-size raw
+/// copy), with every borrowed Table* in `rebind` swapped for its
+/// replacement (a snapshot's own table copies). Refresh/deferred state and
+/// explain records are not cloned — the copy is an immutable published
+/// artifact. Fails on results that still hold deferred capture, or SPJA
+/// block artifacts that reference base tables or push-down indexes (those
+/// views re-execute).
 Status ClonePlanResultForServe(
     const PlanResult& src,
     const std::unordered_map<const Table*, const Table*>& rebind,
-    PlanResult* out);
+    LineageCodec codec, PlanResult* out);
 
 /// \brief Standalone registry tying append-only base tables to retained
 /// live views (the engine-free counterpart of SmokeEngine::AppendRows, used

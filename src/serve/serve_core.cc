@@ -68,10 +68,7 @@ Status ServeCore::Start() {
                                    "' is not a registered table");
   }
   if (views_.empty()) return Status::InvalidArgument("no views defined");
-  std::unique_ptr<ServeSnapshot> snap;
-  SMOKE_RETURN_NOT_OK(BuildSnapshot(next_version_, &snap));
-  next_version_++;
-  Publish(std::move(snap));
+  SMOKE_RETURN_NOT_OK(RebuildAndPublish());
   started_ = true;
   return Status::OK();
 }
@@ -89,17 +86,10 @@ Status ServeCore::ReplaceTable(const std::string& name, Table table) {
   // current snapshot, untouched, until the publish swap below.
   Table saved = std::move(it->second);
   it->second = std::move(table);
-  // Replacement invalidates every watermark the incremental builder keeps
-  // (rids into the old rows): drop it, the next append re-seeds.
-  builder_.reset();
-  std::unique_ptr<ServeSnapshot> snap;
-  Status st = BuildSnapshot(next_version_, &snap);
-  if (!st.ok()) {
+  if (Status st = RebuildAndPublish(); !st.ok()) {
     it->second = std::move(saved);  // masters stay consistent on failure
     return st;
   }
-  next_version_++;
-  Publish(std::move(snap));
   return Status::OK();
 }
 
@@ -116,65 +106,46 @@ Status ServeCore::AppendRows(const std::string& name, const Table& delta) {
   for (size_t r = 0; r < delta.num_rows(); ++r) {
     next.AppendRowFrom(delta, static_cast<rid_t>(r));
   }
+  Table saved = std::move(it->second);
+  it->second = std::move(next);
 
-  // Incremental path: keep a persistent builder engine whose retained views
-  // carry refresh state, fold the delta through them in place, and publish
-  // by cloning — the expensive per-version work becomes O(delta), not
-  // O(table). Any failure along the way drops the builder and falls through
-  // to the always-correct full rebuild below.
+  // Incremental path: fold the delta through the builder's retained views
+  // in place and publish an encoded copy — the per-version capture work
+  // is O(delta), not O(table). Any failure along the way re-seeds the
+  // builder from the masters, which already carry the delta.
+  std::string fallback;
+  std::vector<RefreshStats> stats;
   if (builder_ == nullptr) {
-    if (Status st = SeedBuilder(); !st.ok()) builder_.reset();
-  }
-  if (builder_ != nullptr) {
-    std::vector<RefreshStats> stats;
-    Status st = builder_->AppendRows(name, delta, &stats);
-    if (st.ok()) {
-      Table saved = std::move(it->second);
-      it->second = std::move(next);
-      std::unique_ptr<ServeSnapshot> snap;
-      st = BuildSnapshotFromBuilder(next_version_, &snap);
-      if (st.ok()) {
-        last_refresh_stats_ = std::move(stats);
-        next_version_++;
-        Publish(std::move(snap));
-        return Status::OK();
-      }
-      // Clone-publish failed: masters already carry the delta (correct),
-      // so rebuild the snapshot from scratch; restore on total failure.
-      builder_.reset();
-      st = BuildSnapshot(next_version_, &snap);
-      if (!st.ok()) {
-        it->second = std::move(saved);
-        return st;
-      }
-      last_refresh_stats_.assign(1, RefreshStats{});
-      last_refresh_stats_[0].table = name;
-      last_refresh_stats_[0].delta_rows = delta.num_rows();
-      last_refresh_stats_[0].fallback_reason =
-          "builder clone-publish failed; full snapshot rebuild";
+    fallback = "incremental builder unavailable; builder re-seeded";
+  } else if (Status st = builder_->AppendRows(name, delta, &stats); !st.ok()) {
+    fallback = "builder append failed (" + st.ToString() +
+               "); builder re-seeded";
+  } else {
+    std::unique_ptr<ServeSnapshot> snap;
+    if (st = BuildSnapshotFromBuilder(next_version_, &snap); st.ok()) {
+      last_refresh_stats_ = std::move(stats);
       next_version_++;
       Publish(std::move(snap));
       return Status::OK();
     }
-    builder_.reset();  // refused or failed mid-append: state is suspect
+    fallback = "snapshot publish failed (" + st.ToString() +
+               "); builder re-seeded";
   }
-
-  Table saved = std::move(it->second);
-  it->second = std::move(next);
-  std::unique_ptr<ServeSnapshot> snap;
-  Status st = BuildSnapshot(next_version_, &snap);
-  if (!st.ok()) {
+  if (Status st = RebuildAndPublish(); !st.ok()) {
     it->second = std::move(saved);
     return st;
   }
   last_refresh_stats_.assign(1, RefreshStats{});
   last_refresh_stats_[0].table = name;
   last_refresh_stats_[0].delta_rows = delta.num_rows();
-  last_refresh_stats_[0].fallback_reason =
-      "incremental builder unavailable; full snapshot rebuild";
-  next_version_++;
-  Publish(std::move(snap));
+  last_refresh_stats_[0].fallback_reason = std::move(fallback);
   return Status::OK();
+}
+
+LineageStoreStats ServeCore::BuilderLineageStats() const {
+  MutexLock lock(writer_mu_);
+  return builder_ == nullptr ? LineageStoreStats{}
+                             : builder_->LineageMemoryStats();
 }
 
 std::vector<RefreshStats> ServeCore::LastRefreshStats() const {
@@ -182,24 +153,42 @@ std::vector<RefreshStats> ServeCore::LastRefreshStats() const {
   return last_refresh_stats_;
 }
 
-Status ServeCore::SeedBuilder() {
+Status ServeCore::RebuildAndPublish() {
+  builder_.reset();
   auto builder = std::make_unique<SmokeEngine>();
   for (const auto& [name, table] : tables_) {
     SMOKE_RETURN_NOT_OK(builder->CreateTable(name, table));  // copy
   }
-  CaptureOptions opts = options_.view_capture;
-  opts.mode = CaptureMode::kInject;
-  opts.defer_plan_finalize = false;
+  // Raw capture with refresh state: deltas then append in place. View
+  // captures run at batch priority with full morsel parallelism, so an
+  // interactive brush arriving mid-build jumps the queue at the next
+  // morsel boundary.
+  CaptureOptions opts = BuildOptions();
   opts.retain_refresh_state = true;
-  opts.scheduler = &batch_lease_;
-  opts.num_threads = batch_lease_.num_threads();
+  opts.lineage_codec = LineageCodec::kRaw;
   for (const auto& [vname, def] : views_) {
     LogicalPlan plan;
     SMOKE_RETURN_NOT_OK(def(*builder, &plan));
     SMOKE_RETURN_NOT_OK(builder->ExecutePlan(vname, plan, opts));
   }
   builder_ = std::move(builder);
+  std::unique_ptr<ServeSnapshot> snap;
+  if (Status st = BuildSnapshotFromBuilder(next_version_, &snap); !st.ok()) {
+    builder_.reset();
+    return st;
+  }
+  next_version_++;
+  Publish(std::move(snap));
   return Status::OK();
+}
+
+CaptureOptions ServeCore::BuildOptions() {
+  CaptureOptions opts = options_.view_capture;
+  opts.mode = CaptureMode::kInject;
+  opts.defer_plan_finalize = false;  // brushes need finalized indexes
+  opts.scheduler = &batch_lease_;
+  opts.num_threads = batch_lease_.num_threads();
+  return opts;
 }
 
 Status ServeCore::BuildSnapshotFromBuilder(
@@ -214,65 +203,35 @@ Status ServeCore::BuildSnapshotFromBuilder(
     SMOKE_RETURN_NOT_OK(snap->engine.GetTable(name, &st));
     rebind[bt] = st;
   }
+  // Encode every view's copy as one batch-priority task each: a brush
+  // arriving mid-publish still admits first.
   const LineageCodec codec = options_.view_capture.lineage_codec;
-  for (const auto& [vname, def] : views_) {
-    const PlanResult* built = nullptr;
-    SMOKE_RETURN_NOT_OK(builder_->GetPlanResult(vname, &built));
-    PlanResult clone;
-    if (ClonePlanResultForServe(*built, rebind, &clone).ok()) {
+  const size_t num_views = views_.size();
+  std::vector<const PlanResult*> built(num_views);
+  for (size_t v = 0; v < num_views; ++v) {
+    SMOKE_RETURN_NOT_OK(builder_->GetPlanResult(views_[v].first, &built[v]));
+  }
+  std::vector<PlanResult> clones(num_views);
+  std::vector<Status> cloned(num_views);
+  batch_lease_.ParallelFor(num_views, [&](size_t v, size_t) {
+    cloned[v] = ClonePlanResultForServe(*built[v], rebind, codec, &clones[v]);
+  });
+  for (size_t v = 0; v < num_views; ++v) {
+    const auto& [vname, def] = views_[v];
+    if (cloned[v].ok()) {
       SMOKE_RETURN_NOT_OK(
-          snap->engine.AdoptRetainedPlan(vname, std::move(clone), codec));
+          snap->engine.AdoptRetainedPlan(vname, std::move(clones[v]), codec));
     } else {
-      // Results the clone contract excludes (deferred capture, SPJA block
-      // artifacts) re-execute against the snapshot's tables, as in the
-      // full build.
-      CaptureOptions opts = options_.view_capture;
-      opts.mode = CaptureMode::kInject;
-      opts.defer_plan_finalize = false;
-      opts.scheduler = &batch_lease_;
-      opts.num_threads = batch_lease_.num_threads();
+      // Results the clone contract excludes (SPJA block artifacts)
+      // re-execute against the snapshot's tables.
       LogicalPlan plan;
       SMOKE_RETURN_NOT_OK(def(snap->engine, &plan));
-      SMOKE_RETURN_NOT_OK(snap->engine.ExecutePlan(vname, plan, opts));
+      SMOKE_RETURN_NOT_OK(
+          snap->engine.ExecutePlan(vname, plan, BuildOptions()));
     }
     const PlanResult* pr = nullptr;
     SMOKE_RETURN_NOT_OK(snap->engine.GetPlanResult(vname, &pr));
     const int rel = pr->lineage.FindInput(relation_);
-    if (rel < 0 ||
-        pr->lineage.input(static_cast<size_t>(rel)).backward.empty() ||
-        pr->lineage.input(static_cast<size_t>(rel)).forward.empty()) {
-      return Status::InvalidArgument(
-          "view '" + vname +
-          "' must capture backward and forward lineage on '" + relation_ +
-          "'");
-    }
-    snap->views.push_back(vname);
-  }
-  *out = std::move(snap);
-  return Status::OK();
-}
-
-Status ServeCore::BuildSnapshot(uint64_t version,
-                                std::unique_ptr<ServeSnapshot>* out) {
-  auto snap = std::make_unique<ServeSnapshot>(version, &live_snapshots_);
-  for (const auto& [name, table] : tables_) {
-    SMOKE_RETURN_NOT_OK(snap->engine.CreateTable(name, table));  // copy
-  }
-  // View captures run at batch priority with full morsel parallelism: an
-  // interactive brush arriving mid-rebuild jumps the queue at the next
-  // morsel boundary.
-  CaptureOptions opts = options_.view_capture;
-  opts.mode = CaptureMode::kInject;
-  opts.defer_plan_finalize = false;  // brushes need finalized indexes
-  opts.scheduler = &batch_lease_;
-  opts.num_threads = batch_lease_.num_threads();
-  for (const auto& [vname, def] : views_) {
-    LogicalPlan plan;
-    SMOKE_RETURN_NOT_OK(def(snap->engine, &plan));
-    SMOKE_RETURN_NOT_OK(snap->engine.ExecutePlan(vname, plan, opts));
-    const PlanResult* pr = nullptr;
-    SMOKE_RETURN_NOT_OK(snap->engine.GetPlanResult(vname, &pr));
-    int rel = pr->lineage.FindInput(relation_);
     if (rel < 0 ||
         pr->lineage.input(static_cast<size_t>(rel)).backward.empty() ||
         pr->lineage.input(static_cast<size_t>(rel)).forward.empty()) {

@@ -9,14 +9,22 @@
 //
 //  - Snapshot/epoch layer. The unit of sharing is an immutable
 //    ServeSnapshot: one SmokeEngine holding a version of every base table
-//    plus the retained view plans (and their encoded, immutable-after-
-//    finalize lineage indexes) executed over exactly those tables. Writers
+//    plus the retained view results over exactly those tables. Writers
 //    (ReplaceTable / AppendRows) build the next version off to the side,
 //    publish it with one atomic pointer swap, and retire the old version
 //    through epoch-based reclamation (serve/epoch.h) — readers pin an
 //    epoch for the duration of an access, and a retired version is freed
 //    only when its last possible reader has drained. Writers never block
 //    brushes; brushes never dangle.
+//
+//  - Raw builder, encoded snapshots. Two copies of every view's lineage
+//    serve two roles. A persistent builder engine captures each view raw
+//    (write-optimized, paper Section 3.1) with refresh state, so appends
+//    fold into it in place. Each published snapshot holds lineage encoded
+//    in one pass straight from the builder's raw indexes under
+//    ServeOptions::view_capture.lineage_codec (adaptive by default:
+//    Elias-Fano postings and bit-packed 1:1 arrays for histogram views),
+//    sized for what a brush reads.
 //
 //  - Session manager. ServeSession (serve/session.h) handles carry
 //    per-session retained-trace handles (each pinning the snapshot version
@@ -79,12 +87,16 @@ struct ServeSnapshot {
 };
 
 struct ServeOptions {
+  ServeOptions() { view_capture.lineage_codec = LineageCodec::kAdaptive; }
+
   /// Worker threads of the shared admission pool (submitters co-execute,
   /// so effective parallelism is num_threads + 1).
   int num_threads = 3;
-  /// Capture configuration for view execution at snapshot build — codec,
-  /// pruning, morsel size. mode/scheduler/num_threads are overridden: views
-  /// always capture kInject with morsels routed at batch priority.
+  /// Capture configuration for view execution — pruning, morsel size, and
+  /// the codec of the published snapshots' lineage (kAdaptive by default;
+  /// the builder always captures raw). mode/scheduler/num_threads are
+  /// overridden: views always capture kInject with morsels routed at batch
+  /// priority.
   CaptureOptions view_capture = CaptureOptions::Inject();
 };
 
@@ -114,13 +126,13 @@ class ServeCore {
   Status DefineView(const std::string& name, ViewDef def)
       SMOKE_EXCLUDES(writer_mu_);
 
-  /// Builds and publishes snapshot version 1. Serving calls (sessions,
-  /// writers) are valid after this returns OK.
+  /// Seeds the builder and publishes snapshot version 1 from it. Serving
+  /// calls (sessions, writers) are valid after this returns OK.
   Status Start() SMOKE_EXCLUDES(writer_mu_);
 
   // ---- writers (serialized among themselves; never block readers) ----
 
-  /// Installs new contents for `name`: rebuilds every view over the new
+  /// Installs new contents for `name`: re-seeds the builder over the new
   /// version off to the side, publishes the result atomically, and retires
   /// the superseded snapshot via epoch reclamation. Concurrent brushes keep
   /// reading the old version until they drain.
@@ -128,17 +140,15 @@ class ServeCore {
       SMOKE_EXCLUDES(writer_mu_);
 
   /// Appends `delta`'s rows to `name` and publishes a new version — but,
-  /// unlike ReplaceTable, builds it incrementally when it can: a persistent
-  /// builder engine (seeded lazily on the first append) retains every view
-  /// with refresh state, folds each delta through the retained operator
-  /// DAGs in place (src/refresh/), and the new snapshot is published by
-  /// deep-cloning the refreshed results — unchanged views reuse their
-  /// indexes across versions instead of re-executing. Views the delta pass
-  /// cannot maintain (dim-side appends, non-refreshable shapes) take a
-  /// scoped rebuild inside the builder with the reason recorded in that
-  /// batch's RefreshStats; if the builder path fails altogether the call
-  /// falls back to the full from-scratch snapshot build. Readers are never
-  /// blocked either way.
+  /// unlike ReplaceTable, builds it incrementally: the builder folds the
+  /// delta through every view's retained operator DAG in place
+  /// (src/refresh/), and the new snapshot is published by encoding the
+  /// refreshed results — no view re-executes. Views the delta pass cannot
+  /// maintain (dim-side appends, non-refreshable shapes) take a scoped
+  /// rebuild inside the builder with the reason recorded in that batch's
+  /// RefreshStats; if the builder path fails altogether the call re-seeds
+  /// the builder from scratch and reports one entry with the reason.
+  /// Readers are never blocked either way.
   Status AppendRows(const std::string& name, const Table& delta)
       SMOKE_EXCLUDES(writer_mu_);
 
@@ -195,6 +205,9 @@ class ServeCore {
     return live_snapshots_.load(std::memory_order_relaxed);
   }
   EpochManager::Stats EpochStats() const { return epochs_.GetStats(); }
+  /// The incremental builder's lineage store: every view retained raw
+  /// (empty when no builder is seeded).
+  LineageStoreStats BuilderLineageStats() const SMOKE_EXCLUDES(writer_mu_);
   TieredScheduler::Stats AdmissionStats() const { return pool_.GetStats(); }
 
   const std::string& relation() const { return relation_; }
@@ -204,30 +217,28 @@ class ServeCore {
 
   TieredScheduler& pool() { return pool_; }
 
-  /// Executes every view def over a fresh engine seeded with the current
-  /// master tables. Runs on the writer thread (writer_mu_ held — it reads
-  /// the master tables and view defs); capture morsels go to the pool at
-  /// batch priority.
-  Status BuildSnapshot(uint64_t version, std::unique_ptr<ServeSnapshot>* out)
-      SMOKE_REQUIRES(writer_mu_);
-
   /// Swaps `snap` in as current and retires the predecessor. Writer-only
   /// (the atomic swap itself needs no lock, but unserialized publishes
   /// would race version retirement order).
   void Publish(std::unique_ptr<ServeSnapshot> snap)
       SMOKE_REQUIRES(writer_mu_);
 
-  /// Seeds the persistent builder engine: master-table copies plus every
-  /// view executed with retain_refresh_state, ready to take deltas.
-  Status SeedBuilder() SMOKE_REQUIRES(writer_mu_);
+  /// Seeds a fresh builder — master-table copies plus every view executed
+  /// raw with retain_refresh_state — and publishes the next version from
+  /// it. On failure the builder is dropped and nothing is published.
+  Status RebuildAndPublish() SMOKE_REQUIRES(writer_mu_);
 
-  /// Builds the next snapshot by deep-cloning the builder's refreshed view
-  /// results (rebinding their lineage onto the snapshot's own table
-  /// copies); views whose results cannot be cloned re-execute as in
-  /// BuildSnapshot.
+  /// Builds the next snapshot from the builder: copies of the master
+  /// tables, and each view's result with its lineage encoded under the
+  /// serving codec and rebound onto those copies; views whose results
+  /// cannot be cloned re-execute against the snapshot's tables.
   Status BuildSnapshotFromBuilder(uint64_t version,
                                   std::unique_ptr<ServeSnapshot>* out)
       SMOKE_REQUIRES(writer_mu_);
+
+  /// view_capture with the serving overrides: kInject, finalized, morsels
+  /// at batch priority on the shared pool.
+  CaptureOptions BuildOptions();
 
   const std::string relation_;
   const ServeOptions options_;
@@ -244,9 +255,9 @@ class ServeCore {
   /// master copies (next version)
   std::map<std::string, Table> tables_ SMOKE_GUARDED_BY(writer_mu_);
   /// Persistent incremental builder: holds its own table copies plus every
-  /// view retained with refresh state. Null until the first AppendRows
-  /// seeds it; reset (invalidated) by ReplaceTable and on any builder-path
-  /// failure — the full BuildSnapshot path is always correct without it.
+  /// view retained raw with refresh state. Seeded by Start and
+  /// ReplaceTable; null only after a failed re-seed, and re-seeded by the
+  /// next AppendRows.
   std::unique_ptr<SmokeEngine> builder_ SMOKE_GUARDED_BY(writer_mu_);
   std::vector<RefreshStats> last_refresh_stats_ SMOKE_GUARDED_BY(writer_mu_);
   /// definition order

@@ -9,6 +9,7 @@
 
 #include "plan/executor.h"
 #include "plan/plan.h"
+#include "test_util.h"
 
 namespace smoke {
 namespace {
@@ -160,9 +161,9 @@ TEST(PlanNamesTest, SetOpAndPushdownNamesMatchIndexed) {
   ASSERT_GT(named.output.num_rows(), 0u);
   ExpectSameOutput(named.output, indexed.output);
 
-  // Capture push-downs live on SPJA blocks, whose fields are index-based: a
-  // name-form push-down predicate is rejected with a Status, and the index
-  // form restricts the captured backward lists.
+  // Capture push-downs live on SPJA blocks: a name-form push-down
+  // predicate resolves against the fact schema, and both forms restrict
+  // the captured backward lists the same way.
   auto run_push = [&sales](bool named, PlanResult* out) {
     PlanBuilder b;
     SPJAQuery q;
@@ -178,13 +179,72 @@ TEST(PlanNamesTest, SetOpAndPushdownNamesMatchIndexed) {
     return ExecutePlan(plan, CaptureOptions::Inject(), out);
   };
   PlanResult pn, pi;
-  EXPECT_EQ(run_push(true, &pn).code(), Status::Code::kInvalidArgument);
+  ASSERT_TRUE(run_push(true, &pn).ok());
   ASSERT_TRUE(run_push(false, &pi).ok());
+  ExpectSameOutput(pn.output, pi.output);
+  EXPECT_EQ(testing::Edges(pn.lineage.input(0).backward),
+            testing::Edges(pi.lineage.input(0).backward));
   const auto& amount = sales.column(1).doubles();
   std::vector<rid_t> li;
   pi.lineage.input(0).backward.TraceInto(0, &li);
   ASSERT_FALSE(li.empty());
   for (rid_t r : li) EXPECT_GE(amount[r], 5.0);
+}
+
+/// An SPJA block — fact filters, a dimension filter, a selection
+/// push-down — written with names or with indexes.
+LogicalPlan BuildBlock(const Table* sales, const Table* dims, bool named) {
+  SPJAQuery q;
+  q.fact = sales;
+  q.fact_name = "sales";
+  SPJADim d;
+  d.table = dims;
+  d.name = "dims";
+  d.pk_col = 0;
+  d.fk = ColRef::Fact(0);
+  SPJAPushdown push;
+  if (named) {
+    q.fact_filters = {Predicate::Double("amount", CmpOp::kGe, 2.0),
+                      Predicate::ColCmp("amount", CmpOp::kGt, "bonus")};
+    d.filters = {Predicate::Double("weight", CmpOp::kGe, 10.0)};
+    push.sel_fact = {Predicate::Str("mode", CmpOp::kNe, "ship")};
+  } else {
+    q.fact_filters = {Predicate::Double(1, CmpOp::kGe, 2.0),
+                      Predicate::ColCmp(1, CmpOp::kGt, 2, DataType::kFloat64)};
+    d.filters = {Predicate::Double(1, CmpOp::kGe, 10.0)};
+    push.sel_fact = {Predicate::Str(4, CmpOp::kNe, "ship")};
+  }
+  q.dims = {d};
+  q.group_by = {ColRef::Fact(3)};
+  q.aggs = {AggSpec::Count("cnt")};
+  PlanBuilder b;
+  LogicalPlan plan;
+  EXPECT_TRUE(b.Build(b.SpjaBlock(std::move(q), push), &plan).ok());
+  return plan;
+}
+
+TEST(PlanNamesTest, SpjaBlockNamesMatchIndexed) {
+  Table sales = MakeSales();
+  Table dims = MakeDims();
+  PlanResult named, indexed;
+  ASSERT_TRUE(ExecutePlan(BuildBlock(&sales, &dims, true),
+                          CaptureOptions::Inject(), &named)
+                  .ok());
+  ASSERT_TRUE(ExecutePlan(BuildBlock(&sales, &dims, false),
+                          CaptureOptions::Inject(), &indexed)
+                  .ok());
+  ASSERT_GT(named.output.num_rows(), 0u);
+  ExpectSameOutput(named.output, indexed.output);
+  ASSERT_EQ(named.lineage.num_inputs(), indexed.lineage.num_inputs());
+  for (size_t i = 0; i < named.lineage.num_inputs(); ++i) {
+    const TableLineage& n = named.lineage.input(i);
+    const TableLineage& x = indexed.lineage.input(i);
+    EXPECT_EQ(n.table_name, x.table_name);
+    EXPECT_EQ(testing::Edges(n.backward), testing::Edges(x.backward))
+        << n.table_name;
+    EXPECT_EQ(testing::Edges(n.forward), testing::Edges(x.forward))
+        << n.table_name;
+  }
 }
 
 TEST(PlanNamesTest, TraceFiltersResolveAgainstEndpoint) {
@@ -328,6 +388,33 @@ TEST(PlanNamesTest, UnknownNamesAreClearStatuses) {
     spec.seeds = {0};
     spec.filters = {Predicate::Int("nope", CmpOp::kEq, 1)};
     expect_unknown(&tb, tb.Trace(tb.Scan(&sales, "sales"), spec), "trace");
+  }
+  {
+    // SPJA block predicates: a fact filter, the selection push-down and a
+    // dimension filter each name the unknown column.
+    for (int where = 0; where < 3; ++where) {
+      SPJAQuery q;
+      q.fact = &sales;
+      q.fact_name = "sales";
+      SPJADim d;
+      d.table = &dims;
+      d.name = "dims";
+      d.pk_col = 0;
+      d.fk = ColRef::Fact(0);
+      SPJAPushdown push;
+      const Predicate nope = Predicate::Int("nope", CmpOp::kEq, 1);
+      if (where == 0) q.fact_filters = {nope};
+      if (where == 1) push.sel_fact = {nope};
+      if (where == 2) d.filters = {nope};
+      q.dims = {d};
+      q.group_by = {ColRef::Fact(0)};
+      q.aggs = {AggSpec::Count("cnt")};
+      PlanBuilder b;
+      expect_unknown(&b, b.SpjaBlock(std::move(q), push),
+                     where == 0   ? "spja fact filter"
+                     : where == 1 ? "spja push-down"
+                                  : "spja dim filter");
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 // output rows in rid order AND all lineage directions per relation — to
 // dropping the view and re-executing the plan over the accumulated table.
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -142,11 +143,23 @@ void ExpectMatchesReference(const ChainShape& shape, const PlanResult& got,
   }
 }
 
+/// Adds the physical encodings of `idx` to `seen` (an encoded array's
+/// form, every encoded list's form).
+void NoteEncodings(const LineageIndex& idx, std::set<RidSetEncoding>* seen) {
+  if (idx.kind() == LineageIndex::Kind::kEncodedArray) {
+    seen->insert(idx.encoded_array().encoding());
+  } else if (idx.kind() == LineageIndex::Kind::kEncodedIndex) {
+    const EncodedPostings& p = idx.encoded_postings();
+    for (size_t i = 0; i < p.num_lists(); ++i) seen->insert(p.list_encoding(i));
+  }
+}
+
 class RefreshPropertySweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(RefreshPropertySweep, RefreshedViewsMatchFullReexecution) {
   const SweepParam p = GetParam();
   std::mt19937_64 rng(p.seed * 7919 + 17);
+  std::set<RidSetEncoding> seen;  // encoded forms the refreshes start from
 
   for (int trial = 0; trial < 4; ++trial) {
     const ChainShape shape = DrawShape(&rng);
@@ -185,6 +198,10 @@ TEST_P(RefreshPropertySweep, RefreshedViewsMatchFullReexecution) {
     const PlanResult* pr = nullptr;
     ASSERT_TRUE(engine.GetPlanResult("view", &pr).ok());
     ASSERT_TRUE(pr->refreshable()) << label;
+    for (size_t i = 0; i < pr->lineage.num_inputs(); ++i) {
+      NoteEncodings(pr->lineage.input(i).backward, &seen);
+      NoteEncodings(pr->lineage.input(i).forward, &seen);
+    }
 
     // Randomized schedule: 3 append batches of varying size (possibly
     // empty); join shapes sneak in one dim-side append mid-schedule to
@@ -217,6 +234,12 @@ TEST_P(RefreshPropertySweep, RefreshedViewsMatchFullReexecution) {
       ExpectMatchesReference(shape, *pr, fact, dim,
                              label + " round=" + std::to_string(round));
     }
+  }
+  // The adaptive runs refresh through the bit-packed 1:1 arrays and
+  // Elias-Fano posting lists, not only through raw copies.
+  if (p.codec == LineageCodec::kAdaptive) {
+    EXPECT_EQ(seen.count(RidSetEncoding::kPacked), 1u);
+    EXPECT_EQ(seen.count(RidSetEncoding::kEliasFano), 1u);
   }
 }
 

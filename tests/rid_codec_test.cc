@@ -4,6 +4,7 @@
 // bit-identically to raw, and the adaptive policy never loses to raw.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <vector>
 
@@ -307,6 +308,224 @@ TEST(RidCodecTest, PartitionedIndexFreezeEquivalence) {
     frozen.TraceAllInto(o, &tb);
     EXPECT_EQ(ta, tb);
   }
+}
+
+// ---- kPacked and kEliasFano: seeded property round-trips ----
+
+/// Arrays for the packed property test: group-id shapes of every width,
+/// rids near kInvalidRid - 1, and arrays holding kInvalidRid.
+std::vector<std::vector<rid_t>> PackedCases(std::mt19937_64* rng) {
+  std::vector<std::vector<rid_t>> cases = {
+      {},
+      {5},
+      {kInvalidRid},
+      std::vector<rid_t>(100, kInvalidRid),  // all invalid
+      {0, kInvalidRid - 1},                  // the widest frame: 32 bits
+      {kInvalidRid - 1, kInvalidRid, kInvalidRid - 1},
+  };
+  for (uint64_t groups : {1ull, 2ull, 3ull, 20ull, 300ull, 1ull << 20}) {
+    std::vector<rid_t> a(1 + (*rng)() % 3000);
+    for (rid_t& r : a) {
+      r = (*rng)() % 9 == 0 ? kInvalidRid
+                            : static_cast<rid_t>((*rng)() % groups);
+    }
+    cases.push_back(std::move(a));
+  }
+  std::vector<rid_t> dense(2000);  // a contiguous selection
+  for (size_t i = 0; i < dense.size(); ++i) dense[i] = 77 + static_cast<rid_t>(i);
+  cases.push_back(std::move(dense));
+  std::vector<rid_t> high(1500);  // a narrow frame just below kInvalidRid
+  for (rid_t& r : high) {
+    r = (*rng)() % 5 == 0 ? kInvalidRid
+                          : kInvalidRid - 1 - static_cast<rid_t>((*rng)() % 300);
+  }
+  cases.push_back(std::move(high));
+  std::vector<rid_t> sparse(1000);  // random rids over the whole range
+  for (rid_t& r : sparse) r = static_cast<rid_t>((*rng)() % kInvalidRid);
+  cases.push_back(std::move(sparse));
+  return cases;
+}
+
+void ExpectArrayEquals(const EncodedRidArray& enc,
+                       const std::vector<rid_t>& raw, const std::string& what) {
+  ASSERT_EQ(enc.size(), raw.size()) << what;
+  for (size_t i = 0; i < raw.size(); ++i) {
+    ASSERT_EQ(enc.At(i), raw[i]) << what << " i=" << i;
+  }
+  EXPECT_EQ(enc.Decode(), raw) << what;
+}
+
+TEST(RidCodecTest, PackedArrayPropertyRoundTrip) {
+  std::mt19937_64 rng(20261020);
+  size_t case_no = 0;
+  for (const std::vector<rid_t>& raw : PackedCases(&rng)) {
+    const std::string what = "case " + std::to_string(case_no++);
+    const EncodedRidArray packed =
+        EncodedRidArray::EncodeAs(raw.data(), raw.size(),
+                                  RidSetEncoding::kPacked);
+    EXPECT_EQ(packed.encoding(), RidSetEncoding::kPacked);
+    ExpectArrayEquals(packed, raw, what + " packed");
+    // The adaptive choice round-trips too, and never exceeds raw.
+    const EncodedRidArray adaptive =
+        EncodedRidArray::Encode(raw, LineageCodec::kAdaptive);
+    ExpectArrayEquals(adaptive, raw, what + " adaptive");
+    EXPECT_LE(adaptive.MemoryBytes(), raw.size() * sizeof(rid_t)) << what;
+
+    // Built by appends from a packed prefix: every value past the current
+    // frame repacks, and every position reads back at every step.
+    const size_t prefix = raw.size() / 3;
+    EncodedRidArray grown = EncodedRidArray::EncodeAs(
+        raw.data(), prefix, RidSetEncoding::kPacked);
+    for (size_t i = prefix; i < raw.size(); ++i) {
+      grown.Append(raw[i]);
+      ASSERT_EQ(grown.At(i), raw[i]) << what << " append i=" << i;
+    }
+    EXPECT_EQ(grown.encoding(), RidSetEncoding::kPacked) << what;
+    ExpectArrayEquals(grown, raw, what + " appended");
+  }
+}
+
+TEST(RidCodecTest, PackedAppendRepacksPastTheFrame) {
+  // Frame [10, 13]: 3 bits (codes 0..3 plus the all-ones kInvalidRid).
+  std::vector<rid_t> raw = {10, 11, 13, 12, kInvalidRid, 10};
+  EncodedRidArray a =
+      EncodedRidArray::EncodeAs(raw.data(), raw.size(), RidSetEncoding::kPacked);
+  EXPECT_EQ(a.width(), 3u);
+  a.Append(13);  // fits
+  raw.push_back(13);
+  EXPECT_EQ(a.width(), 3u);
+  // Below the base, past the width, the sentinel, the widest frame.
+  for (rid_t v : {rid_t{9}, rid_t{100}, kInvalidRid, rid_t{0},
+                  kInvalidRid - 1, rid_t{4}}) {
+    a.Append(v);
+    raw.push_back(v);
+    ExpectArrayEquals(a, raw, "after appending " + std::to_string(v));
+  }
+  EXPECT_EQ(a.width(), 32u);
+  EXPECT_EQ(a.encoding(), RidSetEncoding::kPacked);
+}
+
+TEST(RidCodecTest, AdaptivePacksGroupIdArrays) {
+  std::mt19937_64 rng(5);
+  // A group-by forward: 20 groups need 5 bits, 300 need 9.
+  for (auto [groups, width] : {std::pair<rid_t, unsigned>{20, 5},
+                               std::pair<rid_t, unsigned>{300, 9}}) {
+    std::vector<rid_t> fw(10000);
+    for (rid_t& r : fw) r = static_cast<rid_t>(rng() % groups);
+    const EncodedRidArray enc =
+        EncodedRidArray::Encode(fw, LineageCodec::kAdaptive);
+    EXPECT_EQ(enc.encoding(), RidSetEncoding::kPacked);
+    EXPECT_EQ(enc.width(), width);
+    EXPECT_LT(enc.MemoryBytes() * 3, fw.size() * sizeof(rid_t));
+  }
+}
+
+/// Strictly ascending lists for the Elias-Fano property test.
+std::vector<std::vector<rid_t>> AscendingCases(std::mt19937_64* rng) {
+  std::vector<std::vector<rid_t>> cases = {
+      {0},
+      {kInvalidRid - 1},
+      {0, kInvalidRid - 1},
+      {3, 4},
+  };
+  auto walk = [rng](rid_t start, size_t n, uint64_t max_gap) {
+    std::vector<rid_t> v;
+    uint64_t cur = start;
+    for (size_t i = 0; i < n && cur < kInvalidRid; ++i) {
+      v.push_back(static_cast<rid_t>(cur));
+      cur += 1 + (*rng)() % max_gap;
+    }
+    return v;
+  };
+  cases.push_back(walk(0, 5000, 1));           // dense: one run
+  cases.push_back(walk(1000, 5000, 3));        // dense with gaps
+  cases.push_back(walk(7, 2000, 1000000));     // sparse
+  cases.push_back(walk(kInvalidRid - 3000, 3000, 2));  // ends near the top
+  for (int k = 0; k < 8; ++k) {  // random sizes and densities
+    cases.push_back(walk(static_cast<rid_t>((*rng)() % 1000),
+                         1 + (*rng)() % 4000, 1 + (*rng)() % 5000));
+  }
+  // A random sample of [0, 200000), as a group-by bar's rows.
+  std::vector<rid_t> sample;
+  for (rid_t r = 0; r < 200000; ++r) {
+    if ((*rng)() % 20 == 0) sample.push_back(r);
+  }
+  cases.push_back(std::move(sample));
+  return cases;
+}
+
+TEST(RidCodecTest, EliasFanoPropertyRoundTrip) {
+  std::mt19937_64 rng(20261021);
+  const std::vector<std::vector<rid_t>> cases = AscendingCases(&rng);
+  // Every case twice: forced Elias-Fano and the adaptive choice, with an
+  // empty list between them.
+  PostingsBuilder b(LineageCodec::kAdaptive);
+  for (const std::vector<rid_t>& raw : cases) {
+    b.AddList(raw.data(), raw.size(), RidSetEncoding::kEliasFano);
+    b.AddList(raw.data(), raw.size());
+    b.AddList(nullptr, 0);
+  }
+  const EncodedPostings enc = b.Finish();
+  ASSERT_EQ(enc.num_lists(), 3 * cases.size());
+  for (size_t c = 0; c < cases.size(); ++c) {
+    const std::vector<rid_t>& raw = cases[c];
+    EXPECT_EQ(enc.list_encoding(3 * c), RidSetEncoding::kEliasFano);
+    for (size_t k = 0; k < 2; ++k) {
+      EXPECT_EQ(ListOf(enc, 3 * c + k), raw) << "case " << c << " list " << k;
+      EXPECT_EQ(enc.ListSize(3 * c + k), raw.size());
+    }
+    EXPECT_TRUE(ListOf(enc, 3 * c + 2).empty());
+  }
+  // The sparse and sampled lists are Elias-Fano's: smaller than raw,
+  // runs or a bitmap.
+  EXPECT_EQ(enc.list_encoding(3 * 6 + 1), RidSetEncoding::kEliasFano);
+  EXPECT_EQ(enc.list_encoding(3 * (cases.size() - 1) + 1),
+            RidSetEncoding::kEliasFano);
+  // One run stays a run.
+  EXPECT_EQ(enc.list_encoding(3 * 4 + 1), RidSetEncoding::kRange);
+  RidIndex back = enc.Decode();
+  for (size_t c = 0; c < cases.size(); ++c) {
+    EXPECT_EQ(ListOf(back, 3 * c), cases[c]);
+  }
+}
+
+// Refresh mutations of an Elias-Fano list go through the overlay and give
+// what the same mutations give on the raw list.
+TEST(RidCodecTest, EliasFanoOverlayMutationsMatchRaw) {
+  std::mt19937_64 rng(31);
+  std::vector<std::vector<rid_t>> ref = AscendingCases(&rng);
+  PostingsBuilder b(LineageCodec::kAdaptive);
+  for (const std::vector<rid_t>& l : ref) {
+    b.AddList(l.data(), l.size(), RidSetEncoding::kEliasFano);
+  }
+  EncodedPostings enc = b.Finish();
+  for (int step = 0; step < 400; ++step) {
+    const size_t i = rng() % ref.size();
+    std::vector<rid_t>& l = ref[i];
+    if (rng() % 2 == 0) {
+      // InsertSortedIntoList: a present rid, one inside, one past the end.
+      rid_t v = l[rng() % l.size()];
+      if (rng() % 3 == 0 && v > 0) v -= 1;
+      if (rng() % 3 == 0 && l.back() < kInvalidRid - 2) v = l.back() + 1;
+      enc.InsertSortedIntoList(i, v);
+      auto pos = std::lower_bound(l.begin(), l.end(), v);
+      if (pos == l.end() || *pos != v) l.insert(pos, v);
+    } else {
+      // ExtendList: new rids past the end, as monotonic rid spaces give.
+      std::vector<rid_t> more;
+      uint64_t cur = l.back();
+      for (size_t k = 1 + rng() % 4; k > 0; --k) {
+        cur += 1 + rng() % 1000;
+        if (cur >= kInvalidRid) break;
+        more.push_back(static_cast<rid_t>(cur));
+      }
+      enc.ExtendList(i, more.data(), more.size());
+      l.insert(l.end(), more.begin(), more.end());
+    }
+    ASSERT_EQ(ListOf(enc, i), l) << "step " << step << " list " << i;
+    ASSERT_EQ(enc.ListSize(i), l.size());
+  }
+  for (size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(ListOf(enc, i), ref[i]);
 }
 
 }  // namespace

@@ -215,42 +215,127 @@ TEST_F(ServeTest, BrushErrorsReturnStatus) {
   ASSERT_TRUE(core_->CloseSession("s0").ok());
 }
 
-// Views retained under the adaptive codec brush through their encoded
-// indexes; every brush equals a scan of the snapshot it pinned.
-TEST(ServeCodecTest, AdaptiveViewBrushesMatchSnapshotScan) {
+/// A core over both views under `codec`, started and fed one append.
+std::unique_ptr<ServeCore> CodecCore(LineageCodec codec) {
   ServeOptions opts;
   opts.num_threads = 1;
-  opts.view_capture.lineage_codec = LineageCodec::kAdaptive;
+  opts.view_capture.lineage_codec = codec;
+  auto core = std::make_unique<ServeCore>("zipf", opts);
+  SMOKE_CHECK(core->CreateTable("zipf", VersionTable(1)).ok());
+  SMOKE_CHECK(core->DefineView("by_z", DefOf(ByZPlan)).ok());
+  SMOKE_CHECK(core->DefineView("hot_z", DefOf(HotZPlan)).ok());
+  SMOKE_CHECK(core->Start().ok());
+  const Table delta = MakeZipfTable(500, kGroups, 1.0, /*seed=*/9);
+  SMOKE_CHECK(core->AppendRows("zipf", delta).ok());
+  return core;
+}
+
+/// Every bar of both views brushed through `core`, each checked against a
+/// scan of the snapshot it pinned; returns the fingerprints in order.
+std::vector<std::string> BrushEveryBar(ServeCore* core) {
+  std::vector<std::string> prints;
+  std::shared_ptr<ServeSession> s;
+  EXPECT_TRUE(core->OpenSession("s0", &s).ok());
+  ServeCore::SnapshotRef pin = core->AcquireSnapshot();
+  const SmokeEngine& engine = pin.snapshot->engine;
+  for (const std::string view : {"by_z", "hot_z"}) {
+    const Table* out = nullptr;
+    EXPECT_TRUE(engine.GetResult(view, &out).ok());
+    for (rid_t bar = 0; bar < out->num_rows(); ++bar) {
+      ServeSession::BrushResult got;
+      EXPECT_TRUE(s->Brush(view, bar, &got).ok());
+      EXPECT_EQ(got.snapshot_version, pin.version());
+      prints.push_back(Fingerprint(got.views));
+      EXPECT_EQ(prints.back(), Fingerprint(ScanBrush(engine, view, bar)))
+          << view << " bar " << bar;
+    }
+  }
+  EXPECT_TRUE(core->CloseSession("s0").ok());
+  return prints;
+}
+
+// Views published under the adaptive codec (the default) brush through
+// their encoded indexes; every brush equals a scan of the snapshot it
+// pinned.
+TEST(ServeCodecTest, AdaptiveViewBrushesMatchSnapshotScan) {
+  EXPECT_EQ(ServeOptions().view_capture.lineage_codec,
+            LineageCodec::kAdaptive);
+  std::unique_ptr<ServeCore> core = CodecCore(LineageCodec::kAdaptive);
+  {
+    ServeCore::SnapshotRef pin = core->AcquireSnapshot();
+    const PlanResult* by_z = nullptr;
+    ASSERT_TRUE(pin.snapshot->engine.GetPlanResult("by_z", &by_z).ok());
+    EXPECT_TRUE(by_z->lineage.input(0).forward.encoded());
+    EXPECT_TRUE(by_z->lineage.input(0).backward.encoded());
+  }
+  EXPECT_FALSE(BrushEveryBar(core.get()).empty());
+}
+
+// The raw-codec twin publishes raw copies and brushes bit-identically.
+TEST(ServeCodecTest, RawViewBrushesMatchAdaptiveTwin) {
+  std::unique_ptr<ServeCore> raw = CodecCore(LineageCodec::kRaw);
+  {
+    ServeCore::SnapshotRef pin = raw->AcquireSnapshot();
+    const PlanResult* by_z = nullptr;
+    ASSERT_TRUE(pin.snapshot->engine.GetPlanResult("by_z", &by_z).ok());
+    EXPECT_FALSE(by_z->lineage.input(0).forward.encoded());
+    EXPECT_FALSE(by_z->lineage.input(0).backward.encoded());
+  }
+  std::unique_ptr<ServeCore> adaptive = CodecCore(LineageCodec::kAdaptive);
+  EXPECT_EQ(BrushEveryBar(raw.get()), BrushEveryBar(adaptive.get()));
+}
+
+// The builder captures raw and refreshes in place; each snapshot holds its
+// own encoded copy, whose size per row holds steady over many appends (no
+// refresh overlay rides along into published versions). The first append
+// after Start is incremental: Start already seeded the builder.
+TEST(ServeCodecTest, EncodedSnapshotsFromRawBuilder) {
+  ServeOptions opts;
+  opts.num_threads = 1;
   ServeCore core("zipf", opts);
   ASSERT_TRUE(core.CreateTable("zipf", VersionTable(1)).ok());
   ASSERT_TRUE(core.DefineView("by_z", DefOf(ByZPlan)).ok());
   ASSERT_TRUE(core.DefineView("hot_z", DefOf(HotZPlan)).ok());
   ASSERT_TRUE(core.Start().ok());
-  const Table delta = MakeZipfTable(500, kGroups, 1.0, /*seed=*/9);
-  ASSERT_TRUE(core.AppendRows("zipf", delta).ok());
 
-  std::shared_ptr<ServeSession> s;
-  ASSERT_TRUE(core.OpenSession("s0", &s).ok());
-  ServeCore::SnapshotRef pin = core.AcquireSnapshot();
-  const SmokeEngine& engine = pin.snapshot->engine;
-  const PlanResult* by_z = nullptr;
-  ASSERT_TRUE(engine.GetPlanResult("by_z", &by_z).ok());
-  EXPECT_TRUE(by_z->lineage.input(0).forward.encoded());
-  EXPECT_TRUE(by_z->lineage.input(0).backward.encoded());
-
-  for (const std::string view : {"by_z", "hot_z"}) {
-    const Table* out = nullptr;
-    ASSERT_TRUE(engine.GetResult(view, &out).ok());
-    for (rid_t bar = 0; bar < out->num_rows(); ++bar) {
-      ServeSession::BrushResult got;
-      ASSERT_TRUE(s->Brush(view, bar, &got).ok());
-      ASSERT_EQ(got.snapshot_version, pin.version());
-      EXPECT_EQ(Fingerprint(got.views),
-                Fingerprint(ScanBrush(engine, view, bar)))
-          << view << " bar " << bar;
+  size_t rows = kRows;
+  double first_bytes_per_row = 0;
+  for (int k = 1; k <= 20; ++k) {
+    const Table delta = MakeZipfTable(100, kGroups, 1.0, /*seed=*/200 + k);
+    ASSERT_TRUE(core.AppendRows("zipf", delta).ok());
+    rows += delta.num_rows();
+    for (const RefreshStats& rs : core.LastRefreshStats()) {
+      EXPECT_TRUE(rs.incremental) << "append " << k << ": "
+                                  << rs.fallback_reason;
+      EXPECT_TRUE(rs.fallback_reason.empty()) << rs.fallback_reason;
     }
+    ServeCore::SnapshotRef pin = core.AcquireSnapshot();
+    const SmokeEngine& engine = pin.snapshot->engine;
+    for (const char* view : {"by_z", "hot_z"}) {
+      const PlanResult* pr = nullptr;
+      ASSERT_TRUE(engine.GetPlanResult(view, &pr).ok());
+      EXPECT_TRUE(pr->lineage.input(0).backward.encoded()) << view;
+      EXPECT_TRUE(pr->lineage.input(0).forward.encoded()) << view;
+    }
+    const LineageStoreStats published = engine.LineageMemoryStats();
+    const LineageStoreStats builder = core.BuilderLineageStats();
+    ASSERT_EQ(builder.num_queries, 2u);
+    for (const auto& q : builder.queries) {
+      EXPECT_EQ(q.codec, LineageCodec::kRaw) << q.name;
+    }
+    for (const auto& q : published.queries) {
+      EXPECT_EQ(q.codec, LineageCodec::kAdaptive) << q.name;
+    }
+    EXPECT_LT(published.total_bytes, builder.total_bytes);
+    const double per_row = static_cast<double>(published.total_bytes) /
+                           static_cast<double>(rows);
+    if (k == 1) first_bytes_per_row = per_row;
+    EXPECT_LE(per_row, first_bytes_per_row * 1.1) << "append " << k;
+    EXPECT_GE(per_row, first_bytes_per_row * 0.9) << "append " << k;
   }
-  ASSERT_TRUE(core.CloseSession("s0").ok());
+  // The published bytes are a fraction of the raw capture's 8 per row and
+  // view (a 4-byte backward and a 4-byte forward rid).
+  EXPECT_LT(first_bytes_per_row, 2 * 8.0 / 2);
 }
 
 // The linearizability check: sessions brush while a writer replaces the
