@@ -57,67 +57,84 @@ const PlanCrossfilter::View* PlanCrossfilter::Find(
 
 namespace {
 
-/// Bar rids per pass over the targets, counted into every target while
-/// they sit in L1 (the encoded lists' decode chunk).
-constexpr size_t kChunk = EncodedPostings::kChunkRids;
+/// Bar rids per pass over the targets: an encoded list is decoded this
+/// many at a time into a buffer that stays in L1 while every target counts
+/// it.
+constexpr size_t kChunk = 512;
 
-/// One target's forward-count state. A row joins `rids` when its counter
-/// first leaves zero (first-seen order); a row is seen first at most once,
-/// so `rids` holds one slot per target row.
+/// One target's forward-count state. A reached row joins `first` when its
+/// counter first leaves zero (first-seen order); a row is seen first at
+/// most once, so `first` holds one slot per counter. A bit-packed forward
+/// is counted by code (value - base; all ones for kInvalidRid) with no
+/// check in the loop, and its codes map to rows after the bar.
 struct TargetCount {
   const BrushTarget* target = nullptr;
   const LineageIndex* fw = nullptr;
   size_t num_rows = 0;
+  EncodedRidArray::PackedReader packed;  ///< width 0: counted by row
   std::vector<int64_t> count;
-  std::vector<rid_t> rids;
+  std::vector<rid_t> first;
   size_t linked = 0;
   rid_t bad = kInvalidRid;  ///< a reached row past the output
 
-  /// Counts the target rows `get(r)` of every bar rid (kInvalidRid: none).
-  template <typename Get>
-  void CountEach(const rid_t* bar, size_t n, Get get) {
+  /// Counts `n` bar rids: packed and raw 1:1 forwards on their own loops,
+  /// every other form through its ForEachRelated.
+  void Count(const rid_t* bar, size_t n) {
     int64_t* c = count.data();
-    rid_t* first = rids.data();
+    rid_t* f = first.data();
     size_t k = linked;
-    for (size_t i = 0; i < n; ++i) {
-      const rid_t t = get(bar[i]);
-      if (t == kInvalidRid) continue;
-      if (t >= num_rows) {
-        bad = t;
-      } else if (c[t]++ == 0) {
-        first[k++] = t;
+    if (packed.width != 0) {
+      const EncodedRidArray::PackedReader p = packed;
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t code = p.Code(bar[i]);
+        if (c[code]++ == 0) f[k++] = static_cast<rid_t>(code);
+      }
+    } else if (fw->kind() == LineageIndex::Kind::kArray) {
+      const rid_t* to_row = fw->array().data();
+      for (size_t i = 0; i < n; ++i) {
+        const rid_t t = to_row[bar[i]];
+        if (t == kInvalidRid) continue;
+        if (t >= num_rows) {
+          bad = t;
+        } else if (c[t]++ == 0) {
+          f[k++] = t;
+        }
+      }
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        fw->ForEachRelated(bar[i], [&](rid_t t) {
+          if (t >= num_rows) {
+            bad = t;
+          } else if (c[t]++ == 0) {
+            f[k++] = t;
+          }
+        });
       }
     }
     linked = k;
   }
 
-  /// One chunk of the bar: raw and packed 1:1 forwards take their own
-  /// loops, every other form its ForEachRelated.
-  void Count(const rid_t* bar, size_t n) {
-    switch (fw->kind()) {
-      case LineageIndex::Kind::kArray: {
-        const rid_t* to_row = fw->array().data();
-        CountEach(bar, n, [to_row](rid_t r) { return to_row[r]; });
-        return;
+  /// The reached rows and their counts, in first-seen order.
+  Status Finish(LinkedBrush* out) {
+    out->rids.clear();
+    out->counts.clear();
+    for (size_t i = 0; i < linked; ++i) {
+      rid_t t = first[i];
+      const int64_t n = count[t];
+      if (packed.width != 0) {
+        if (t == packed.mask) continue;  // kInvalidRid
+        t += packed.base;
+        if (t >= num_rows) bad = t;
       }
-      case LineageIndex::Kind::kEncodedArray:
-        if (fw->encoded_array().encoding() == RidSetEncoding::kPacked) {
-          CountEach(bar, n, fw->encoded_array().packed());
-          return;
-        }
-        break;
-      default:
-        break;
+      out->rids.push_back(t);
+      out->counts.push_back(n);
     }
-    for (size_t i = 0; i < n; ++i) {
-      fw->ForEachRelated(bar[i], [this](rid_t t) {
-        if (t >= num_rows) {
-          bad = t;
-        } else if (count[t]++ == 0) {
-          rids[linked++] = t;
-        }
-      });
+    if (bad != kInvalidRid) {
+      return Status::InvalidArgument("traced rid " + std::to_string(bad) +
+                                     " out of range for endpoint");
     }
+    return MaterializeRowsChecked(target->result->output, out->rids,
+                                  &out->rows);
   }
 };
 
@@ -141,8 +158,20 @@ Status StartCount(const BrushTarget& t, const std::string& relation,
   out->target = &t;
   out->fw = &fw;
   out->num_rows = to.output.num_rows();
-  out->count.assign(out->num_rows, 0);
-  out->rids.resize(out->num_rows);
+  size_t counters = out->num_rows;
+  if (fw.kind() == LineageIndex::Kind::kEncodedArray &&
+      fw.encoded_array().encoding() == RidSetEncoding::kPacked) {
+    // The width of a frame of rows within the output gives at most
+    // 2 * num_rows codes, kInvalidRid's included. A wider frame holds rows
+    // past the output, and is counted by row, which reports them.
+    const EncodedRidArray::PackedReader p = fw.encoded_array().packed();
+    if (p.mask <= 2 * out->num_rows + 1) {
+      out->packed = p;
+      counters = p.mask + 1;
+    }
+  }
+  out->count.assign(counters, 0);
+  out->first.resize(counters);
   return Status::OK();
 }
 
@@ -163,10 +192,10 @@ Status BrushLinkedPlans(const PlanResult& from, rid_t out_rid,
                         std::map<std::string, LinkedBrush>* out) {
   out->clear();
   // The brushed row's relation rows, read once for every target: in place
-  // from a raw posting list or a 1:1 backward, decoded chunk by chunk
-  // from an Elias-Fano or bitmap list (ascending by construction); any
-  // other list (and every missing-index and range error) goes through the
-  // checked trace into a copy.
+  // from a raw posting list, decoded in place from a bitmap or Elias-Fano
+  // list (ascending by construction); any other list (and every
+  // missing-index and range error) goes through the checked trace into a
+  // copy.
   const int idx = from.lineage.FindInput(relation);
   const LineageIndex* bw =
       idx >= 0 ? &from.lineage.input(static_cast<size_t>(idx)).backward
@@ -174,17 +203,12 @@ Status BrushLinkedPlans(const PlanResult& from, rid_t out_rid,
   const bool in_range = bw != nullptr && out_rid < bw->size();
   const rid_t* bar = nullptr;
   size_t n = 0;
-  rid_t single = kInvalidRid;
   const EncodedPostings* decode = nullptr;
   std::vector<rid_t> copy;
   if (in_range && bw->kind() == LineageIndex::Kind::kIndex) {
     const RidVec& list = bw->index().list(out_rid);
     bar = list.data();
     n = list.size();
-  } else if (in_range && bw->IsOneToOne()) {
-    single = bw->ValueAt(out_rid);
-    bar = &single;
-    n = single == kInvalidRid ? 0 : 1;
   } else if (in_range && bw->kind() == LineageIndex::Kind::kEncodedIndex &&
              bw->encoded_postings().ListAscending(out_rid)) {
     decode = &bw->encoded_postings();
@@ -211,6 +235,8 @@ Status BrushLinkedPlans(const PlanResult& from, rid_t out_rid,
     n = copy.size();
   }
 
+  // One pass over the bar, a chunk at a time: each chunk is counted into
+  // every target.
   std::vector<TargetCount> counts(targets.size());
   size_t min_fw = SIZE_MAX;
   for (size_t t = 0; t < targets.size(); ++t) {
@@ -219,7 +245,7 @@ Status BrushLinkedPlans(const PlanResult& from, rid_t out_rid,
   }
   rid_t out_of_range = kInvalidRid;
   auto count_chunk = [&](const rid_t* chunk, size_t m) {
-    if (m == 0 || out_of_range != kInvalidRid) return;
+    if (out_of_range != kInvalidRid) return;
     const rid_t max_rid =
         ascending ? chunk[m - 1] : *std::max_element(chunk, chunk + m);
     if (max_rid >= min_fw) {
@@ -230,7 +256,15 @@ Status BrushLinkedPlans(const PlanResult& from, rid_t out_rid,
   };
   if (decode != nullptr) {
     rid_t buf[kChunk];
-    decode->ForEachChunk(out_rid, buf, count_chunk);
+    size_t m = 0;
+    decode->ForEachInList(out_rid, [&](rid_t r) {
+      buf[m++] = r;
+      if (m == kChunk) {
+        count_chunk(buf, m);
+        m = 0;
+      }
+    });
+    if (m > 0) count_chunk(buf, m);
   } else {
     for (size_t b = 0; b < n; b += kChunk) {
       count_chunk(bar + b, std::min(kChunk, n - b));
@@ -241,22 +275,9 @@ Status BrushLinkedPlans(const PlanResult& from, rid_t out_rid,
                                    std::to_string(out_of_range) +
                                    " out of range");
   }
-
   for (TargetCount& c : counts) {
-    if (c.bad != kInvalidRid) {
-      return Status::InvalidArgument("traced rid " + std::to_string(c.bad) +
-                                     " out of range for endpoint");
-    }
     LinkedBrush linked;
-    linked.rids = std::move(c.rids);
-    linked.rids.resize(c.linked);
-    linked.counts.resize(c.linked);
-    for (size_t i = 0; i < c.linked; ++i) {
-      linked.counts[i] = c.count[linked.rids[i]];
-    }
-    SMOKE_RETURN_NOT_OK(
-        MaterializeRowsChecked(c.target->result->output, linked.rids,
-                               &linked.rows));
+    SMOKE_RETURN_NOT_OK(c.Finish(&linked));
     (*out)[c.target->name] = std::move(linked);
   }
   return Status::OK();

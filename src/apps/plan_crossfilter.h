@@ -48,8 +48,10 @@ struct BrushTarget {
 /// Cost: one backward probe of `from` shared by all targets — read in
 /// place when raw, decoded chunk by chunk when Elias-Fano or bitmap — and
 /// each chunk forward-counted into every target (raw and bit-packed 1:1
-/// forwards on their own loops), plus a zero-filled counter per target
-/// output row — O(|bar lineage| × targets + Σ target output rows). For aggregated targets (histograms, rollups) the output is small
+/// forwards on their own loops, a packed one counted by code), plus a
+/// zero-filled counter per target output row — O(|bar lineage| × targets
+/// + Σ target output rows). For aggregated targets (histograms, rollups)
+/// the output is small
 /// and the brush is independent of the relation's size; a select/project
 /// target's output is relation-sized, and so is its counter. A backward
 /// list that is not ascending, as a rollup's or a join's can be, is

@@ -73,6 +73,13 @@ RidSetEncoding ChooseEncoding(const RidSetStats& stats, LineageCodec policy) {
       if (stats.BitmapEligible() && stats.EliasFanoWords() < best_words) {
         best = RidSetEncoding::kEliasFano;
       }
+      // A list dense enough that its bitmap costs at most 8 bits per rid
+      // stays a bitmap: about twice Elias-Fano's size at most, and decoded
+      // with no low-bit load per rid.
+      if (best == RidSetEncoding::kEliasFano &&
+          stats.BitmapWords() * 4 <= stats.count) {
+        best = RidSetEncoding::kBitmap;
+      }
       return best;
     }
   }
@@ -130,24 +137,22 @@ void EncodeListInto(const rid_t* d, size_t n, RidSetEncoding enc,
       data->resize(start + 3 + low_words + high_words, 0);
       rid_t* low = data->data() + start + 3;
       rid_t* high = low + low_words;
+      // Each rid ORs its bits into place: no state carried from one rid
+      // to the next, so the writes overlap.
       const uint64_t low_mask = (uint64_t{1} << l) - 1;
-      uint64_t acc = 0;  // low bits not yet flushed, `filled` of them
-      unsigned filled = 0;
       for (size_t k = 0; k < n; ++k) {
         const uint64_t x = static_cast<uint64_t>(d[k]) - base;
         if (l > 0) {
-          acc |= (x & low_mask) << filled;
-          *low = static_cast<rid_t>(acc);
-          filled += l;
-          const unsigned spill = filled >= 32;  // branch-free word flush
-          filled -= spill * 32;
-          low += spill;
-          acc >>= spill * 32;
+          const uint64_t bit = k * l;
+          const uint64_t lo = (x & low_mask) << (bit % 32);
+          low[bit / 32] |= static_cast<rid_t>(lo);
+          if (bit % 32 + l > 32) {
+            low[bit / 32 + 1] |= static_cast<rid_t>(lo >> 32);
+          }
         }
         const uint64_t hb = (x >> l) + k;
         high[hb / 32] |= static_cast<rid_t>(1u) << (hb % 32);
       }
-      if (filled > 0) *low = static_cast<rid_t>(acc);
       break;
     }
     case RidSetEncoding::kPacked:
@@ -162,25 +167,12 @@ void PostingsBuilder::AddList(const rid_t* data, size_t n) {
   out_.AppendNewList(data, n, policy_);
 }
 
-void PostingsBuilder::AddList(const rid_t* data, size_t n,
-                              RidSetEncoding enc) {
-  out_.AppendNewList(data, n, enc);
-}
-
 void EncodedPostings::AppendNewList(const rid_t* d, size_t n,
                                     LineageCodec policy) {
-  AppendNewList(d, n,
-                n == 0 ? RidSetEncoding::kRaw
-                       : ChooseEncoding(RidSetStats::Of(d, n), policy));
-}
-
-void EncodedPostings::AppendNewList(const rid_t* d, size_t n,
-                                    RidSetEncoding enc) {
-  SMOKE_DCHECK(enc != RidSetEncoding::kPacked);
-  SMOKE_DCHECK((enc != RidSetEncoding::kBitmap &&
-                enc != RidSetEncoding::kEliasFano) ||
-               RidSetStats::Of(d, n).BitmapEligible());
   if (offsets_.empty()) offsets_.push_back(0);
+  const RidSetStats stats = RidSetStats::Of(d, n);
+  const RidSetEncoding enc =
+      n == 0 ? RidSetEncoding::kRaw : ChooseEncoding(stats, policy);
   EncodeListInto(d, n, enc, &data_);
   encodings_.push_back(static_cast<uint8_t>(enc));
   offsets_.push_back(data_.size());
@@ -261,21 +253,6 @@ void EncodedPostings::InsertSortedIntoList(size_t i, rid_t v) {
   auto pos = std::lower_bound(list.begin(), list.end(), v);
   if (pos != list.end() && *pos == v) return;  // already present
   list.insert(pos, v);
-}
-
-const ByteBits& ByteBitsTable() {
-  static const ByteBits table = [] {
-    ByteBits t{};
-    for (int v = 0; v < 256; ++v) {
-      int c = 0;
-      for (int bit = 0; bit < 8; ++bit) {
-        if ((v >> bit) & 1) t.pos[v][c++] = static_cast<uint8_t>(bit);
-      }
-      t.count[v] = static_cast<uint8_t>(c);
-    }
-    return t;
-  }();
-  return table;
 }
 
 EncodedPostings EncodedPostings::Encode(const RidIndex& index,
@@ -409,9 +386,9 @@ ArrayChoice ChooseArrayEncoding(const rid_t* d, size_t n,
     const uint32_t inv_prev = prev == kInvalidRid;
     const uint32_t inv_cur = cur == kInvalidRid;
     const uint32_t step = cur == prev + 1;
-    runs += 1 - ((inv_prev & inv_cur) | (step & (1 - inv_prev) & (1 - inv_cur)));
+    runs += (inv_prev ^ inv_cur) | ((inv_prev | step) ^ 1);
     lo = std::min(lo, cur);
-    hi = std::max(hi, inv_cur ? rid_t{0} : cur);
+    hi = std::max(hi, cur & (inv_cur - 1));
   }
   c.lo = lo;
   c.hi = hi;
@@ -463,24 +440,12 @@ EncodedRidArray EncodedRidArray::Pack(const rid_t* d, size_t n, rid_t lo,
   const unsigned w = PackedWidth(lo, hi);
   out.width_ = static_cast<uint8_t>(w);
   out.words_.assign((n * w + 63) / 64 + 1, 0);
-  // Stream the codes through a 64-bit accumulator, one store per word.
+  // Each code ORs into its own bit offset: no carried state, so the
+  // writes of consecutive positions overlap.
   const uint64_t mask = (uint64_t{1} << w) - 1;
-  uint64_t* word = out.words_.data();
-  uint64_t acc = 0;
-  unsigned filled = 0;
   for (size_t i = 0; i < n; ++i) {
-    const uint64_t c = d[i] == kInvalidRid ? mask : uint64_t{d[i]} - out.base_;
-    acc |= c << filled;
-    *word = acc;
-    filled += w;
-    // Branch-free spill into the next word: the code's bits that did not
-    // fit (none when the word filled exactly, as c >> w is 0).
-    const unsigned spill = filled >= 64;
-    filled -= spill * 64;
-    word += spill;
-    acc = spill ? c >> (w - filled) : acc;
+    out.PutCode(i, d[i] == kInvalidRid ? mask : uint64_t{d[i]} - out.base_);
   }
-  *word = acc;
   return out;
 }
 

@@ -17,7 +17,7 @@
 //                sequence. Lists decode O(1) per rid; array At is a binary
 //                search over the runs.
 //  - kBitmap:    base rid + bit words (postings only; strictly ascending,
-//                duplicate-free lists). Decode scans span/32 words, one ctz
+//                duplicate-free lists). Decode scans span/64 words, one ctz
 //                per rid.
 //  - kPacked:    frame-of-reference bit-packing (1:1 arrays only): each
 //                position holds value - base in w bits, w set by the largest
@@ -30,9 +30,12 @@
 //
 // The adaptive policy picks the smallest eligible encoding per list or
 // array from one-pass stats (count, run count, sortedness, span) at
-// capture-finalize time. Every policy round-trips every input exactly:
-// encoded and raw indexes answer lineage queries with bit-identical
-// results. Packed and Elias-Fano reads assume a little-endian host.
+// capture-finalize time, with one exception: a list dense enough that its
+// bitmap costs at most 8 bits per rid stays a bitmap rather than
+// Elias-Fano (at most about twice the size, with no low-bit load per rid
+// to decode). Every policy round-trips every input exactly: encoded and
+// raw indexes answer lineage queries with bit-identical results. Packed and
+// Elias-Fano reads assume a little-endian host.
 #ifndef SMOKE_LINEAGE_STORE_RID_CODEC_H_
 #define SMOKE_LINEAGE_STORE_RID_CODEC_H_
 
@@ -69,22 +72,14 @@ static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
               "packed and Elias-Fano reads load little-endian words");
 
 /// The bits under `mask` (at most 57 of them) at bit offset `bit` of
-/// `bytes`: one unaligned 64-bit load. The caller guarantees 8 readable bytes from the
-/// load's first byte.
+/// `bytes`: one unaligned 64-bit load. The caller guarantees 8 readable
+/// bytes from the load's first byte.
 inline uint64_t LoadBits(const unsigned char* bytes, uint64_t bit,
                          uint64_t mask) {
   uint64_t w;
   std::memcpy(&w, bytes + (bit >> 3), sizeof(w));
   return (w >> (bit & 7)) & mask;
 }
-
-/// Set-bit positions of every byte value (ascending; slots past the
-/// count hold 0), for decoding bit streams a byte at a time.
-struct ByteBits {
-  uint8_t pos[256][8];
-  uint8_t count[256];
-};
-const ByteBits& ByteBitsTable();
 
 /// Low-bit count of an Elias-Fano list of `n` rids spanning [0, span].
 inline unsigned EliasFanoLowBits(size_t n, uint64_t span) {
@@ -173,16 +168,9 @@ class EncodedPostings {
         break;
       case RidSetEncoding::kBitmap: {
         const rid_t base = data_[b];
-        for (uint64_t w = b + 1; w < e; ++w) {
-          uint32_t word = data_[w];
-          const rid_t word_base =
-              base + static_cast<rid_t>((w - b - 1) * 32);
-          while (word != 0) {
-            const int bit = __builtin_ctz(word);
-            f(word_base + static_cast<rid_t>(bit));
-            word &= word - 1;
-          }
-        }
+        ForEachSetBit(b + 1, e, [&](uint64_t bit) {
+          f(base + static_cast<rid_t>(bit));
+        });
         break;
       }
       case RidSetEncoding::kEliasFano: {
@@ -190,22 +178,18 @@ class EncodedPostings {
         const rid_t base = data_[b + 1];
         const unsigned l = data_[b + 2];
         const uint64_t low_mask = (uint64_t{1} << l) - 1;
-        const rid_t* low = data_.data() + b + 3;
-        const auto* low_bytes = reinterpret_cast<const unsigned char*>(low);
-        const rid_t* high = low + (static_cast<uint64_t>(n) * l + 31) / 32;
+        const uint64_t low_words = (static_cast<uint64_t>(n) * l + 31) / 32;
+        const auto* low_bytes =
+            reinterpret_cast<const unsigned char*>(data_.data() + b + 3);
+        // Rid k sets high bit ((rid - base) >> l) + k.
         uint64_t k = 0;
         uint64_t low_bit = 0;
-        for (uint64_t w = 0; k < n; ++w) {
-          uint32_t word = high[w];
-          while (word != 0) {
-            const uint64_t h = w * 32 + __builtin_ctz(word) - k;
-            const uint64_t lo = LoadBits(low_bytes, low_bit, low_mask);
-            f(base + static_cast<rid_t>((h << l) | lo));
-            ++k;
-            low_bit += l;
-            word &= word - 1;
-          }
-        }
+        ForEachSetBit(b + 3 + low_words, e, [&](uint64_t bit) {
+          const uint64_t lo = LoadBits(low_bytes, low_bit, low_mask);
+          f(base + static_cast<rid_t>(((bit - k) << l) | lo));
+          ++k;
+          low_bit += l;
+        });
         break;
       }
       case RidSetEncoding::kPacked:
@@ -223,67 +207,9 @@ class EncodedPostings {
            (overlay_.empty() || overlay_.count(i) == 0);
   }
 
-  /// Rids per chunk of ForEachChunk, and the size of its buffer.
-  static constexpr size_t kChunkRids = 512;
-
-  /// Decode-on-demand in chunks: f(rids, n) for consecutive runs of list
-  /// `i` in stored order, decoded into `buf` (kChunkRids slots). An
-  /// Elias-Fano list with at most 7 low bits decodes a high byte at a time
-  /// through ByteBitsTable — eight rids written per byte, their low bits
-  /// from one 64-bit load, no ctz or branch per rid.
-  template <typename F>
-  void ForEachChunk(size_t i, rid_t* buf, F&& f) const {
-    const uint64_t b = offsets_[i];
-    if (static_cast<RidSetEncoding>(encodings_[i]) ==
-            RidSetEncoding::kEliasFano &&
-        data_[b + 2] <= 7 && (overlay_.empty() || overlay_.count(i) == 0)) {
-      const rid_t n = data_[b];
-      const rid_t base = data_[b + 1];
-      const unsigned l = data_[b + 2];
-      const uint64_t low_mask = (uint64_t{1} << l) - 1;
-      const uint64_t lows_mask = (uint64_t{1} << (8 * l)) - 1;
-      const rid_t* low = data_.data() + b + 3;
-      const auto* low_bytes = reinterpret_cast<const unsigned char*>(low);
-      const auto* high_bytes = reinterpret_cast<const unsigned char*>(
-          low + (static_cast<uint64_t>(n) * l + 31) / 32);
-      const ByteBits& bits = ByteBitsTable();
-      size_t m = 0;  // rids in buf; slots past them are scratch
-      for (uint64_t k = 0, byte = 0; k < n; ++byte) {
-        const uint8_t v = high_bytes[byte];
-        const uint64_t lows = LoadBits(low_bytes, k * l, lows_mask);
-        const uint64_t off = byte * 8 - k;  // wraps; only differences count
-        for (uint32_t j = 0; j < 8; ++j) {
-          const uint64_t h = off + bits.pos[v][j] - j;
-          buf[m + j] =
-              base + static_cast<rid_t>((h << l) | ((lows >> (j * l)) & low_mask));
-        }
-        k += bits.count[v];
-        m += bits.count[v];
-        if (m + 8 > kChunkRids) {
-          f(static_cast<const rid_t*>(buf), m);
-          m = 0;
-        }
-      }
-      if (m > 0) f(static_cast<const rid_t*>(buf), m);
-      return;
-    }
-    size_t m = 0;
-    ForEachInList(i, [&](rid_t r) {
-      buf[m++] = r;
-      if (m == kChunkRids) {
-        f(static_cast<const rid_t*>(buf), m);
-        m = 0;
-      }
-    });
-    if (m > 0) f(static_cast<const rid_t*>(buf), m);
-  }
-
   /// Appends list `i` onto `out` (the TraceInto contract).
   void AppendList(size_t i, std::vector<rid_t>* out) const {
-    rid_t buf[kChunkRids];
-    ForEachChunk(i, buf, [out](const rid_t* d, size_t m) {
-      out->insert(out->end(), d, d + m);
-    });
+    ForEachInList(i, [out](rid_t r) { out->push_back(r); });
   }
 
   /// Decoded length of list `i` (scans the encoded words, not the rids).
@@ -301,8 +227,6 @@ class EncodedPostings {
   /// Appends a brand-new list (source rid == num_lists()) encoded under
   /// `policy` — the same choice PostingsBuilder::AddList makes.
   void AppendNewList(const rid_t* d, size_t n, LineageCodec policy);
-  /// Appends a brand-new list encoded as `enc` (see PostingsBuilder).
-  void AppendNewList(const rid_t* d, size_t n, RidSetEncoding enc);
 
   /// Appends `n` rids onto existing list `i`, preserving order. Arena
   /// fast path when `i` is the tail list under kRaw/kRange; otherwise
@@ -331,6 +255,30 @@ class EncodedPostings {
  private:
   friend class PostingsBuilder;
 
+  /// f(bit) for every set bit of the bit stream in arena words [b, e),
+  /// ascending, read 64 bits at a time: one ctz per set bit.
+  template <typename F>
+  void ForEachSetBit(uint64_t b, uint64_t e, F&& f) const {
+    uint64_t w = b;
+    for (; w + 2 <= e; w += 2) {
+      uint64_t word;
+      std::memcpy(&word, data_.data() + w, sizeof(word));
+      const uint64_t word_bit = (w - b) * 32;
+      while (word != 0) {
+        f(word_bit + static_cast<uint64_t>(__builtin_ctzll(word)));
+        word &= word - 1;
+      }
+    }
+    if (w < e) {
+      uint32_t word = data_[w];
+      const uint64_t word_bit = (w - b) * 32;
+      while (word != 0) {
+        f(word_bit + static_cast<uint64_t>(__builtin_ctz(word)));
+        word &= word - 1;
+      }
+    }
+  }
+
   /// Moves list `i` out of the arena into its decoded overlay copy and
   /// returns it (no-op when already overlaid).
   std::vector<rid_t>& OverlayList(size_t i);
@@ -356,10 +304,6 @@ class PostingsBuilder {
   /// Encodes `n` rids as the next list.
   void AddList(const rid_t* data, size_t n);
   void AddList(const RidVec& list) { AddList(list.data(), list.size()); }
-  /// Encodes the next list as `enc` instead of the policy's choice. kBitmap
-  /// and kEliasFano need a non-empty strictly ascending list; kPacked is
-  /// not a list encoding.
-  void AddList(const rid_t* data, size_t n, RidSetEncoding enc);
 
   /// Shrinks the arena to size (MemoryBytes() reports capacity — growth
   /// slack would both waste memory and inflate the budget accounting).

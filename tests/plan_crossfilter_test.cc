@@ -506,6 +506,40 @@ TEST_F(PlanCrossfilterTest, BrushErrorsReturnStatus) {
   st = BrushLinkedPlans(from, 0, "base", {{"past", &short_fw}}, &out);
   EXPECT_EQ(st.code(), Status::Code::kInvalidArgument) << st.ToString();
 
+  // Bit-packed forwards are counted by code: kInvalidRid positions reach
+  // nothing, and a row past the output is refused whether the frame is
+  // narrow enough to count by code (row 2 of 2) or is counted by row
+  // (row 7).
+  RidArray mixed(data_.num_rows());
+  for (size_t r = 0; r < mixed.size(); ++r) {
+    mixed[r] = r % 3 == 0 ? kInvalidRid : static_cast<rid_t>(r % 2);
+  }
+  tl.forward = LineageIndex::FromArray(mixed);
+  ASSERT_TRUE(BrushLinkedPlans(from, 0, "base", {{"raw", &short_fw}}, &out)
+                  .ok());
+  const LinkedBrush want = out.at("raw");
+  tl.forward = LineageIndex::FromEncodedArray(
+      EncodedRidArray::Encode(mixed, LineageCodec::kAdaptive));
+  ASSERT_EQ(tl.forward.encoded_array().encoding(), RidSetEncoding::kPacked);
+  ASSERT_TRUE(BrushLinkedPlans(from, 0, "base", {{"packed", &short_fw}},
+                               &out)
+                  .ok());
+  ExpectSameBrush(out.at("packed"), want, "packed forward");
+  for (rid_t past : {rid_t{2}, rid_t{7}}) {
+    RidArray bad = mixed;
+    for (rid_t& r : bad) {
+      if (r == 1) r = past;
+    }
+    tl.forward = LineageIndex::FromEncodedArray(
+        EncodedRidArray::Encode(bad, LineageCodec::kAdaptive));
+    ASSERT_EQ(tl.forward.encoded_array().encoding(), RidSetEncoding::kPacked);
+    st = BrushLinkedPlans(from, 0, "base", {{"past", &short_fw}}, &out);
+    EXPECT_EQ(st.code(), Status::Code::kInvalidArgument) << st.ToString();
+    EXPECT_NE(st.message().find("traced rid " + std::to_string(past)),
+              std::string::npos)
+        << st.ToString();
+  }
+
   // Evicted or missing lineage on the shared relation.
   tl.forward = LineageIndex();
   short_fw.lineage.set_evicted(true);

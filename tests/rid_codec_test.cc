@@ -420,7 +420,9 @@ TEST(RidCodecTest, AdaptivePacksGroupIdArrays) {
   }
 }
 
-/// Strictly ascending lists for the Elias-Fano property test.
+/// Strictly ascending lists for the Elias-Fano property test: single rids,
+/// dense runs, sparse walks, rids near kInvalidRid - 1, random sizes and
+/// densities, and a sample of a group-by bar's rows.
 std::vector<std::vector<rid_t>> AscendingCases(std::mt19937_64* rng) {
   std::vector<std::vector<rid_t>> cases = {
       {0},
@@ -437,10 +439,13 @@ std::vector<std::vector<rid_t>> AscendingCases(std::mt19937_64* rng) {
     }
     return v;
   };
-  cases.push_back(walk(0, 5000, 1));           // dense: one run
-  cases.push_back(walk(1000, 5000, 3));        // dense with gaps
-  cases.push_back(walk(7, 2000, 1000000));     // sparse
-  cases.push_back(walk(kInvalidRid - 3000, 3000, 2));  // ends near the top
+  cases.push_back(walk(0, 5000, 1));        // 4: dense, one run
+  cases.push_back(walk(1000, 5000, 3));     // 5: dense with gaps
+  cases.push_back(walk(7, 2000, 1000000));  // 6: sparse
+  // 7: sparse, ending at kInvalidRid - 1.
+  std::vector<rid_t> top = walk(kInvalidRid - 400000, 2000, 150);
+  top.push_back(kInvalidRid - 1);
+  cases.push_back(std::move(top));
   for (int k = 0; k < 8; ++k) {  // random sizes and densities
     cases.push_back(walk(static_cast<rid_t>((*rng)() % 1000),
                          1 + (*rng)() % 4000, 1 + (*rng)() % 5000));
@@ -457,35 +462,34 @@ std::vector<std::vector<rid_t>> AscendingCases(std::mt19937_64* rng) {
 TEST(RidCodecTest, EliasFanoPropertyRoundTrip) {
   std::mt19937_64 rng(20261021);
   const std::vector<std::vector<rid_t>> cases = AscendingCases(&rng);
-  // Every case twice: forced Elias-Fano and the adaptive choice, with an
-  // empty list between them.
+  // Every case under the adaptive policy, with an empty list after each.
   PostingsBuilder b(LineageCodec::kAdaptive);
   for (const std::vector<rid_t>& raw : cases) {
-    b.AddList(raw.data(), raw.size(), RidSetEncoding::kEliasFano);
     b.AddList(raw.data(), raw.size());
     b.AddList(nullptr, 0);
   }
   const EncodedPostings enc = b.Finish();
-  ASSERT_EQ(enc.num_lists(), 3 * cases.size());
+  ASSERT_EQ(enc.num_lists(), 2 * cases.size());
+  size_t elias_fano = 0;
   for (size_t c = 0; c < cases.size(); ++c) {
     const std::vector<rid_t>& raw = cases[c];
-    EXPECT_EQ(enc.list_encoding(3 * c), RidSetEncoding::kEliasFano);
-    for (size_t k = 0; k < 2; ++k) {
-      EXPECT_EQ(ListOf(enc, 3 * c + k), raw) << "case " << c << " list " << k;
-      EXPECT_EQ(enc.ListSize(3 * c + k), raw.size());
-    }
-    EXPECT_TRUE(ListOf(enc, 3 * c + 2).empty());
+    EXPECT_EQ(ListOf(enc, 2 * c), raw) << "case " << c;
+    EXPECT_EQ(enc.ListSize(2 * c), raw.size());
+    EXPECT_TRUE(ListOf(enc, 2 * c + 1).empty());
+    elias_fano += enc.list_encoding(2 * c) == RidSetEncoding::kEliasFano;
   }
-  // The sparse and sampled lists are Elias-Fano's: smaller than raw,
-  // runs or a bitmap.
-  EXPECT_EQ(enc.list_encoding(3 * 6 + 1), RidSetEncoding::kEliasFano);
-  EXPECT_EQ(enc.list_encoding(3 * (cases.size() - 1) + 1),
+  // The sparse lists are Elias-Fano's: smaller than raw, runs or a bitmap.
+  EXPECT_EQ(enc.list_encoding(2 * 6), RidSetEncoding::kEliasFano);
+  EXPECT_EQ(enc.list_encoding(2 * 7), RidSetEncoding::kEliasFano);
+  EXPECT_EQ(enc.list_encoding(2 * (cases.size() - 1)),
             RidSetEncoding::kEliasFano);
-  // One run stays a run.
-  EXPECT_EQ(enc.list_encoding(3 * 4 + 1), RidSetEncoding::kRange);
+  EXPECT_GE(elias_fano, 6u);
+  // One run stays a run; a list filling half its span is a bitmap.
+  EXPECT_EQ(enc.list_encoding(2 * 4), RidSetEncoding::kRange);
+  EXPECT_EQ(enc.list_encoding(2 * 5), RidSetEncoding::kBitmap);
   RidIndex back = enc.Decode();
   for (size_t c = 0; c < cases.size(); ++c) {
-    EXPECT_EQ(ListOf(back, 3 * c), cases[c]);
+    EXPECT_EQ(ListOf(back, 2 * c), cases[c]);
   }
 }
 
@@ -493,12 +497,22 @@ TEST(RidCodecTest, EliasFanoPropertyRoundTrip) {
 // what the same mutations give on the raw list.
 TEST(RidCodecTest, EliasFanoOverlayMutationsMatchRaw) {
   std::mt19937_64 rng(31);
-  std::vector<std::vector<rid_t>> ref = AscendingCases(&rng);
-  PostingsBuilder b(LineageCodec::kAdaptive);
-  for (const std::vector<rid_t>& l : ref) {
-    b.AddList(l.data(), l.size(), RidSetEncoding::kEliasFano);
+  // The cases the adaptive policy encodes as Elias-Fano.
+  std::vector<std::vector<rid_t>> ref;
+  for (std::vector<rid_t>& l : AscendingCases(&rng)) {
+    if (ChooseEncoding(RidSetStats::Of(l.data(), l.size()),
+                       LineageCodec::kAdaptive) ==
+        RidSetEncoding::kEliasFano) {
+      ref.push_back(std::move(l));
+    }
   }
+  ASSERT_GE(ref.size(), 6u);
+  PostingsBuilder b(LineageCodec::kAdaptive);
+  for (const std::vector<rid_t>& l : ref) b.AddList(l.data(), l.size());
   EncodedPostings enc = b.Finish();
+  for (size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(enc.list_encoding(i), RidSetEncoding::kEliasFano) << i;
+  }
   for (int step = 0; step < 400; ++step) {
     const size_t i = rng() % ref.size();
     std::vector<rid_t>& l = ref[i];

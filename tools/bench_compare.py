@@ -14,11 +14,15 @@ A run file may hold the whole output of run.py; the last line that parses
 as a JSON object with "metrics" is used. The seed is read from the
 `seed=` note of the run, or else from the file name (`..._<seed>.log`).
 With --json the medians are printed as a JSON object instead, in the form
-of the committed BENCH_*.json baselines.
+of the committed BENCH_*.json baselines: it also records the parent commit
+(--parent-commit), the core count, and which side of each pair ran first,
+read from the run files' modification times; --seconds records the run
+length the runs were made with.
 """
 
 import argparse
 import json
+import os
 import re
 import statistics
 import sys
@@ -46,7 +50,8 @@ def load_run(path):
     if seed is None:
         seed = re.search(r"_(\d+)\.\w+$", str(path))
     notes = dict(re.findall(r"\b(\w+_ms)=([0-9.]+)", text))
-    return (int(seed.group(1)) if seed else None), result, notes
+    return (int(seed.group(1)) if seed else None), result, notes, \
+        os.path.getmtime(path)
 
 
 def quartiles(values):
@@ -62,6 +67,8 @@ def main():
     parser.add_argument("--parent", nargs="+", required=True)
     parser.add_argument("--change", nargs="+", required=True)
     parser.add_argument("--json", action="store_true")
+    parser.add_argument("--parent-commit", default=None)
+    parser.add_argument("--seconds", type=float, default=None)
     args = parser.parse_args()
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -71,8 +78,8 @@ def main():
     change = {}
     for side, files in ((parent, args.parent), (change, args.change)):
         for i, f in enumerate(files):
-            seed, result, notes = load_run(f)
-            side[seed if seed is not None else i] = (result, notes)
+            seed, result, notes, mtime = load_run(f)
+            side[seed if seed is not None else i] = (result, notes, mtime)
     seeds = sorted(set(parent) & set(change))
     if not seeds:
         sys.exit("no seed has both a parent and a change run")
@@ -91,7 +98,7 @@ def main():
                      "rel": (cm - pm) / pm if pm else 0.0,
                      "better_pairs": better, "parent_iqr": q3 - q1})
     notes = {}
-    for key in sorted(set().union(*(n for _, n in parent.values()))):
+    for key in sorted(set().union(*(n for _, n, _ in parent.values()))):
         p = [float(parent[s][1][key]) for s in seeds if key in parent[s][1]]
         c = [float(change[s][1][key]) for s in seeds if key in change[s][1]]
         if p and c:
@@ -99,7 +106,14 @@ def main():
                           "change": statistics.median(c)}
 
     if args.json:
-        print(json.dumps({"workload": args.workload, "seeds": seeds,
+        # A run file is written until its run ends: the older one ran first.
+        first = {str(s): "parent" if parent[s][2] < change[s][2] else "change"
+                 for s in seeds}
+        print(json.dumps({"workload": args.workload,
+                          "parent_commit": args.parent_commit,
+                          "cores": os.cpu_count(), "seconds": args.seconds,
+                          "pairs": len(seeds),
+                          "seeds": seeds, "first": first,
                           "end_to_end": rows, "notes": notes}, indent=2))
         return
     print(f"{args.workload}: {len(seeds)} pairs, seeds {seeds}")
