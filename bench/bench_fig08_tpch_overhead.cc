@@ -35,8 +35,11 @@ void Run(const bench::Options& opts) {
                           CaptureMode::kDefer, CaptureMode::kLogicIdx}) {
       size_t lineage_bytes = 0;  // the retained indexes of the last run
       RunStats s = bench::Measure(opts, [&] {
-        lineage_bytes =
-            SPJAExec(nq.query, CaptureOptions::Mode(m)).lineage.MemoryBytes();
+        // Frozen as the executor freezes a retained result.
+        QueryLineage lineage =
+            SPJAExec(nq.query, CaptureOptions::Mode(m)).lineage;
+        lineage.Freeze();
+        lineage_bytes = lineage.MemoryBytes();
       });
       if (m == CaptureMode::kNone) baseline_ms = s.mean_ms;
       double overhead_pct =

@@ -421,6 +421,7 @@ Status SmokeEngine::TraceBackward(const std::string& query_name,
     tl.backward = LineageIndex::FromArray(RidArray(rids));
     tl.forward = InvertTraceRids(rids, fact->num_rows());
     pr.lineage.set_output_cardinality(rids.size());
+    pr.lineage.Freeze();  // the form a captured trace's handle holds
     out->plan = std::move(pr);
     return Status::OK();
   }

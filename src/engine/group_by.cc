@@ -355,7 +355,7 @@ GroupByResult GroupByExecParallel(const Table& input,
       lin.backward =
           LineageIndex::FromIndex(RidIndex::FromLists(std::move(g_lists)));
     }
-    if (want_f) lin.forward = LineageIndex::FromArray(std::move(forward));
+    if (want_f) lin.forward = LineageIndex::FromArray(std::move(forward), n);
   }
   result.lineage.set_output_cardinality(h->num_groups());
   return result;
@@ -452,7 +452,7 @@ GroupByResult GroupByExec(const Table& input, const std::string& input_name,
 
   if (phys) opts.writer->FinishCapture(num_groups);
 
-  // ---- lineage index emission ----
+  // ---- lineage index emission (every input row reaches its group) ----
   TableLineage* lin = nullptr;
   if (mode != CaptureMode::kNone) {
     lin = &result.lineage.AddInput(input_name, &input);
@@ -464,7 +464,7 @@ GroupByResult GroupByExec(const Table& input, const std::string& input_name,
       lin->backward = LineageIndex::FromIndex(
           RidIndex::FromLists(std::move(GroupByInternals::i_rids(h))));
     }
-    if (want_f) lin->forward = LineageIndex::FromArray(std::move(forward));
+    if (want_f) lin->forward = LineageIndex::FromArray(std::move(forward), n);
   }
 
   // Logic modes: materialize the denormalized annotated relation
@@ -513,7 +513,7 @@ GroupByResult GroupByExec(const Table& input, const std::string& input_name,
         if (want_f) fw[r] = slot;
       }
       if (want_b) lin->backward = LineageIndex::FromIndex(std::move(bw));
-      if (want_f) lin->forward = LineageIndex::FromArray(std::move(fw));
+      if (want_f) lin->forward = LineageIndex::FromArray(std::move(fw), n);
     }
     result.annotated = std::move(annotated);
   }
@@ -597,7 +597,7 @@ void FinalizeDeferredGroupBy(GroupByResult* result, const Table& input,
   }
 
   if (want_b) lin->backward = LineageIndex::FromIndex(std::move(bw));
-  if (want_f) lin->forward = LineageIndex::FromArray(std::move(fw));
+  if (want_f) lin->forward = LineageIndex::FromArray(std::move(fw), n);
   result->lineage.set_output_cardinality(num_groups);
 }
 

@@ -173,8 +173,8 @@ SPJAResult SPJAExecFused(const SPJAQuery& q, const CaptureOptions& opts,
 
   std::vector<std::vector<RidVec>> bw(nt);  // [table][group] rid lists
   RidArray fact_fw;
-  // Dimension forwards stay 1:1 arrays until a dimension row reaches a
-  // second group (Q3/Q10's orders never do).
+  // Dimension forwards stay 1:1 arrays; a dimension row that reaches a
+  // second group gets an overflow list (Q3/Q10's orders never do).
   std::vector<ForwardIndexBuilder> dim_fw(nd);
   if (inject && want_fw) {
     if (want_tbl[0]) fact_fw.assign(n, kInvalidRid);
@@ -466,7 +466,13 @@ SPJAResult SPJAExecFused(const SPJAQuery& q, const CaptureOptions& opts,
     };
     if (built && want_tbl[0]) {
       if (want_bw && !use_skip) lf.backward = backward_of(0);
-      if (want_fw) lf.forward = LineageIndex::FromArray(std::move(fact_fw));
+      if (want_fw) {
+        // Every passing fact row maps to its group: the freeze decides
+        // from this count without a pass over the array.
+        size_t passing = 0;
+        for (uint32_t c : counts) passing += c;
+        lf.forward = LineageIndex::FromArray(std::move(fact_fw), passing);
+      }
     }
     for (size_t j = 0; j < nd; ++j) {
       TableLineage& ld = result.lineage.AddInput(q.dims[j].name,

@@ -1,6 +1,7 @@
 #include "lineage/compose.h"
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "common/macros.h"
@@ -24,6 +25,33 @@ inline void SortedUniqueInto(std::vector<rid_t>* scratch, rid_t i,
   scratch->erase(std::unique(scratch->begin(), scratch->end()),
                  scratch->end());
   out->SetList(i, scratch->data(), scratch->size());
+}
+
+/// ComposeForward over a sparse inner index: visits only the inputs that
+/// reach an intermediate position and builds the sparse result from them,
+/// in O(set inputs + inputs / 64) with no dense array over the inputs.
+LineageIndex ComposeSparseForward(const SparseRidArray& inner,
+                                  const LineageIndex& outer) {
+  std::vector<rid_t> positions, slots, scratch;
+  std::vector<RidVec> overflow;
+  inner.ForEachSet([&](rid_t pos, const rid_t* mids, size_t k) {
+    scratch.clear();
+    for (size_t j = 0; j < k; ++j) outer.TraceInto(mids[j], &scratch);
+    std::sort(scratch.begin(), scratch.end());
+    scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
+    if (scratch.empty()) return;
+    positions.push_back(pos);
+    if (scratch.size() == 1) {
+      slots.push_back(scratch[0]);
+      return;
+    }
+    slots.push_back(SparseRidArray::kOverflowTag +
+                    static_cast<rid_t>(overflow.size()));
+    overflow.emplace_back();
+    overflow.back().PushBackAll(scratch.data(), scratch.size());
+  });
+  return LineageIndex::FromSparseArray(SparseRidArray::FromPositions(
+      inner.size(), positions, std::move(slots), std::move(overflow)));
 }
 
 }  // namespace
@@ -55,15 +83,21 @@ LineageIndex ComposeBackward(const LineageIndex& outer,
 LineageIndex ComposeForward(const LineageIndex& inner,
                             const LineageIndex& outer) {
   if (inner.empty() || outer.empty()) return LineageIndex();
+  if (inner.kind() == LineageIndex::Kind::kSparseArray) {
+    return ComposeSparseForward(inner.sparse_array(), outer);
+  }
   const size_t n = inner.size();
 
   if (inner.IsOneToOne() && outer.IsOneToOne()) {
     RidArray out(n, kInvalidRid);
+    size_t valid = 0;
     for (size_t i = 0; i < n; ++i) {
       rid_t mid = inner.ValueAt(static_cast<rid_t>(i));
-      if (mid != kInvalidRid) out[i] = outer.ValueAt(mid);
+      if (mid == kInvalidRid) continue;
+      out[i] = outer.ValueAt(mid);
+      valid += out[i] != kInvalidRid;
     }
-    return LineageIndex::FromArray(std::move(out));
+    return LineageIndex::FromArray(std::move(out), valid);
   }
 
   // 1:1 unless some input reaches two distinct outputs.
@@ -127,32 +161,41 @@ void MergeForwardInto(LineageIndex* dst, LineageIndex src) {
 
 LineageIndex InvertTraceRids(const std::vector<rid_t>& rids,
                              size_t num_rows) {
-  // Output positions ascend, so a repeated rid's list keeps them in order.
-  ForwardIndexBuilder fw(num_rows);
-  for (size_t i = 0; i < rids.size(); ++i) {
-    SMOKE_DCHECK(rids[i] < num_rows);
-    fw.Add(rids[i], static_cast<rid_t>(i));
+  // Output positions in rid order. A stable sort keeps a repeated rid's
+  // positions ascending, the order capture appends them in; a backward
+  // trace's rids usually ascend already.
+  std::vector<rid_t> order(rids.size());
+  std::iota(order.begin(), order.end(), 0);
+  if (!std::is_sorted(rids.begin(), rids.end())) {
+    std::stable_sort(order.begin(), order.end(),
+                     [&rids](rid_t a, rid_t b) { return rids[a] < rids[b]; });
   }
-  return fw.Finish();
-}
-
-LineageIndex NarrowForward(LineageIndex forward) {
-  if (forward.kind() != LineageIndex::Kind::kIndex) return forward;
-  const RidIndex& index = forward.index();
-  for (size_t i = 0; i < index.size(); ++i) {
-    if (index.list(i).size() > 1) return forward;
+  std::vector<rid_t> positions, slots;
+  std::vector<RidVec> overflow;
+  for (size_t k = 0; k < order.size();) {
+    const rid_t r = rids[order[k]];
+    SMOKE_DCHECK(r < num_rows);
+    size_t e = k + 1;
+    while (e < order.size() && rids[order[e]] == r) ++e;
+    positions.push_back(r);
+    if (e - k == 1) {
+      slots.push_back(order[k]);
+    } else {
+      slots.push_back(SparseRidArray::kOverflowTag +
+                      static_cast<rid_t>(overflow.size()));
+      overflow.emplace_back();
+      overflow.back().PushBackAll(order.data() + k, e - k);
+    }
+    k = e;
   }
-  RidArray array(index.size(), kInvalidRid);
-  for (size_t i = 0; i < index.size(); ++i) {
-    if (!index.list(i).empty()) array[i] = index.list(i)[0];
-  }
-  return LineageIndex::FromArray(std::move(array));
+  return LineageIndex::FromSparseArray(SparseRidArray::FromPositions(
+      num_rows, positions, std::move(slots), std::move(overflow)));
 }
 
 LineageIndex IdentityIndex(size_t n) {
   RidArray ids(n);
   for (size_t i = 0; i < n; ++i) ids[i] = static_cast<rid_t>(i);
-  return LineageIndex::FromArray(std::move(ids));
+  return LineageIndex::FromArray(std::move(ids), n);
 }
 
 }  // namespace smoke

@@ -3,11 +3,11 @@
 // one end-to-end index per base relation, so lineage queries over the plan
 // output remain single secondary-index scans.
 //
-// Composition is defined over the two physical index forms:
-//   RidArray ∘ RidArray  -> RidArray   (1:1 through 1:1 stays 1:1)
-//   RidArray ∘ RidIndex, RidIndex ∘ RidArray, RidIndex ∘ RidIndex -> RidIndex
-// except that a composed or merged forward index whose deduplicated lists
-// all hold at most one rid is stored as a RidArray (ForwardIndexBuilder).
+// Composition reads every physical form through the uniform accessors:
+//   1:1 ∘ 1:1 -> RidArray   (1:1 through 1:1 stays 1:1)
+//   anything through a 1:N form -> RidIndex (backward), or the builder's
+//   form (forward: a RidArray when no input reaches two outputs, else the
+//   sparse form with overflow lists — ForwardIndexBuilder).
 //
 // Backward composition preserves duplicates (witness multiplicity — the
 // same property the monolithic SPJA block maintains); forward composition
@@ -34,7 +34,8 @@ LineageIndex ComposeBackward(const LineageIndex& outer,
 /// `inner` maps input positions to intermediate positions; `outer` maps
 /// intermediate positions to final-output positions. The result maps input
 /// positions to final-output positions, deduplicated per input: a RidArray
-/// when no input reaches two outputs, else a RidIndex.
+/// when no input reaches two outputs, else a SparseRidArray whose overflow
+/// lists hold the inputs that do.
 LineageIndex ComposeForward(const LineageIndex& inner,
                             const LineageIndex& outer);
 
@@ -50,16 +51,13 @@ void MergeForwardInto(LineageIndex* dst, LineageIndex src);
 
 /// The forward index of a trace whose output position i is input rid
 /// rids[i] (the inverse of its 1:1 backward array), over `num_rows` input
-/// positions. Duplicate-free rids give a 1:1 RidArray — 4 B per input row,
-/// kInvalidRid where nothing was traced; a repeated rid (a dedup=false
-/// trace through join witnesses) gives a RidIndex. Every rid must already
-/// be validated against `num_rows`.
+/// positions, built straight in the sparse form from the sorted rids in
+/// O(rids log rids + num_rows / 64): 1:1 when the rids are duplicate-free,
+/// with an overflow list for a repeated rid (a dedup=false trace through
+/// join witnesses). Freezing widens it to the dense array when the trace
+/// reaches about half the rows or more. Every rid must already be
+/// validated against `num_rows`.
 LineageIndex InvertTraceRids(const std::vector<rid_t>& rids, size_t num_rows);
-
-/// `forward` in the 1:1 form when it is a raw RidIndex whose every list
-/// holds at most one rid (a kernel-built forward that no composition
-/// narrowed, e.g. a join's build side at the plan root); else unchanged.
-LineageIndex NarrowForward(LineageIndex forward);
 
 /// The identity 1:1 index over `n` positions (position i maps to i). Used to
 /// materialize the lineage of pure pipelined operators (projection) when a

@@ -86,7 +86,56 @@ RidIndex InvertBackwardArray(const RidArray& backward, size_t num_inputs) {
 
 // ---- incremental-refresh append builders ----
 
-void AppendArrayValue(LineageIndex* idx, rid_t v) {
+namespace {
+
+/// Widens a sparse form once, in place, to the raw form refresh appends to
+/// (kArray without overflow lists, else kIndex); every other form is left
+/// as it is.
+void WidenSparse(LineageIndex* idx) {
+  if (idx->kind() != LineageIndex::Kind::kSparseArray) return;
+  const SparseRidArray& s = idx->sparse_array();
+  *idx = s.num_overflow() == 0
+             ? LineageIndex::FromArray(s.ToArray(), s.num_valid())
+             : LineageIndex::FromIndex(RidIndex::FromLists(s.ToLists()));
+}
+
+/// Promotes a 1:1 form to its 1:N counterpart in place (kArray -> kIndex,
+/// kEncodedArray -> kEncodedIndex under `codec`; a kInvalidRid entry
+/// becomes an empty list). The 1:N forms are left as they are; a sparse
+/// form is widened by the caller first.
+void PromoteToOneToN(LineageIndex* idx, LineageCodec codec) {
+  switch (idx->kind()) {
+    case LineageIndex::Kind::kArray: {
+      const RidArray& a = idx->array();
+      RidIndex index(a.size());
+      for (size_t i = 0; i < a.size(); ++i) {
+        if (a[i] == kInvalidRid) continue;
+        index.list(i).Reserve(1);
+        index.list(i).PushBack(a[i]);
+      }
+      *idx = LineageIndex::FromIndex(std::move(index));
+      break;
+    }
+    case LineageIndex::Kind::kEncodedArray: {
+      PostingsBuilder b(codec);
+      idx->encoded_array().ForEach([&b](size_t, rid_t r) {
+        b.AddList(&r, r == kInvalidRid ? 0 : 1);
+      });
+      *idx = LineageIndex::FromEncodedPostings(b.Finish());
+      break;
+    }
+    case LineageIndex::Kind::kSparseArray:  // widened by the caller
+    case LineageIndex::Kind::kIndex:
+    case LineageIndex::Kind::kEncodedIndex:
+    case LineageIndex::Kind::kNone:
+      break;
+  }
+}
+
+}  // namespace
+
+void AppendArrayValue(LineageIndex* idx, rid_t v, LineageCodec codec) {
+  WidenSparse(idx);
   switch (idx->kind()) {
     case LineageIndex::Kind::kArray:
       idx->mutable_array().push_back(v);
@@ -94,35 +143,23 @@ void AppendArrayValue(LineageIndex* idx, rid_t v) {
     case LineageIndex::Kind::kEncodedArray:
       idx->mutable_encoded_array().Append(v);
       break;
-    default:
-      SMOKE_DCHECK(false);
+    case LineageIndex::Kind::kIndex:
+    case LineageIndex::Kind::kEncodedIndex:
+      // A 1:N form takes the value as a list of at most one rid.
+      AppendIndexList(idx, &v, v == kInvalidRid ? 0 : 1, codec);
+      break;
+    case LineageIndex::Kind::kSparseArray:  // widened above
+    case LineageIndex::Kind::kNone:         // a pruned direction stays empty
+      break;
   }
 }
-
-namespace {
-
-/// Promotes a 1:1 form to its 1:N counterpart in place (kArray -> kIndex,
-/// kEncodedArray -> kEncodedIndex under `codec`; a kInvalidRid entry
-/// becomes an empty list). The 1:N forms are left as they are.
-void PromoteToOneToN(LineageIndex* idx, LineageCodec codec) {
-  if (idx->kind() == LineageIndex::Kind::kArray) {
-    *idx = LineageIndex::FromIndex(PromoteToIndex(idx->array()));
-  } else if (idx->kind() == LineageIndex::Kind::kEncodedArray) {
-    PostingsBuilder b(codec);
-    idx->encoded_array().ForEach([&b](size_t, rid_t r) {
-      b.AddList(&r, r == kInvalidRid ? 0 : 1);
-    });
-    *idx = LineageIndex::FromEncodedPostings(b.Finish());
-  }
-}
-
-}  // namespace
 
 void AppendIndexList(LineageIndex* idx, const rid_t* d, size_t n,
                      LineageCodec codec) {
+  WidenSparse(idx);
   if (idx->IsOneToOne()) {
     if (n <= 1) {
-      AppendArrayValue(idx, n == 0 ? kInvalidRid : d[0]);
+      AppendArrayValue(idx, n == 0 ? kInvalidRid : d[0], codec);
       return;
     }
     PromoteToOneToN(idx, codec);
@@ -138,14 +175,18 @@ void AppendIndexList(LineageIndex* idx, const rid_t* d, size_t n,
     case LineageIndex::Kind::kEncodedIndex:
       idx->mutable_encoded_postings().AppendNewList(d, n, codec);
       break;
-    default:
-      SMOKE_DCHECK(false);
+    case LineageIndex::Kind::kArray:         // promoted above
+    case LineageIndex::Kind::kSparseArray:   // widened above
+    case LineageIndex::Kind::kEncodedArray:  // promoted above
+    case LineageIndex::Kind::kNone:          // a pruned direction stays empty
+      break;
   }
 }
 
 void ExtendIndexList(LineageIndex* idx, size_t i, const rid_t* d, size_t n,
                      LineageCodec codec) {
   if (n == 0) return;
+  WidenSparse(idx);
   if (idx->kind() == LineageIndex::Kind::kArray && n == 1 &&
       idx->array()[i] == kInvalidRid) {
     idx->mutable_array()[i] = d[0];  // the position's first rid
@@ -159,13 +200,17 @@ void ExtendIndexList(LineageIndex* idx, size_t i, const rid_t* d, size_t n,
     case LineageIndex::Kind::kEncodedIndex:
       idx->mutable_encoded_postings().ExtendList(i, d, n);
       break;
-    default:
-      SMOKE_DCHECK(false);
+    case LineageIndex::Kind::kArray:         // promoted above
+    case LineageIndex::Kind::kSparseArray:   // widened above
+    case LineageIndex::Kind::kEncodedArray:  // promoted above
+    case LineageIndex::Kind::kNone:          // a pruned direction stays empty
+      break;
   }
 }
 
 void InsertSortedIntoIndexList(LineageIndex* idx, size_t i, rid_t v,
                                LineageCodec codec) {
+  WidenSparse(idx);
   if (idx->IsOneToOne()) {
     const rid_t cur = idx->ValueAt(static_cast<rid_t>(i));
     if (cur == v) return;  // already present
@@ -189,8 +234,11 @@ void InsertSortedIntoIndexList(LineageIndex* idx, size_t i, rid_t v,
     case LineageIndex::Kind::kEncodedIndex:
       idx->mutable_encoded_postings().InsertSortedIntoList(i, v);
       break;
-    default:
-      SMOKE_DCHECK(false);
+    case LineageIndex::Kind::kArray:         // promoted above
+    case LineageIndex::Kind::kSparseArray:   // widened above
+    case LineageIndex::Kind::kEncodedArray:  // promoted above
+    case LineageIndex::Kind::kNone:          // a pruned direction stays empty
+      break;
   }
 }
 

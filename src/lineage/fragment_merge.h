@@ -64,13 +64,16 @@ RidIndex InvertBackwardArray(const RidArray& backward, size_t num_inputs);
 // indexes (encoded appends route through the PostingsBuilder encode path).
 //
 // The list builders also take the 1:1 forms a forward index is narrowed
-// to (ForwardIndexBuilder): a position that gains its first rid stays 1:1,
-// and the first position to reach a second rid promotes the whole index to
-// its 1:N counterpart (raw to kIndex, encoded to kEncodedIndex under
-// `codec`) before the edge is added.
+// to (FreezeForward): a position that gains its first rid stays 1:1, and
+// the first position to reach a second rid promotes the whole index to its
+// 1:N counterpart (raw to kIndex, encoded to kEncodedIndex under `codec`)
+// before the edge is added. A sparse form is widened once, at its first
+// mutation, to kArray (no overflow lists) or kIndex. An empty (pruned)
+// index stays empty.
 
-/// Appends one trailing position to a 1:1 array (raw or encoded).
-void AppendArrayValue(LineageIndex* idx, rid_t v);
+/// Appends one trailing position holding `v` (kInvalidRid: no rid) to a
+/// 1:1 form; a 1:N form gains a list of at most one rid under `codec`.
+void AppendArrayValue(LineageIndex* idx, rid_t v, LineageCodec codec);
 
 /// Appends a new source position holding `n` rids. Encoded indexes encode
 /// the new list under `codec`.

@@ -61,12 +61,13 @@ class QueryLineage {
     return -1;
   }
 
-  /// Freezes every raw index at exact size (a retained result keeps no
-  /// capture growth slack).
-  void ShrinkToFit() {
+  /// Freezes captured lineage into a retained result: every forward index
+  /// into its narrowest raw form (FreezeForward), every raw index at exact
+  /// size (no capture growth slack).
+  void Freeze() {
     for (auto& in : inputs_) {
       in.backward.ShrinkToFit();
-      in.forward.ShrinkToFit();
+      in.forward = FreezeForward(std::move(in.forward));
     }
   }
 

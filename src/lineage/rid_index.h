@@ -1,18 +1,24 @@
 // Lineage index representations (paper Section 3.1).
 //
-// Two physical forms:
+// Three raw physical forms:
 //  - RidArray: 1-to-1 relationships (e.g., selection backward/forward,
 //    group-by forward). Entry i holds the single rid related to rid i.
+//  - SparseRidArray (lineage/sparse_rid_array.h): a 1-to-1 array that
+//    stores only its set positions (a bitmap with ranks, one rid each),
+//    plus overflow lists for the few positions that reach several rids.
 //  - RidIndex: 1-to-N relationships (e.g., group-by backward, join forward).
 //    Entry i points to an rid array of related rids. Arrays start at
 //    capacity 10 and grow 1.5x (RidVec).
 //
-// A retained forward index takes the 1:1 form whenever no input reaches
-// two outputs: 4 bytes per input row instead of a 24-byte list header plus
-// its rids. ForwardIndexBuilder applies the rule while an index is built
-// (the SPJA block's dimension forwards, composed and merged plan forwards,
-// trace fragments); NarrowForward (lineage/compose.h) applies it to a root
-// kernel's forward when the plan's lineage is frozen.
+// Capture writes dense forms; a retained forward index is frozen into the
+// narrowest of the three by size (FreezeForward): the dense array when no
+// input reaches two outputs and the sparse form would take more than half
+// its 4 bytes per input, else the sparse form, unless the 1:N index is
+// smaller still (every input reaching many outputs). ForwardIndexBuilder
+// keeps a dense array plus overflow lists while an index is built (the
+// SPJA block's dimension forwards, composed and merged plan forwards,
+// trace fragments), and counts its set positions, so freezing needs no
+// extra pass to decide.
 #ifndef SMOKE_LINEAGE_RID_INDEX_H_
 #define SMOKE_LINEAGE_RID_INDEX_H_
 
@@ -22,13 +28,10 @@
 #include "common/macros.h"
 #include "common/rid_vec.h"
 #include "common/types.h"
+#include "lineage/sparse_rid_array.h"
 #include "lineage/store/rid_codec.h"
 
 namespace smoke {
-
-/// 1-to-1 lineage: position -> single rid (kInvalidRid = no counterpart,
-/// e.g., a selection input tuple that failed the predicate).
-using RidArray = std::vector<rid_t>;
 
 /// \brief 1-to-N lineage: position -> rid list.
 class RidIndex {
@@ -89,26 +92,15 @@ class RidIndex {
   std::vector<RidVec> lists_;
 };
 
-/// The 1:N form of a 1:1 array: one exactly-sized single-rid list per
-/// valid entry, an empty list per kInvalidRid.
-inline RidIndex PromoteToIndex(const RidArray& array) {
-  RidIndex index(array.size());
-  for (size_t i = 0; i < array.size(); ++i) {
-    if (array[i] == kInvalidRid) continue;
-    index.list(i).Reserve(1);
-    index.list(i).PushBack(array[i]);
-  }
-  return index;
-}
-
 /// \brief Tagged union over the physical lineage forms, with a uniform
 /// trace interface. Direction and endpoint metadata live in QueryLineage.
 ///
-/// Two raw forms (write-optimized, what capture produces) and two encoded
-/// forms (read-optimized, what the compressed lineage store re-encodes
-/// retained indexes into at finalize time — lineage/store/). Consumers that
-/// go through the uniform accessors (TraceInto / ForEachRelated / ValueAt)
-/// work over all forms without decompressing whole indexes.
+/// Three raw forms (write-optimized, what capture produces and freezing
+/// narrows to) and two encoded forms (read-optimized, what the compressed
+/// lineage store re-encodes retained indexes into at finalize time —
+/// lineage/store/). Consumers that go through the uniform accessors
+/// (TraceInto / ForEachRelated / ValueAt) work over all forms without
+/// decompressing whole indexes.
 class LineageIndex {
  public:
   enum class Kind : uint8_t {
@@ -117,13 +109,27 @@ class LineageIndex {
     kIndex,          ///< raw 1:N
     kEncodedArray,   ///< compressed 1:1 (lineage/store/rid_codec.h)
     kEncodedIndex,   ///< compressed 1:N posting lists
+    kSparseArray,    ///< raw 1:1 over the set positions, + overflow lists
   };
 
+  /// The count of an array whose set entries were not counted.
+  static constexpr size_t kUncounted = SIZE_MAX;
+
   LineageIndex() = default;
-  static LineageIndex FromArray(RidArray array) {
+  /// `num_valid`: the entries that are not kInvalidRid, when the builder
+  /// counted them (FreezeForward then needs no pass to pick the form).
+  static LineageIndex FromArray(RidArray array,
+                                size_t num_valid = kUncounted) {
     LineageIndex idx;
     idx.kind_ = Kind::kArray;
     idx.array_ = std::move(array);
+    idx.array_valid_ = num_valid;
+    return idx;
+  }
+  static LineageIndex FromSparseArray(SparseRidArray sparse) {
+    LineageIndex idx;
+    idx.kind_ = Kind::kSparseArray;
+    idx.sparse_ = std::move(sparse);
     return idx;
   }
   static LineageIndex FromIndex(RidIndex index) {
@@ -150,14 +156,28 @@ class LineageIndex {
   bool encoded() const {
     return kind_ == Kind::kEncodedArray || kind_ == Kind::kEncodedIndex;
   }
-  /// True for the 1:1 forms (raw or encoded) — ValueAt is available.
+  /// True for the 1:1 forms (raw or encoded, sparse without overflow
+  /// lists) — ValueAt is available.
   bool IsOneToOne() const {
-    return kind_ == Kind::kArray || kind_ == Kind::kEncodedArray;
+    return kind_ == Kind::kArray || kind_ == Kind::kEncodedArray ||
+           (kind_ == Kind::kSparseArray && sparse_.num_overflow() == 0);
   }
 
   const RidArray& array() const {
     SMOKE_DCHECK(kind_ == Kind::kArray);
     return array_;
+  }
+  /// Set entries of the kArray form: the builder's count, or one pass.
+  size_t ArrayNumValid() const {
+    SMOKE_DCHECK(kind_ == Kind::kArray);
+    if (array_valid_ != kUncounted) return array_valid_;
+    size_t n = 0;
+    for (rid_t r : array_) n += (r != kInvalidRid);
+    return n;
+  }
+  const SparseRidArray& sparse_array() const {
+    SMOKE_DCHECK(kind_ == Kind::kSparseArray);
+    return sparse_;
   }
   const RidIndex& index() const {
     SMOKE_DCHECK(kind_ == Kind::kIndex);
@@ -171,7 +191,11 @@ class LineageIndex {
     SMOKE_DCHECK(kind_ == Kind::kEncodedIndex);
     return epostings_;
   }
-  RidArray& mutable_array() { return array_; }
+  /// A writer may change which entries are set: the count is dropped.
+  RidArray& mutable_array() {
+    array_valid_ = kUncounted;
+    return array_;
+  }
   RidIndex& mutable_index() { return index_; }
   EncodedRidArray& mutable_encoded_array() {
     SMOKE_DCHECK(kind_ == Kind::kEncodedArray);
@@ -186,6 +210,7 @@ class LineageIndex {
   size_t size() const {
     switch (kind_) {
       case Kind::kArray:        return array_.size();
+      case Kind::kSparseArray:  return sparse_.size();
       case Kind::kIndex:        return index_.size();
       case Kind::kEncodedArray: return earray_.size();
       case Kind::kEncodedIndex: return epostings_.num_lists();
@@ -197,7 +222,16 @@ class LineageIndex {
   /// The single rid related to `pos` (1:1 forms only; kInvalidRid = none).
   rid_t ValueAt(rid_t pos) const {
     SMOKE_DCHECK(IsOneToOne());
-    return kind_ == Kind::kArray ? array_[pos] : earray_.At(pos);
+    switch (kind_) {
+      case Kind::kArray:        return array_[pos];
+      case Kind::kSparseArray:  return sparse_.ValueAt(pos);
+      case Kind::kEncodedArray: return earray_.At(pos);
+      case Kind::kIndex:
+      case Kind::kEncodedIndex:
+      case Kind::kNone:
+        break;
+    }
+    return kInvalidRid;
   }
 
   /// Calls `f(rid)` for every rid related to source position `pos`, in
@@ -209,6 +243,12 @@ class LineageIndex {
       case Kind::kArray: {
         rid_t r = array_[pos];
         if (r != kInvalidRid) f(r);
+        break;
+      }
+      case Kind::kSparseArray: {
+        size_t n;
+        const rid_t* d = sparse_.Related(pos, &n);
+        for (size_t k = 0; k < n; ++k) f(d[k]);
         break;
       }
       case Kind::kIndex: {
@@ -241,11 +281,8 @@ class LineageIndex {
 
   size_t TotalEdges() const {
     switch (kind_) {
-      case Kind::kArray: {
-        size_t n = 0;
-        for (rid_t r : array_) n += (r != kInvalidRid);
-        return n;
-      }
+      case Kind::kArray:        return ArrayNumValid();
+      case Kind::kSparseArray:  return sparse_.TotalEdges();
       case Kind::kIndex:        return index_.TotalEdges();
       case Kind::kEncodedArray: {
         size_t n = 0;
@@ -261,13 +298,21 @@ class LineageIndex {
   /// Trims the raw forms to exact size (no-op for the encoded forms, which
   /// are built exact).
   void ShrinkToFit() {
-    if (kind_ == Kind::kArray) array_.shrink_to_fit();
-    if (kind_ == Kind::kIndex) index_.ShrinkToFit();
+    switch (kind_) {
+      case Kind::kArray:       array_.shrink_to_fit(); break;
+      case Kind::kSparseArray: sparse_.ShrinkToFit(); break;
+      case Kind::kIndex:       index_.ShrinkToFit(); break;
+      case Kind::kNone:
+      case Kind::kEncodedArray:
+      case Kind::kEncodedIndex:
+        break;
+    }
   }
 
   size_t MemoryBytes() const {
     switch (kind_) {
       case Kind::kArray:        return array_.capacity() * sizeof(rid_t);
+      case Kind::kSparseArray:  return sparse_.MemoryBytes();
       case Kind::kIndex:        return index_.MemoryBytes();
       case Kind::kEncodedArray: return earray_.MemoryBytes();
       case Kind::kEncodedIndex: return epostings_.MemoryBytes();
@@ -279,65 +324,72 @@ class LineageIndex {
  private:
   Kind kind_ = Kind::kNone;
   RidArray array_;
+  size_t array_valid_ = kUncounted;
+  SparseRidArray sparse_;
   RidIndex index_;
   EncodedRidArray earray_;
   EncodedPostings epostings_;
 };
 
-/// \brief Builds a forward index (input rid -> output rids) in the
-/// narrowest form that holds it: a 1:1 RidArray while every input reaches
-/// at most one output, promoted once to a RidIndex at the first input that
-/// reaches a second. Promotion keeps each input's rids in insertion order,
-/// so the result equals what appending straight into a RidIndex gives.
+/// Freezes a captured forward index into a retained result: the narrowest
+/// raw form by size (see the file comment), trimmed to exact size. A
+/// kArray decides from its builder's count when it has one. Encoded and
+/// empty indexes are returned as they are.
+LineageIndex FreezeForward(LineageIndex forward);
+
+/// \brief Builds a forward index (input rid -> output rids): a dense 1:1
+/// array whose slot turns into an overflow list (tagged as in
+/// SparseRidArray) at the first input that reaches a second output. Each
+/// list keeps insertion order, so the result traces equal to appending
+/// straight into a RidIndex. Output rids stay below
+/// SparseRidArray::kOverflowTag.
 class ForwardIndexBuilder {
  public:
   ForwardIndexBuilder() = default;
   explicit ForwardIndexBuilder(size_t num_inputs)
-      : array_(num_inputs, kInvalidRid) {}
+      : slots_(num_inputs, kInvalidRid) {}
 
   /// Records edge in -> out, unless `out` is the last output recorded for
   /// `in` (consecutive repeats collapse, as capture's forward lists do).
   void Add(rid_t in, rid_t out) {
-    if (!promoted_) {
-      rid_t& cur = array_[in];
-      if (cur == kInvalidRid || cur == out) {
-        cur = out;
-        return;
-      }
-      Promote();
+    SMOKE_DCHECK(out < SparseRidArray::kOverflowTag);
+    rid_t& cur = slots_[in];
+    if (cur == kInvalidRid) {
+      cur = out;
+      ++num_valid_;
+      return;
     }
-    RidVec& l = index_.list(in);
-    if (l.empty() || l[l.size() - 1] != out) l.PushBack(out);
+    if (cur == out) return;
+    if (cur < SparseRidArray::kOverflowTag) cur = NewOverflow(&cur, 1);
+    RidVec& l = overflow_[cur - SparseRidArray::kOverflowTag];
+    if (l[l.size() - 1] != out) l.PushBack(out);
   }
 
   /// Records the whole output list of `in`, whose outputs must not have
   /// been recorded yet.
   void SetList(rid_t in, const rid_t* d, size_t n) {
-    if (!promoted_) {
-      if (n <= 1) {
-        array_[in] = n == 0 ? kInvalidRid : d[0];
-        return;
-      }
-      Promote();
-    }
-    index_.list(in).PushBackAll(d, n);
+    if (n == 0) return;
+    slots_[in] = n == 1 ? d[0] : NewOverflow(d, n);
+    ++num_valid_;
   }
 
-  LineageIndex Finish() {
-    return promoted_ ? LineageIndex::FromIndex(std::move(index_))
-                     : LineageIndex::FromArray(std::move(array_));
-  }
+  /// The dense array when no input reached two outputs, else the sparse
+  /// form with the overflow lists.
+  LineageIndex Finish();
 
  private:
-  void Promote() {
-    index_ = PromoteToIndex(array_);
-    RidArray().swap(array_);
-    promoted_ = true;
+  /// Starts an overflow list holding `n` rids; returns its tagged slot.
+  rid_t NewOverflow(const rid_t* d, size_t n) {
+    const rid_t tag =
+        SparseRidArray::kOverflowTag + static_cast<rid_t>(overflow_.size());
+    overflow_.emplace_back();
+    overflow_.back().PushBackAll(d, n);
+    return tag;
   }
 
-  RidArray array_;
-  RidIndex index_;
-  bool promoted_ = false;
+  RidArray slots_;
+  size_t num_valid_ = 0;
+  std::vector<RidVec> overflow_;
 };
 
 }  // namespace smoke

@@ -4,6 +4,26 @@
 
 namespace smoke {
 
+namespace {
+
+/// Encodes a sparse form under a non-raw codec: as a 1:1 array when it has
+/// no overflow lists, else as posting lists, one list per position.
+LineageIndex EncodeSparse(const SparseRidArray& s, LineageCodec codec) {
+  if (s.num_overflow() == 0) {
+    return LineageIndex::FromEncodedArray(
+        EncodedRidArray::Encode(s.ToArray(), codec));
+  }
+  PostingsBuilder b(codec);
+  for (rid_t i = 0; i < s.size(); ++i) {
+    size_t n;
+    const rid_t* d = s.Related(i, &n);
+    b.AddList(d, n);
+  }
+  return LineageIndex::FromEncodedPostings(b.Finish());
+}
+
+}  // namespace
+
 LineageIndex EncodeLineage(LineageIndex index, LineageCodec codec) {
   switch (index.kind()) {
     case LineageIndex::Kind::kNone:
@@ -12,6 +32,9 @@ LineageIndex EncodeLineage(LineageIndex index, LineageCodec codec) {
       if (codec == LineageCodec::kRaw) return index;
       return LineageIndex::FromEncodedArray(
           EncodedRidArray::Encode(std::move(index.mutable_array()), codec));
+    case LineageIndex::Kind::kSparseArray:
+      if (codec == LineageCodec::kRaw) return index;
+      return EncodeSparse(index.sparse_array(), codec);
     case LineageIndex::Kind::kIndex:
       if (codec == LineageCodec::kRaw) return index;
       return LineageIndex::FromEncodedPostings(
@@ -52,6 +75,9 @@ LineageIndex EncodeLineageCopy(const LineageIndex& index, LineageCodec codec) {
       return LineageIndex::FromEncodedArray(
           EncodedRidArray::Encode(a.data(), a.size(), codec));
     }
+    case LineageIndex::Kind::kSparseArray:
+      if (codec == LineageCodec::kRaw) return index;  // exact-size copy
+      return EncodeSparse(index.sparse_array(), codec);
     case LineageIndex::Kind::kIndex: {
       const RidIndex& in = index.index();
       if (codec != LineageCodec::kRaw) {

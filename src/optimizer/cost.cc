@@ -123,6 +123,15 @@ StrategyCost CostIndexProbe(const LineageIndex& index,
       c.cost = static_cast<double>(seeds.size());
       c.note = "1:1 array";
       break;
+    case LineageIndex::Kind::kSparseArray: {
+      size_t edges = 0;
+      for (rid_t s : seeds) {
+        if (s < n) edges += index.sparse_array().ListSize(s);
+      }
+      c.cost = static_cast<double>(edges);
+      c.note = "sparse 1:1";
+      break;
+    }
     case LineageIndex::Kind::kEncodedArray:
       c.cost = static_cast<double>(seeds.size()) * kDecodePenalty;
       c.note = "encoded 1:1";

@@ -114,12 +114,13 @@ void ComposePlanLineage(const LogicalPlan& plan,
     if (!a.reached) continue;
     MaterializeIdentity(&a, root_rows);
     tl.backward = std::move(a.backward);
-    tl.forward = NarrowForward(std::move(a.forward));
+    tl.forward = std::move(a.forward);
   }
-  // Frozen exact: a retained result keeps no capture growth slack. A root
-  // operator's fragments (an SPJA block's included) arrive here as built,
-  // so this is also where their forwards are narrowed.
-  out_lineage->ShrinkToFit();
+  // Frozen: a retained result keeps no capture growth slack, and each
+  // forward takes its narrowest form. A root operator's fragments (an SPJA
+  // block's included) arrive here as built, so this is where theirs are
+  // narrowed.
+  out_lineage->Freeze();
 }
 
 /// Moves the root operator's SPJA block artifacts into the plan result.

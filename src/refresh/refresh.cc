@@ -380,7 +380,7 @@ Status RefreshPlanAppend(PlanResult* pr, RefreshStats* stats) {
     if (!group_root) {
       // Backward is 1:1 per relation: one new entry per delta output row.
       for (size_t j = 0; j < dn; ++j) {
-        AppendArrayValue(&tl.backward, wit->rids[j]);
+        AppendArrayValue(&tl.backward, wit->rids[j], codec);
       }
     } else {
       // Backward: existing groups extend their lists once per batch, in

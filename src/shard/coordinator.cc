@@ -829,10 +829,10 @@ Status ExecuteShardedPlan(const LogicalPlan& plan, const ShardResolver& sharded,
       }
       if (!opts.WantsTable(node.label)) continue;  // entry stays empty
       if (opts.capture_backward) tl.backward = std::move(b);
-      if (opts.capture_forward) tl.forward = NarrowForward(std::move(f));
+      if (opts.capture_forward) tl.forward = std::move(f);
     }
     out->lineage.set_output_cardinality(out->output_cardinality);
-    out->lineage.ShrinkToFit();
+    out->lineage.Freeze();
   }
 
   return Status::OK();

@@ -170,7 +170,8 @@ TEST(ComposeTest, MergePreservesBackwardMultiplicity) {
   d.Append(0, 4);
   LineageIndex fdst = LineageIndex::FromIndex(std::move(c));
   MergeForwardInto(&fdst, LineageIndex::FromIndex(std::move(d)));
-  EXPECT_EQ(fdst.index().list(0).size(), 2u);  // {3, 4}: deduplicated
+  ASSERT_EQ(fdst.kind(), LineageIndex::Kind::kSparseArray);
+  EXPECT_EQ(fdst.TotalEdges(), 2u);  // {3, 4}: deduplicated
 }
 
 // ---------------------------------------------------------------------------
@@ -193,9 +194,20 @@ TEST(ComposeTest, ForwardIsOneToOneUnlessAnInputReachesTwoOutputs) {
   RidArray split = {3, 5, 4};
   LineageIndex wide = ComposeForward(LineageIndex::FromIndex(inner),
                                      LineageIndex::FromArray(split));
-  ASSERT_EQ(wide.kind(), LineageIndex::Kind::kIndex);
+  ASSERT_EQ(wide.kind(), LineageIndex::Kind::kSparseArray);  // overflow
   EXPECT_EQ(testing::Edges(wide),
             (std::vector<std::pair<rid_t, rid_t>>{{0, 3}, {0, 5}, {1, 4}}));
+
+  // A sparse inner (the trace fragment's form) composes to the same edges
+  // through its set inputs only.
+  LineageIndex sparse_inner = FreezeForward(LineageIndex::FromIndex(inner));
+  ASSERT_EQ(sparse_inner.kind(), LineageIndex::Kind::kSparseArray);
+  for (const RidArray& outer : {same, split, RidArray{kInvalidRid, 3, 4}}) {
+    EXPECT_EQ(testing::Edges(ComposeForward(sparse_inner,
+                                            LineageIndex::FromArray(outer))),
+              testing::Edges(ComposeForward(LineageIndex::FromIndex(inner),
+                                            LineageIndex::FromArray(outer))));
+  }
 
   // A forward merge stays 1:1 while both sides agree.
   LineageIndex dst = LineageIndex::FromArray({1, kInvalidRid});
@@ -203,14 +215,15 @@ TEST(ComposeTest, ForwardIsOneToOneUnlessAnInputReachesTwoOutputs) {
   ASSERT_EQ(dst.kind(), LineageIndex::Kind::kArray);
   EXPECT_EQ(dst.array(), (RidArray{1, 2}));
   MergeForwardInto(&dst, LineageIndex::FromArray({0, 2}));
-  ASSERT_EQ(dst.kind(), LineageIndex::Kind::kIndex);
+  ASSERT_EQ(dst.kind(), LineageIndex::Kind::kSparseArray);
   EXPECT_EQ(testing::Edges(dst),
             (std::vector<std::pair<rid_t, rid_t>>{{0, 0}, {0, 1}, {1, 2}}));
 }
 
 // A plan-root kernel's forward is narrowed at finalize too: a join's build
 // side whose rows each reach one output is 1:1, one whose rows reach two
-// stays 1:N. Both trace like the kernel's own index.
+// keeps those rows in overflow lists of the sparse form (half the rows
+// reach nothing). Both trace like the kernel's own index.
 TEST(ComposeTest, RootKernelForwardIsNarrowedAtFinalize) {
   Schema s;
   s.AddField("k", DataType::kInt64);
@@ -236,8 +249,9 @@ TEST(ComposeTest, RootKernelForwardIsNarrowedAtFinalize) {
     const int di = pr.lineage.FindInput("dim");
     ASSERT_GE(di, 0);
     const TableLineage& tl = pr.lineage.input(static_cast<size_t>(di));
-    EXPECT_EQ(tl.forward.kind(), probe == &fact ? LineageIndex::Kind::kArray
-                                                : LineageIndex::Kind::kIndex);
+    EXPECT_EQ(tl.forward.kind(), probe == &fact
+                                     ? LineageIndex::Kind::kArray
+                                     : LineageIndex::Kind::kSparseArray);
     EXPECT_TRUE(testing::AreInverse(tl.backward, tl.forward));
   }
 }

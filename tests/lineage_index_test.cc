@@ -1,12 +1,20 @@
 #include "lineage/rid_index.h"
 
+#include <algorithm>
+#include <numeric>
+#include <random>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "capture/cube_index.h"
+#include "lineage/fragment_merge.h"
 #include "lineage/partitioned_rid_index.h"
 #include "lineage/query_lineage.h"
+#include "lineage/store/lineage_store.h"
 #include "query/lineage_query.h"
 #include "storage/table.h"
+#include "test_util.h"
 
 namespace smoke {
 namespace {
@@ -48,10 +56,11 @@ TEST(LineageIndexTest, EmptyKind) {
   EXPECT_EQ(idx.TotalEdges(), 0u);
 }
 
-// The builder stays 1:1 until an input reaches a second output, and its
-// promoted index equals appending straight into a RidIndex (consecutive
-// repeats collapsed, as capture's forward lists are).
-TEST(ForwardIndexBuilderTest, PromotesAtTheFirstSecondOutput) {
+// The builder stays a dense 1:1 array until an input reaches a second
+// output; that input gets an overflow list, and the result traces equal to
+// appending straight into a RidIndex (consecutive repeats collapsed, as
+// capture's forward lists are).
+TEST(ForwardIndexBuilderTest, KeepsOverflowListsForInputsThatReachTwoOutputs) {
   const std::vector<std::pair<rid_t, rid_t>> one_to_one = {
       {0, 5}, {2, 7}, {0, 5}, {3, 1}};
   ForwardIndexBuilder narrow(4);
@@ -59,6 +68,7 @@ TEST(ForwardIndexBuilderTest, PromotesAtTheFirstSecondOutput) {
   LineageIndex a = narrow.Finish();
   ASSERT_EQ(a.kind(), LineageIndex::Kind::kArray);
   EXPECT_EQ(a.array(), (RidArray{5, kInvalidRid, 7, 1}));
+  EXPECT_EQ(a.ArrayNumValid(), 3u);  // the builder's count
 
   const std::vector<std::pair<rid_t, rid_t>> edges = {
       {0, 5}, {2, 7}, {0, 5}, {0, 6}, {2, 7}, {0, 5}, {3, 1}};
@@ -70,11 +80,14 @@ TEST(ForwardIndexBuilderTest, PromotesAtTheFirstSecondOutput) {
     if (l.empty() || l[l.size() - 1] != out) l.PushBack(out);
   }
   LineageIndex b = wide.Finish();
-  ASSERT_EQ(b.kind(), LineageIndex::Kind::kIndex);
+  ASSERT_EQ(b.kind(), LineageIndex::Kind::kSparseArray);
+  EXPECT_EQ(b.sparse_array().num_overflow(), 1u);  // input 0 only
+  EXPECT_FALSE(b.IsOneToOne());
   for (rid_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(std::vector<rid_t>(b.index().list(i).begin(),
-                                 b.index().list(i).end()),
-              std::vector<rid_t>(want.list(i).begin(), want.list(i).end()))
+    std::vector<rid_t> got;
+    b.TraceInto(i, &got);
+    EXPECT_EQ(got, std::vector<rid_t>(want.list(i).begin(),
+                                      want.list(i).end()))
         << i;
   }
 
@@ -83,14 +96,186 @@ TEST(ForwardIndexBuilderTest, PromotesAtTheFirstSecondOutput) {
   lists.SetList(0, two, 1);
   lists.SetList(1, nullptr, 0);
   EXPECT_EQ(lists.Finish().kind(), LineageIndex::Kind::kArray);
-  ForwardIndexBuilder promoted(3);
-  promoted.SetList(0, two, 1);
-  promoted.SetList(2, two, 2);
-  LineageIndex c = promoted.Finish();
-  ASSERT_EQ(c.kind(), LineageIndex::Kind::kIndex);
-  EXPECT_EQ(c.index().list(0).size(), 1u);
-  EXPECT_EQ(c.index().list(1).size(), 0u);
-  EXPECT_EQ(c.index().list(2).size(), 2u);
+  ForwardIndexBuilder overflow(3);
+  overflow.SetList(0, two, 1);
+  overflow.SetList(2, two, 2);
+  LineageIndex c = overflow.Finish();
+  ASSERT_EQ(c.kind(), LineageIndex::Kind::kSparseArray);
+  EXPECT_EQ(testing::Edges(c), (std::vector<std::pair<rid_t, rid_t>>{
+                                   {0, 4}, {2, 4}, {2, 8}}));
+}
+
+/// Every position's related rids, in stored order.
+std::vector<std::vector<rid_t>> Lists(const LineageIndex& idx) {
+  std::vector<std::vector<rid_t>> out(idx.size());
+  for (rid_t i = 0; i < idx.size(); ++i) idx.TraceInto(i, &out[i]);
+  return out;
+}
+
+/// `a` and `b` relate every position to the same rids in the same order.
+::testing::AssertionResult SameTraces(const LineageIndex& a,
+                                      const LineageIndex& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << a.size() << " vs " << b.size();
+  }
+  std::vector<rid_t> ra, rb;
+  for (rid_t i = 0; i < a.size(); ++i) {
+    ra.clear();
+    rb.clear();
+    a.TraceInto(i, &ra);
+    b.TraceInto(i, &rb);
+    if (ra != rb) return ::testing::AssertionFailure() << "position " << i;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// A seeded forward over `n` inputs: `num_valid` of them (a seeded choice)
+/// reach an output, and `num_multi` of those reach two to four ascending
+/// outputs. Edges go into the builder round by round (every input's first
+/// output, then every second, ...) in a shuffled input order, with a
+/// repeated edge now and then, so lists interleave as capture's do.
+struct ForwardShape {
+  ForwardIndexBuilder builder;
+  RidIndex ref;
+};
+ForwardShape MakeForward(size_t n, size_t num_valid, size_t num_multi,
+                         uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<rid_t> inputs(n);
+  std::iota(inputs.begin(), inputs.end(), 0);
+  std::shuffle(inputs.begin(), inputs.end(), rng);
+  inputs.resize(num_valid);
+  std::vector<std::vector<rid_t>> outs(num_valid);
+  for (size_t k = 0; k < num_valid; ++k) {
+    const size_t m = k < num_multi ? 2 + rng() % 3 : 1;
+    rid_t o = static_cast<rid_t>(rng() % 5000);
+    for (size_t j = 0; j < m; ++j, o += 1 + rng() % 7) outs[k].push_back(o);
+  }
+  ForwardShape f{ForwardIndexBuilder(n), RidIndex(n)};
+  for (size_t round = 0; round < 4; ++round) {
+    for (size_t k = 0; k < num_valid; ++k) {
+      if (round >= outs[k].size()) continue;
+      const rid_t out = outs[k][round];
+      f.builder.Add(inputs[k], out);
+      if (rng() % 16 == 0) f.builder.Add(inputs[k], out);  // collapses
+      f.ref.Append(inputs[k], out);
+    }
+  }
+  f.ref.ShrinkToFit();
+  return f;
+}
+
+// The frozen forward against a RidIndex of the same edges, over densities
+// from empty to full and multi-output shares of none, Q12's (108 of 150k
+// orders) and all: every accessor traces equal, the size is exact and no
+// larger than the dense or 1:N form, refresh mutations and adaptive
+// encoding give what they give on the RidIndex.
+TEST(SparseRidArrayTest, FrozenForwardEqualsRidIndexOnEveryShape) {
+  constexpr size_t kN = 150000;
+  const size_t valid_counts[] = {0,          1,          kN / 200,
+                                 kN * 29 / 100, kN * 47 / 100, kN};
+  uint32_t seed = 1;
+  for (size_t num_valid : valid_counts) {
+    for (size_t multi : {size_t{0}, size_t{108}, kN}) {
+      const size_t num_multi = std::min(multi, num_valid);
+      SCOPED_TRACE("valid " + std::to_string(num_valid) + " multi " +
+                   std::to_string(num_multi));
+      ForwardShape shape = MakeForward(kN, num_valid, num_multi, seed++);
+      const LineageIndex form = FreezeForward(shape.builder.Finish());
+      const LineageIndex raw = LineageIndex::FromIndex(shape.ref);
+      const auto want = Lists(raw);
+
+      ASSERT_EQ(form.size(), kN);
+      EXPECT_EQ(form.TotalEdges(), raw.TotalEdges());
+      EXPECT_TRUE(SameTraces(form, raw));
+      for (rid_t i = 0; i < kN; ++i) {
+        std::vector<rid_t> each;
+        form.ForEachRelated(i, [&each](rid_t r) { each.push_back(r); });
+        ASSERT_EQ(each, want[i]) << i;
+      }
+      EXPECT_EQ(form.IsOneToOne(), num_multi == 0);
+      // Dense from 47% up with no overflow; 1:N only when every input
+      // reaches several outputs; sparse otherwise.
+      EXPECT_EQ(form.kind(),
+                num_multi == 0 && num_valid >= kN * 47 / 100
+                    ? LineageIndex::Kind::kArray
+                    : (num_multi == kN ? LineageIndex::Kind::kIndex
+                                       : LineageIndex::Kind::kSparseArray));
+      if (form.IsOneToOne()) {
+        for (rid_t i = 0; i < kN; ++i) {
+          ASSERT_EQ(form.ValueAt(i), want[i].empty() ? kInvalidRid : want[i][0])
+              << i;
+        }
+      }
+
+      // Exact size, never larger than the dense array (when 1:1) or the
+      // RidIndex.
+      size_t multi_edges = 0;
+      for (const auto& l : want) multi_edges += l.size() > 1 ? l.size() : 0;
+      size_t exact = 0;
+      switch (form.kind()) {
+        case LineageIndex::Kind::kArray:
+          exact = kN * sizeof(rid_t);
+          break;
+        case LineageIndex::Kind::kSparseArray:
+          exact = SparseRidArray::BytesFor(kN, num_valid, num_multi,
+                                           multi_edges);
+          break;
+        case LineageIndex::Kind::kIndex:
+          exact = kN * sizeof(RidVec) + raw.TotalEdges() * sizeof(rid_t);
+          break;
+        case LineageIndex::Kind::kNone:
+        case LineageIndex::Kind::kEncodedArray:
+        case LineageIndex::Kind::kEncodedIndex:
+          FAIL() << "frozen into a non-raw form";
+      }
+      EXPECT_EQ(form.MemoryBytes(), exact);
+      EXPECT_LE(form.MemoryBytes(), raw.MemoryBytes());
+      if (num_multi == 0) {
+        EXPECT_LE(form.MemoryBytes(), kN * sizeof(rid_t));
+      }
+
+      // Refresh mutations on the form equal the same mutation on the
+      // RidIndex (the form widens once; the edges do not change).
+      rid_t some_valid = kN, some_unset = kN;
+      for (rid_t i = 0; i < kN; ++i) {
+        rid_t& pick = want[i].empty() ? some_unset : some_valid;
+        if (pick == kN) pick = i;
+      }
+      const rid_t d[] = {6001, 6002};
+      auto mutate_both = [&](auto&& mutation) {
+        LineageIndex a = form, b = raw;
+        mutation(&a);
+        mutation(&b);
+        EXPECT_TRUE(SameTraces(a, b));
+      };
+      for (size_t len : {0, 1, 2}) {
+        mutate_both([&](LineageIndex* idx) {
+          AppendIndexList(idx, d, len, LineageCodec::kRaw);
+        });
+      }
+      if (some_unset < kN) {
+        mutate_both([&](LineageIndex* idx) {
+          ExtendIndexList(idx, some_unset, d, 1, LineageCodec::kRaw);
+        });
+      }
+      if (some_valid < kN) {
+        const rid_t head = want[some_valid][0];
+        mutate_both([&](LineageIndex* idx) {
+          ExtendIndexList(idx, some_valid, d, 2, LineageCodec::kRaw);
+        });
+        const rid_t first = head == 0 ? 6001 : head - 1;  // lands first
+        mutate_both([&](LineageIndex* idx) {
+          InsertSortedIntoIndexList(idx, some_valid, first, LineageCodec::kRaw);
+        });
+      }
+
+      // Adaptive encoding traces equal to encoding the reference.
+      EXPECT_TRUE(SameTraces(EncodeLineageCopy(form, LineageCodec::kAdaptive),
+                             EncodeLineageCopy(raw, LineageCodec::kAdaptive)));
+    }
+  }
 }
 
 TEST(LineageIndexTest, ShrinkToFitFreezesRawFormsExactly) {

@@ -480,10 +480,12 @@ TEST(LineageStoreTest, BudgetEvictionFallsBackToLazyRescan) {
     ASSERT_EQ(mgot.plan.lineage.num_inputs(), 1u);
     EXPECT_TRUE(testing::AreInverse(mgot.plan.lineage.input(0).backward,
                                     mgot.plan.lineage.input(0).forward));
-    // Distinct groups trace disjoint rids: the forward half is 1:1. A seed
-    // traced twice without dedup repeats its rids: 1:N.
+    // Distinct groups trace disjoint rids: the forward half is 1:1, stored
+    // sparse (three groups reach few of the relation's rows). A seed traced
+    // twice without dedup repeats its rids: those rows get overflow lists.
     EXPECT_EQ(mgot.plan.lineage.input(0).forward.kind(),
-              LineageIndex::Kind::kArray);
+              LineageIndex::Kind::kSparseArray);
+    EXPECT_TRUE(mgot.plan.lineage.input(0).forward.IsOneToOne());
     TraceResult one, dup;
     ASSERT_TRUE(budgeted.TraceBackward(name, "zipf", {1}, &one).ok());
     ASSERT_TRUE(budgeted
@@ -492,7 +494,8 @@ TEST(LineageStoreTest, BudgetEvictionFallsBackToLazyRescan) {
                     .ok());
     ASSERT_EQ(dup.rids.size(), 2 * one.rids.size());
     EXPECT_EQ(dup.plan.lineage.input(0).forward.kind(),
-              LineageIndex::Kind::kIndex);
+              LineageIndex::Kind::kSparseArray);
+    EXPECT_FALSE(dup.plan.lineage.input(0).forward.IsOneToOne());
     EXPECT_TRUE(testing::AreInverse(dup.plan.lineage.input(0).backward,
                                     dup.plan.lineage.input(0).forward));
 

@@ -98,9 +98,10 @@ Table MakeDim(int64_t num_keys) {
         }
       }
       break;
+    case LineageIndex::Kind::kSparseArray:
     case LineageIndex::Kind::kEncodedArray:
     case LineageIndex::Kind::kEncodedIndex: {
-      // Encoded forms: compare the decoded per-position sequences.
+      // Sparse and encoded forms: compare the per-position sequences.
       std::vector<rid_t> ra, rb;
       for (size_t i = 0; i < a.size(); ++i) {
         ra.clear();

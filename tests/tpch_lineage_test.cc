@@ -1,9 +1,9 @@
 // TPC-H Q1/Q3/Q10/Q12 lineage against a brute-force reference: every
 // backward and forward trace of every rid, through SmokeEngine::ExecuteQuery
 // and through a plain SpjaBlock plan, under Smoke-I, Smoke-D and Logic-Idx,
-// raw and adaptive-encoded. Also pins the physical forward kinds the 1:1
-// rule gives each dimension (a forward index is a RidArray unless some row
-// reaches two groups).
+// raw and adaptive-encoded. Also pins the physical form the freeze gives
+// each forward (dense, sparse with or without overflow lists, or 1:N) and
+// its exact size.
 #include <algorithm>
 #include <map>
 #include <string>
@@ -231,28 +231,75 @@ TEST_F(TpchLineageTest, EveryTraceEqualsBruteForce) {
 }
 
 TEST_F(TpchLineageTest, DimensionForwardIsOneToOneUnlessARowReachesTwoGroups) {
-  auto forward_kind = [](const PlanResult& pr, const std::string& rel) {
+  auto forward_of = [](const PlanResult& pr,
+                       const std::string& rel) -> const LineageIndex& {
     const int i = pr.lineage.FindInput(rel);
     EXPECT_GE(i, 0) << rel;
-    return pr.lineage.input(static_cast<size_t>(i)).forward.kind();
+    return pr.lineage.input(static_cast<size_t>(i)).forward;
   };
   for (CaptureMode mode : {CaptureMode::kInject, CaptureMode::kDefer,
                            CaptureMode::kLogicIdx}) {
+    SCOPED_TRACE(CaptureModeName(mode));
     const CaptureOptions opts = CaptureOptions::Mode(mode);
-    PlanResult q3 = RunPlan(tpch::MakeQ3(*db_), opts);
-    PlanResult q10 = RunPlan(tpch::MakeQ10(*db_), opts);
-    PlanResult q12 = RunPlan(tpch::MakeQ12(*db_), opts);
-    // Q3 and Q10 group by the order: no order reaches two groups.
-    EXPECT_EQ(forward_kind(q3, "orders"), LineageIndex::Kind::kArray);
-    EXPECT_EQ(forward_kind(q10, "orders"), LineageIndex::Kind::kArray);
-    // Q10 groups by the customer too.
-    EXPECT_EQ(forward_kind(q10, "customer"), LineageIndex::Kind::kArray);
+    std::map<std::string, PlanResult> runs;
+    for (const Named& nq : Queries()) runs[nq.name] = RunPlan(nq.query, opts);
+    // A selective query's forwards reach few rows: frozen sparse. Q3 and
+    // Q10 group by the order, so no order reaches two groups; Q10 groups by
+    // the customer too.
+    const std::pair<const char*, const char*> sparse_one_to_one[] = {
+        {"Q3", "lineitem"},  {"Q10", "lineitem"}, {"Q12", "lineitem"},
+        {"Q3", "orders"},    {"Q10", "orders"},   {"Q10", "customer"}};
+    for (auto [q, rel] : sparse_one_to_one) {
+      const LineageIndex& fw = forward_of(runs[q], rel);
+      EXPECT_EQ(fw.kind(), LineageIndex::Kind::kSparseArray) << q << rel;
+      EXPECT_TRUE(fw.IsOneToOne()) << q << rel;
+    }
     // A Q12 order's lineitems span ship modes; a Q3 customer places
-    // several qualifying orders.
-    EXPECT_EQ(forward_kind(q12, "orders"), LineageIndex::Kind::kIndex);
-    EXPECT_EQ(forward_kind(q3, "customer"), LineageIndex::Kind::kIndex);
-    // The fact side is 1:1 as always.
-    EXPECT_EQ(forward_kind(q3, "lineitem"), LineageIndex::Kind::kArray);
+    // several qualifying orders: overflow lists for those rows only.
+    for (auto [q, rel] : {std::pair<const char*, const char*>{"Q12", "orders"},
+                          {"Q3", "customer"}}) {
+      const LineageIndex& fw = forward_of(runs[q], rel);
+      ASSERT_EQ(fw.kind(), LineageIndex::Kind::kSparseArray) << q << rel;
+      EXPECT_GT(fw.sparse_array().num_overflow(), 0u) << q << rel;
+      EXPECT_LT(fw.sparse_array().num_overflow(),
+                fw.sparse_array().num_valid())
+          << q << rel;
+    }
+    // Q1 keeps almost every lineitem: dense. Every nation reaches many Q10
+    // customers: the 1:N index is the smallest form.
+    EXPECT_EQ(forward_of(runs["Q1"], "lineitem").kind(),
+              LineageIndex::Kind::kArray);
+    EXPECT_EQ(forward_of(runs["Q10"], "nation").kind(),
+              LineageIndex::Kind::kIndex);
+
+    // Every dense or sparse forward counts the brute force's edges (a
+    // dense one counts from its builder's tally), and every position of
+    // every sparse forward traces as the brute force. A 1:N forward is
+    // left out: capture collapses only consecutive repeats, so a Q10
+    // nation keeps a customer's group once per run of its lineitems.
+    for (const Named& nq : Queries()) {
+      const PlanResult& pr = runs[nq.name];
+      const RefLineage ref = BruteForce(nq.query, pr.output);
+      for (size_t t = 0; t < pr.lineage.num_inputs(); ++t) {
+        const LineageIndex& fw = pr.lineage.input(t).forward;
+        if (fw.kind() == LineageIndex::Kind::kIndex) continue;
+        size_t edges = 0;
+        for (const auto& l : ref.forward[t]) edges += l.size();
+        EXPECT_EQ(fw.TotalEdges(), edges)
+            << nq.name << " " << pr.lineage.input(t).table_name;
+        if (fw.kind() != LineageIndex::Kind::kSparseArray) continue;
+        ASSERT_EQ(fw.size(), ref.forward[t].size());
+        std::vector<rid_t> got;
+        for (rid_t i = 0; i < fw.size(); ++i) {
+          got.clear();
+          fw.ForEachRelated(i, [&got](rid_t r) { got.push_back(r); });
+          std::sort(got.begin(), got.end());
+          ASSERT_EQ(got, ref.forward[t][i])
+              << nq.name << " " << pr.lineage.input(t).table_name << " in "
+              << i;
+        }
+      }
+    }
   }
 }
 
@@ -263,12 +310,25 @@ TEST_F(TpchLineageTest, RetainedIndexesCarryNoGrowthSlack) {
       const TableLineage& tl = pr.lineage.input(t);
       for (const LineageIndex* idx : {&tl.backward, &tl.forward}) {
         size_t exact = 0;
-        if (idx->kind() == LineageIndex::Kind::kArray) {
-          exact = idx->size() * sizeof(rid_t);
-        } else {
-          ASSERT_EQ(idx->kind(), LineageIndex::Kind::kIndex);
-          exact = idx->size() * sizeof(RidVec) +
-                  idx->TotalEdges() * sizeof(rid_t);
+        switch (idx->kind()) {
+          case LineageIndex::Kind::kArray:
+            exact = idx->size() * sizeof(rid_t);
+            break;
+          case LineageIndex::Kind::kSparseArray: {
+            const SparseRidArray& s = idx->sparse_array();
+            exact = SparseRidArray::BytesFor(s.size(), s.num_valid(),
+                                             s.num_overflow(),
+                                             s.overflow_edges());
+            break;
+          }
+          case LineageIndex::Kind::kIndex:
+            exact = idx->size() * sizeof(RidVec) +
+                    idx->TotalEdges() * sizeof(rid_t);
+            break;
+          case LineageIndex::Kind::kNone:
+          case LineageIndex::Kind::kEncodedArray:
+          case LineageIndex::Kind::kEncodedIndex:
+            FAIL() << "not a raw form: " << nq.name << " " << tl.table_name;
         }
         EXPECT_EQ(idx->MemoryBytes(), exact) << nq.name << " " << tl.table_name;
       }

@@ -832,9 +832,10 @@ TEST(LineageBoundsTest, OutOfRangeLineageRidIsAStatusUnderCapture) {
 }
 
 // ---------------------------------------------------------------------------
-// The captured trace's forward fragment: 1:1 (a RidArray) when the traced
-// rids are duplicate-free, 1:N (a RidIndex) when a rid repeats. Both forms
-// answer forward traces and ThenForward chains like a brute-force scan.
+// The captured trace's forward fragment: 1:1 when the traced rids are
+// duplicate-free, with an overflow list per rid that repeats; frozen into
+// the sparse form when the trace reaches few rows. Both answer forward
+// traces and ThenForward chains like a brute-force scan.
 // ---------------------------------------------------------------------------
 
 TEST(TraceFragmentTest, ForwardFragmentIsOneToOneUnlessARidRepeats) {
@@ -897,8 +898,10 @@ TEST(TraceFragmentTest, ForwardFragmentIsOneToOneUnlessARidRepeats) {
     const int fi = tr.lineage.FindInput("fact");
     ASSERT_GE(fi, 0);
     const LineageIndex& fw = tr.lineage.input(static_cast<size_t>(fi)).forward;
-    EXPECT_EQ(fw.kind(), dedup ? LineageIndex::Kind::kArray
-                               : LineageIndex::Kind::kIndex);
+    // Two of six groups reach a third of the fact rows: frozen sparse,
+    // with an overflow list per repeated rid.
+    EXPECT_EQ(fw.kind(), LineageIndex::Kind::kSparseArray);
+    EXPECT_EQ(fw.IsOneToOne(), dedup);
     EXPECT_EQ(fw.size(), fact.num_rows());
     EXPECT_TRUE(testing::AreInverse(
         tr.lineage.input(static_cast<size_t>(fi)).backward, fw));
