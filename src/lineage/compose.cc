@@ -1,7 +1,6 @@
 #include "lineage/compose.h"
 
 #include <algorithm>
-#include <numeric>
 #include <vector>
 
 #include "common/macros.h"
@@ -25,33 +24,6 @@ inline void SortedUniqueInto(std::vector<rid_t>* scratch, rid_t i,
   scratch->erase(std::unique(scratch->begin(), scratch->end()),
                  scratch->end());
   out->SetList(i, scratch->data(), scratch->size());
-}
-
-/// ComposeForward over a sparse inner index: visits only the inputs that
-/// reach an intermediate position and builds the sparse result from them,
-/// in O(set inputs + inputs / 64) with no dense array over the inputs.
-LineageIndex ComposeSparseForward(const SparseRidArray& inner,
-                                  const LineageIndex& outer) {
-  std::vector<rid_t> positions, slots, scratch;
-  std::vector<RidVec> overflow;
-  inner.ForEachSet([&](rid_t pos, const rid_t* mids, size_t k) {
-    scratch.clear();
-    for (size_t j = 0; j < k; ++j) outer.TraceInto(mids[j], &scratch);
-    std::sort(scratch.begin(), scratch.end());
-    scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
-    if (scratch.empty()) return;
-    positions.push_back(pos);
-    if (scratch.size() == 1) {
-      slots.push_back(scratch[0]);
-      return;
-    }
-    slots.push_back(SparseRidArray::kOverflowTag +
-                    static_cast<rid_t>(overflow.size()));
-    overflow.emplace_back();
-    overflow.back().PushBackAll(scratch.data(), scratch.size());
-  });
-  return LineageIndex::FromSparseArray(SparseRidArray::FromPositions(
-      inner.size(), positions, std::move(slots), std::move(overflow)));
 }
 
 }  // namespace
@@ -83,9 +55,6 @@ LineageIndex ComposeBackward(const LineageIndex& outer,
 LineageIndex ComposeForward(const LineageIndex& inner,
                             const LineageIndex& outer) {
   if (inner.empty() || outer.empty()) return LineageIndex();
-  if (inner.kind() == LineageIndex::Kind::kSparseArray) {
-    return ComposeSparseForward(inner.sparse_array(), outer);
-  }
   const size_t n = inner.size();
 
   if (inner.IsOneToOne() && outer.IsOneToOne()) {
@@ -161,35 +130,13 @@ void MergeForwardInto(LineageIndex* dst, LineageIndex src) {
 
 LineageIndex InvertTraceRids(const std::vector<rid_t>& rids,
                              size_t num_rows) {
-  // Output positions in rid order. A stable sort keeps a repeated rid's
-  // positions ascending, the order capture appends them in; a backward
-  // trace's rids usually ascend already.
-  std::vector<rid_t> order(rids.size());
-  std::iota(order.begin(), order.end(), 0);
-  if (!std::is_sorted(rids.begin(), rids.end())) {
-    std::stable_sort(order.begin(), order.end(),
-                     [&rids](rid_t a, rid_t b) { return rids[a] < rids[b]; });
+  // Output positions ascend, so a repeated rid's list keeps them in order.
+  ForwardIndexBuilder fw(num_rows);
+  for (size_t i = 0; i < rids.size(); ++i) {
+    SMOKE_DCHECK(rids[i] < num_rows);
+    fw.Add(rids[i], static_cast<rid_t>(i));
   }
-  std::vector<rid_t> positions, slots;
-  std::vector<RidVec> overflow;
-  for (size_t k = 0; k < order.size();) {
-    const rid_t r = rids[order[k]];
-    SMOKE_DCHECK(r < num_rows);
-    size_t e = k + 1;
-    while (e < order.size() && rids[order[e]] == r) ++e;
-    positions.push_back(r);
-    if (e - k == 1) {
-      slots.push_back(order[k]);
-    } else {
-      slots.push_back(SparseRidArray::kOverflowTag +
-                      static_cast<rid_t>(overflow.size()));
-      overflow.emplace_back();
-      overflow.back().PushBackAll(order.data() + k, e - k);
-    }
-    k = e;
-  }
-  return LineageIndex::FromSparseArray(SparseRidArray::FromPositions(
-      num_rows, positions, std::move(slots), std::move(overflow)));
+  return fw.Finish();
 }
 
 LineageIndex IdentityIndex(size_t n) {

@@ -51,12 +51,11 @@ void MergeForwardInto(LineageIndex* dst, LineageIndex src);
 
 /// The forward index of a trace whose output position i is input rid
 /// rids[i] (the inverse of its 1:1 backward array), over `num_rows` input
-/// positions, built straight in the sparse form from the sorted rids in
-/// O(rids log rids + num_rows / 64): 1:1 when the rids are duplicate-free,
-/// with an overflow list for a repeated rid (a dedup=false trace through
-/// join witnesses). Freezing widens it to the dense array when the trace
-/// reaches about half the rows or more. Every rid must already be
-/// validated against `num_rows`.
+/// positions, as ForwardIndexBuilder leaves it: a RidArray when the rids are
+/// duplicate-free, else the sparse form with an overflow list for a
+/// repeated rid (a dedup=false trace through join witnesses). Freezing
+/// (FreezeForward) then narrows it to the smallest form. Every rid must
+/// already be validated against `num_rows`.
 LineageIndex InvertTraceRids(const std::vector<rid_t>& rids, size_t num_rows);
 
 /// The identity 1:1 index over `n` positions (position i maps to i). Used to

@@ -22,15 +22,17 @@ Form NarrowestForm(size_t n, size_t valid, size_t multi, size_t multi_edges,
 }
 
 /// A 1:N forward in the form `form` (kDense or kSparse): single-rid lists
-/// become slots and longer lists move into overflow lists.
+/// become slots and longer lists (or, sparse, a rid too large for a slot)
+/// move into overflow lists.
 LineageIndex NarrowIndex(RidIndex* index, size_t valid, Form form) {
   RidArray slots(index->size(), kInvalidRid);
   std::vector<RidVec> overflow;
   for (size_t i = 0; i < index->size(); ++i) {
     RidVec& l = index->list(i);
-    if (l.size() == 1) {
+    if (l.size() == 1 &&
+        (form == Form::kDense || l[0] < SparseRidArray::kOverflowTag)) {
       slots[i] = l[0];
-    } else if (l.size() > 1) {
+    } else if (!l.empty()) {
       slots[i] = SparseRidArray::kOverflowTag +
                  static_cast<rid_t>(overflow.size());
       overflow.push_back(std::move(l));
@@ -55,8 +57,10 @@ LineageIndex FreezeForward(LineageIndex forward) {
         forward.ShrinkToFit();
         return forward;
       }
-      return LineageIndex::FromSparseArray(
-          SparseRidArray::FromTagged(forward.array(), {}));
+      LineageIndex sparse = LineageIndex::FromSparseArray(
+          SparseRidArray::FromArray(forward.array()));
+      sparse.ShrinkToFit();
+      return sparse;
     }
     case LineageIndex::Kind::kSparseArray: {
       const SparseRidArray& s = forward.sparse_array();
@@ -95,6 +99,17 @@ LineageIndex FreezeForward(LineageIndex forward) {
       break;
   }
   return forward;
+}
+
+void ForwardIndexBuilder::AddToList(rid_t* cur, rid_t out) {
+  if (*cur == kInvalidRid) {
+    *cur = NewOverflow(&out, 1);
+    ++num_valid_;
+    return;
+  }
+  if (*cur < SparseRidArray::kOverflowTag) *cur = NewOverflow(cur, 1);
+  RidVec& l = overflow_[*cur - SparseRidArray::kOverflowTag];
+  if (l[l.size() - 1] != out) l.PushBack(out);
 }
 
 LineageIndex ForwardIndexBuilder::Finish() {

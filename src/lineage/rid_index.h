@@ -339,10 +339,10 @@ LineageIndex FreezeForward(LineageIndex forward);
 
 /// \brief Builds a forward index (input rid -> output rids): a dense 1:1
 /// array whose slot turns into an overflow list (tagged as in
-/// SparseRidArray) at the first input that reaches a second output. Each
-/// list keeps insertion order, so the result traces equal to appending
-/// straight into a RidIndex. Output rids stay below
-/// SparseRidArray::kOverflowTag.
+/// SparseRidArray) at the first input that reaches a second output, or
+/// whose one output is at or above SparseRidArray::kOverflowTag. Each list
+/// keeps insertion order, so the result traces equal to appending straight
+/// into a RidIndex.
 class ForwardIndexBuilder {
  public:
   ForwardIndexBuilder() = default;
@@ -352,24 +352,25 @@ class ForwardIndexBuilder {
   /// Records edge in -> out, unless `out` is the last output recorded for
   /// `in` (consecutive repeats collapse, as capture's forward lists do).
   void Add(rid_t in, rid_t out) {
-    SMOKE_DCHECK(out < SparseRidArray::kOverflowTag);
     rid_t& cur = slots_[in];
-    if (cur == kInvalidRid) {
-      cur = out;
-      ++num_valid_;
-      return;
+    if (out < SparseRidArray::kOverflowTag) {
+      if (cur == kInvalidRid) {
+        cur = out;
+        ++num_valid_;
+        return;
+      }
+      if (cur == out) return;
     }
-    if (cur == out) return;
-    if (cur < SparseRidArray::kOverflowTag) cur = NewOverflow(&cur, 1);
-    RidVec& l = overflow_[cur - SparseRidArray::kOverflowTag];
-    if (l[l.size() - 1] != out) l.PushBack(out);
+    AddToList(&cur, out);
   }
 
   /// Records the whole output list of `in`, whose outputs must not have
   /// been recorded yet.
   void SetList(rid_t in, const rid_t* d, size_t n) {
     if (n == 0) return;
-    slots_[in] = n == 1 ? d[0] : NewOverflow(d, n);
+    slots_[in] = n == 1 && d[0] < SparseRidArray::kOverflowTag
+                     ? d[0]
+                     : NewOverflow(d, n);
     ++num_valid_;
   }
 
@@ -378,6 +379,10 @@ class ForwardIndexBuilder {
   LineageIndex Finish();
 
  private:
+  /// Add's list path: appends `out` to the overflow list of the input whose
+  /// slot is `*cur`, starting the list when there is none.
+  void AddToList(rid_t* cur, rid_t out);
+
   /// Starts an overflow list holding `n` rids; returns its tagged slot.
   rid_t NewOverflow(const rid_t* d, size_t n) {
     const rid_t tag =

@@ -4,8 +4,9 @@
 
 namespace smoke {
 
-SparseRidArray SparseRidArray::FromTagged(const RidArray& tagged,
-                                          std::vector<RidVec> overflow) {
+SparseRidArray SparseRidArray::Compact(const RidArray& tagged,
+                                       std::vector<RidVec> overflow,
+                                       bool plain) {
   SparseRidArray s;
   s.size_ = tagged.size();
   const size_t words = (s.size_ + 63) / 64;
@@ -30,40 +31,25 @@ SparseRidArray SparseRidArray::FromTagged(const RidArray& tagged,
     }
     std::memcpy(s.blocks_.data() + w * kBlockWords + 1, &bits, sizeof(bits));
   }
-  // Pass 2: the slots of the set positions, in position order.
+  // Pass 2: the slots of the set positions, in position order. A plain
+  // rid too large for a slot moves into an overflow list.
   s.slots_.resize(s.RankWords());
+  s.overflow_ = std::move(overflow);
   rid_t* out = s.slots_.data();
   for (size_t w = 0; w < words; ++w) {
     uint64_t bits;
     std::memcpy(&bits, s.blocks_.data() + w * kBlockWords + 1, sizeof(bits));
     const rid_t* in = tagged.data() + w * 64;
-    while (bits != 0) {
-      *out++ = in[__builtin_ctzll(bits)];
-      bits &= bits - 1;
+    for (; bits != 0; bits &= bits - 1) {
+      rid_t v = in[__builtin_ctzll(bits)];
+      if (plain && v >= kOverflowTag) {
+        s.overflow_.emplace_back();
+        s.overflow_.back().PushBack(v);
+        v = kOverflowTag + static_cast<rid_t>(s.overflow_.size() - 1);
+      }
+      *out++ = v;
     }
   }
-  s.overflow_ = std::move(overflow);
-  return s;
-}
-
-SparseRidArray SparseRidArray::FromPositions(
-    size_t n, const std::vector<rid_t>& positions, std::vector<rid_t> slots,
-    std::vector<RidVec> overflow) {
-  SMOKE_DCHECK(positions.size() == slots.size());
-  SparseRidArray s;
-  s.size_ = n;
-  s.blocks_.resize((n + 63) / 64 * kBlockWords);
-  for (rid_t p : positions) {
-    SMOKE_DCHECK(p < n);
-    uint32_t* word = s.blocks_.data() + (p >> 6) * kBlockWords + 1;
-    uint64_t bits;
-    std::memcpy(&bits, word, sizeof(bits));
-    bits |= uint64_t{1} << (p & 63);
-    std::memcpy(word, &bits, sizeof(bits));
-  }
-  s.RankWords();
-  s.slots_ = std::move(slots);
-  s.overflow_ = std::move(overflow);
   return s;
 }
 

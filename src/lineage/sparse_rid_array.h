@@ -8,14 +8,14 @@
 //    positions one 32-bit count of the set positions before them, then the
 //    64 bits (12 bytes);
 //  - one 32-bit slot per set position, in position order;
-//  - an overflow list per position that reaches more than one output. Its
-//    slot is tagged (kOverflowTag | list number); an untagged slot is the
-//    position's single output.
+//  - an overflow list per position that reaches more than one output, or
+//    whose one output is at or above kOverflowTag (a slot cannot hold
+//    it). Its slot is tagged (kOverflowTag | list number); an untagged
+//    slot is the position's single output.
 //
 // A read is a bit test, a popcount over the word and one load, plus the
 // list walk for a tagged slot; a pass over the set positions costs one
-// ctz each plus a word per 64 positions. Output rids must stay below
-// kOverflowTag (2^31 output rows).
+// ctz each plus a word per 64 positions.
 #ifndef SMOKE_LINEAGE_SPARSE_RID_ARRAY_H_
 #define SMOKE_LINEAGE_SPARSE_RID_ARRAY_H_
 
@@ -45,15 +45,16 @@ class SparseRidArray {
   /// tagged slot names one of `overflow`, and any other value is the
   /// position's single rid. The result is exact-size.
   static SparseRidArray FromTagged(const RidArray& tagged,
-                                   std::vector<RidVec> overflow);
+                                   std::vector<RidVec> overflow) {
+    return Compact(tagged, std::move(overflow), /*plain=*/false);
+  }
 
-  /// The form over `n` positions whose set positions are `positions`
-  /// (ascending, distinct, below `n`), holding `slots` in the same order;
-  /// a tagged slot names one of `overflow`. O(positions + n / 64).
-  static SparseRidArray FromPositions(size_t n,
-                                      const std::vector<rid_t>& positions,
-                                      std::vector<rid_t> slots,
-                                      std::vector<RidVec> overflow);
+  /// Compacts a dense 1:1 array, whose every value other than kInvalidRid
+  /// is a rid: one at or above kOverflowTag gets an overflow list of its
+  /// own.
+  static SparseRidArray FromArray(const RidArray& array) {
+    return Compact(array, {}, /*plain=*/true);
+  }
 
   /// Exact bytes of the form over `n` positions, `num_valid` of them set
   /// and `num_overflow` of those holding lists of `overflow_edges` rids in
@@ -68,7 +69,8 @@ class SparseRidArray {
   size_t size() const { return size_; }
   /// Positions related to at least one rid.
   size_t num_valid() const { return slots_.size(); }
-  /// Positions related to more than one rid.
+  /// Positions held in overflow lists: those related to more than one
+  /// rid, or to one rid at or above kOverflowTag.
   size_t num_overflow() const { return overflow_.size(); }
   /// Rids held by the overflow lists.
   size_t overflow_edges() const {
@@ -144,6 +146,10 @@ class SparseRidArray {
 
  private:
   static constexpr size_t kBlockWords = 3;  ///< rank, then 64 bits
+
+  /// FromTagged (plain = false) or FromArray (plain = true).
+  static SparseRidArray Compact(const RidArray& slots,
+                                std::vector<RidVec> overflow, bool plain);
 
   /// Writes each word's rank (the set positions before it) over the
   /// bitmap already in blocks_; returns the set positions in all.

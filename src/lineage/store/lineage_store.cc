@@ -1,25 +1,60 @@
 #include "lineage/store/lineage_store.h"
 
+#include <algorithm>
+#include <optional>
 #include <utility>
 
 namespace smoke {
 
 namespace {
 
+/// Bytes of the kAdaptive array encoding of `s` (no overflow lists), from
+/// one pass over its set positions: the runs, and the range of its rids.
+size_t AdaptiveArrayBytesOf(const SparseRidArray& s) {
+  size_t runs = 0, end = 0;  // `end`: one past the last position seen
+  rid_t lo = kInvalidRid, hi = 0, prev = kInvalidRid;
+  s.ForEachSet([&](rid_t pos, const rid_t* d, size_t) {
+    if (pos > end) ++runs;  // the unset positions before `pos`
+    if (pos > end || pos == 0 || d[0] != prev + 1) ++runs;
+    end = pos + size_t{1};
+    prev = d[0];
+    lo = std::min(lo, prev);
+    hi = std::max(hi, prev);
+  });
+  if (end < s.size()) ++runs;
+  return AdaptiveArrayBytes(s.size(), runs, lo, hi);
+}
+
 /// Encodes a sparse form under a non-raw codec: as a 1:1 array when it has
-/// no overflow lists, else as posting lists, one list per position.
-LineageIndex EncodeSparse(const SparseRidArray& s, LineageCodec codec) {
+/// no overflow lists, else as posting lists, one list per position. Under
+/// kAdaptive no encoding larger than the sparse form is kept; nullopt
+/// then says to keep the raw form. The array's size follows from its
+/// stats; posting lists cost at least 9 bytes (offset and tag) per
+/// position and a word per set one, and are built only below that bound.
+std::optional<LineageIndex> EncodeSparse(const SparseRidArray& s,
+                                         LineageCodec codec) {
+  const bool adaptive = codec == LineageCodec::kAdaptive;
   if (s.num_overflow() == 0) {
+    if (adaptive && s.MemoryBytes() <= AdaptiveArrayBytesOf(s)) {
+      return std::nullopt;
+    }
     return LineageIndex::FromEncodedArray(
         EncodedRidArray::Encode(s.ToArray(), codec));
   }
+  const size_t postings_floor = (s.size() + 1) * sizeof(uint64_t) +
+                                s.size() + s.num_valid() * sizeof(rid_t);
+  if (adaptive && s.MemoryBytes() <= postings_floor) return std::nullopt;
   PostingsBuilder b(codec);
   for (rid_t i = 0; i < s.size(); ++i) {
     size_t n;
     const rid_t* d = s.Related(i, &n);
     b.AddList(d, n);
   }
-  return LineageIndex::FromEncodedPostings(b.Finish());
+  LineageIndex encoded = LineageIndex::FromEncodedPostings(b.Finish());
+  if (adaptive && s.MemoryBytes() <= encoded.MemoryBytes()) {
+    return std::nullopt;
+  }
+  return encoded;
 }
 
 }  // namespace
@@ -32,9 +67,12 @@ LineageIndex EncodeLineage(LineageIndex index, LineageCodec codec) {
       if (codec == LineageCodec::kRaw) return index;
       return LineageIndex::FromEncodedArray(
           EncodedRidArray::Encode(std::move(index.mutable_array()), codec));
-    case LineageIndex::Kind::kSparseArray:
+    case LineageIndex::Kind::kSparseArray: {
       if (codec == LineageCodec::kRaw) return index;
-      return EncodeSparse(index.sparse_array(), codec);
+      std::optional<LineageIndex> e = EncodeSparse(index.sparse_array(), codec);
+      if (e) return std::move(*e);
+      return index;
+    }
     case LineageIndex::Kind::kIndex:
       if (codec == LineageCodec::kRaw) return index;
       return LineageIndex::FromEncodedPostings(
@@ -75,9 +113,12 @@ LineageIndex EncodeLineageCopy(const LineageIndex& index, LineageCodec codec) {
       return LineageIndex::FromEncodedArray(
           EncodedRidArray::Encode(a.data(), a.size(), codec));
     }
-    case LineageIndex::Kind::kSparseArray:
+    case LineageIndex::Kind::kSparseArray: {
       if (codec == LineageCodec::kRaw) return index;  // exact-size copy
-      return EncodeSparse(index.sparse_array(), codec);
+      std::optional<LineageIndex> e = EncodeSparse(index.sparse_array(), codec);
+      if (e) return std::move(*e);
+      return index;
+    }
     case LineageIndex::Kind::kIndex: {
       const RidIndex& in = index.index();
       if (codec != LineageCodec::kRaw) {

@@ -358,14 +358,37 @@ unsigned PackedWidth(rid_t lo, rid_t hi) {
 }
 
 /// The encoding `policy` gives array `d`, with the range of its valid
-/// rids. Bytes of each form: raw 4 per position, range 8 per run, packed
-/// its width in bits per position plus one trailing word. Forced kBitmap
-/// has no 1:1 form and behaves adaptively.
+/// rids. Forced kBitmap has no 1:1 form and behaves adaptively.
 struct ArrayChoice {
   RidSetEncoding enc = RidSetEncoding::kRaw;
   rid_t lo = kInvalidRid;  ///< kInvalidRid: no valid rid
   rid_t hi = 0;
+  size_t bytes = 0;        ///< of the chosen encoding
 };
+
+/// The smallest encoding of an array over `n` positions holding `runs`
+/// maximal runs, its valid rids in [lo, hi]. Bytes of each form: raw 4
+/// per position, range 8 per run, packed its width in bits per position
+/// plus one trailing word.
+ArrayChoice SmallestArrayEncoding(size_t n, size_t runs, rid_t lo,
+                                  rid_t hi) {
+  ArrayChoice c;
+  c.lo = lo;
+  c.hi = hi;
+  c.bytes = n * sizeof(rid_t);
+  if (runs * 2 * sizeof(rid_t) < c.bytes) {
+    c.bytes = runs * 2 * sizeof(rid_t);
+    c.enc = RidSetEncoding::kRange;
+  }
+  const size_t packed =
+      (n * PackedWidth(lo, hi) + 63) / 64 * sizeof(uint64_t) +
+      sizeof(uint64_t);
+  if (packed < c.bytes) {
+    c.bytes = packed;
+    c.enc = RidSetEncoding::kPacked;
+  }
+  return c;
+}
 
 ArrayChoice ChooseArrayEncoding(const rid_t* d, size_t n,
                                 LineageCodec policy) {
@@ -390,22 +413,14 @@ ArrayChoice ChooseArrayEncoding(const rid_t* d, size_t n,
     lo = std::min(lo, cur);
     hi = std::max(hi, cur & (inv_cur - 1));
   }
-  c.lo = lo;
-  c.hi = hi;
-  size_t best = n * sizeof(rid_t);
-  if (runs * 2 * sizeof(rid_t) < best) {
-    best = runs * 2 * sizeof(rid_t);
-    c.enc = RidSetEncoding::kRange;
-  }
-  if ((n * PackedWidth(lo, hi) + 63) / 64 * sizeof(uint64_t) +
-          sizeof(uint64_t) <
-      best) {
-    c.enc = RidSetEncoding::kPacked;
-  }
-  return c;
+  return SmallestArrayEncoding(n, runs, lo, hi);
 }
 
 }  // namespace
+
+size_t AdaptiveArrayBytes(size_t n, size_t runs, rid_t lo, rid_t hi) {
+  return n == 0 ? 0 : SmallestArrayEncoding(n, runs, lo, hi).bytes;
+}
 
 EncodedRidArray EncodedRidArray::Encode(std::vector<rid_t> array,
                                         LineageCodec policy) {

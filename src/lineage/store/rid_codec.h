@@ -319,6 +319,13 @@ class PostingsBuilder {
   EncodedPostings out_;
 };
 
+/// Bytes of the kAdaptive EncodedRidArray over `n` positions whose values
+/// form `runs` maximal runs (step-+1 valid runs and kInvalidRid runs, as
+/// kRange stores them) and whose valid rids lie in [lo, hi] (lo ==
+/// kInvalidRid: none). Lets a caller holding those stats size the
+/// encoding without building it.
+size_t AdaptiveArrayBytes(size_t n, size_t runs, rid_t lo, rid_t hi);
+
 /// \brief A compressed 1-to-1 lineage array (RidArray): position -> rid or
 /// kInvalidRid. Three encodings: raw values; maximal runs — step-+1
 /// ascending value runs and constant kInvalidRid runs — stored as parallel

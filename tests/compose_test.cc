@@ -198,8 +198,8 @@ TEST(ComposeTest, ForwardIsOneToOneUnlessAnInputReachesTwoOutputs) {
   EXPECT_EQ(testing::Edges(wide),
             (std::vector<std::pair<rid_t, rid_t>>{{0, 3}, {0, 5}, {1, 4}}));
 
-  // A sparse inner (the trace fragment's form) composes to the same edges
-  // through its set inputs only.
+  // A sparse inner (a frozen trace fragment's form) composes to the same
+  // edges as the RidIndex inner.
   LineageIndex sparse_inner = FreezeForward(LineageIndex::FromIndex(inner));
   ASSERT_EQ(sparse_inner.kind(), LineageIndex::Kind::kSparseArray);
   for (const RidArray& outer : {same, split, RidArray{kInvalidRid, 3, 4}}) {

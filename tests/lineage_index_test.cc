@@ -271,11 +271,71 @@ TEST(SparseRidArrayTest, FrozenForwardEqualsRidIndexOnEveryShape) {
         });
       }
 
-      // Adaptive encoding traces equal to encoding the reference.
-      EXPECT_TRUE(SameTraces(EncodeLineageCopy(form, LineageCodec::kAdaptive),
+      // Adaptive encoding traces equal to encoding the reference, and
+      // never makes the frozen form larger.
+      const LineageIndex encoded =
+          EncodeLineageCopy(form, LineageCodec::kAdaptive);
+      EXPECT_TRUE(SameTraces(encoded,
                              EncodeLineageCopy(raw, LineageCodec::kAdaptive)));
+      if (form.kind() == LineageIndex::Kind::kSparseArray) {
+        EXPECT_LE(encoded.MemoryBytes(), form.MemoryBytes());
+        EXPECT_LE(EncodeLineage(form, LineageCodec::kAdaptive).MemoryBytes(),
+                  form.MemoryBytes());
+      }
     }
   }
+}
+
+// Output rids at or above SparseRidArray::kOverflowTag cannot be slots:
+// the builder, the freeze of a dense array and the narrowing of a RidIndex
+// keep each in an overflow list of its own, so every form traces them as
+// given, including a rid equal to the tag of an existing list.
+TEST(SparseRidArrayTest, RidsAtOrAboveTheOverflowTagTraceAsGiven) {
+  constexpr rid_t kTag = SparseRidArray::kOverflowTag;
+  constexpr size_t kN = 1000;
+  const std::vector<std::pair<rid_t, rid_t>> edges = {
+      {3, kTag},   {5, kTag + 1}, {5, 7},    {9, 2},
+      {7, 100},    {7, 200},      {3, kTag}, {7, kTag + 2},
+      {200, kInvalidRid - 1}};
+  ForwardIndexBuilder builder(kN);
+  RidIndex want(kN);
+  for (auto [in, out] : edges) {
+    builder.Add(in, out);
+    RidVec& l = want.list(in);
+    if (l.empty() || l[l.size() - 1] != out) l.PushBack(out);
+  }
+  const LineageIndex ref = LineageIndex::FromIndex(want);
+  const LineageIndex built = builder.Finish();
+  ASSERT_EQ(built.kind(), LineageIndex::Kind::kSparseArray);
+  EXPECT_TRUE(SameTraces(built, ref));
+  EXPECT_EQ(built.TotalEdges(), ref.TotalEdges());
+  const LineageIndex frozen = FreezeForward(built);
+  EXPECT_EQ(frozen.kind(), LineageIndex::Kind::kSparseArray);
+  EXPECT_TRUE(SameTraces(frozen, ref));
+  const LineageIndex narrowed = FreezeForward(ref);
+  EXPECT_EQ(narrowed.kind(), LineageIndex::Kind::kSparseArray);
+  EXPECT_TRUE(SameTraces(narrowed, ref));
+  EXPECT_TRUE(SameTraces(EncodeLineageCopy(narrowed, LineageCodec::kAdaptive),
+                         ref));
+
+  RidArray dense(kN, kInvalidRid);
+  dense[3] = kTag;
+  dense[9] = 2;
+  dense[200] = kInvalidRid - 1;
+  const LineageIndex array = LineageIndex::FromArray(dense);
+  const LineageIndex sparse = FreezeForward(array);
+  ASSERT_EQ(sparse.kind(), LineageIndex::Kind::kSparseArray);
+  EXPECT_FALSE(sparse.IsOneToOne());  // two rids live in overflow lists
+  EXPECT_TRUE(SameTraces(sparse, array));
+  EXPECT_EQ(sparse.TotalEdges(), 3u);
+  EXPECT_EQ(sparse.MemoryBytes(),
+            SparseRidArray::BytesFor(kN, 3, 2, 2));
+
+  ForwardIndexBuilder lists(4);
+  const rid_t wide[] = {kTag + 3};
+  lists.SetList(1, wide, 1);
+  EXPECT_EQ(testing::Edges(lists.Finish()),
+            (std::vector<std::pair<rid_t, rid_t>>{{1, kTag + 3}}));
 }
 
 TEST(LineageIndexTest, ShrinkToFitFreezesRawFormsExactly) {
